@@ -207,10 +207,11 @@ func BenchmarkEngineEvents(b *testing.B) {
 func BenchmarkFabricTransfers(b *testing.B) {
 	eng := sim.NewEngine()
 	fb := pcie.NewFabric(eng)
-	link := fb.NewLink("l", units.GBps(10))
+	path := []*pcie.Link{fb.NewLink("l", units.GBps(10))}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fb.Transfer(4096, []*pcie.Link{link}, nil)
+		fb.Transfer(4096, path, nil)
 		if i%256 == 255 {
 			eng.Run()
 		}
@@ -222,6 +223,7 @@ func BenchmarkDevicePageOp(b *testing.B) {
 	eng := sim.NewEngine()
 	h := device.NewHost(eng, pcie.Gen4, 16)
 	d := h.Attach(device.SpecConnectX5("rdma"))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Submit(device.Op{Size: units.PageSize, Sequential: true}, nil)
@@ -266,6 +268,7 @@ func BenchmarkSwapPathOp(b *testing.B) {
 	h := device.NewHost(eng, pcie.Gen4, 16)
 	be := swap.NewDeviceBackend(eng, h.Attach(device.SpecConnectX5("rdma")))
 	p := swap.NewPath(eng, be, swap.NewChannel(eng, "ch", 8))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.SwapIn(swap.Extent{Pages: 1, Sequential: true}, nil)

@@ -146,6 +146,12 @@ type Device struct {
 	internal *pcie.Link
 	slot     *pcie.Link
 	extra    []*pcie.Link // e.g. host root-complex budget
+	// path is every transfer's link path (media, slot, then extra), built
+	// once: the fabric only reads it.
+	path []*pcie.Link
+
+	// free recycles op records (see opRecord).
+	free sim.FreeList[opRecord]
 
 	// Reads and writes occupy separate channel pools, mirroring real
 	// hardware (NVMe submission queues, RDMA queue pairs) and PCIe's full
@@ -196,6 +202,7 @@ func New(eng *sim.Engine, fabric *pcie.Fabric, spec Spec, extraLinks ...*pcie.Li
 		readCh:   sim.NewResource(eng, spec.Channels),
 		writeCh:  sim.NewResource(eng, spec.Channels),
 	}
+	d.path = append([]*pcie.Link{d.internal, d.slot}, extraLinks...)
 	d.latFactor = 1
 	d.Ops.Name = spec.Name + ".ops"
 	d.ReadOps.Name = spec.Name + ".reads"
@@ -329,12 +336,16 @@ func (d *Device) Healthy() bool {
 // only fires if the op succeeds — callers that need failure notification
 // use SubmitResult.
 func (d *Device) Submit(op Op, done func(lat sim.Duration)) {
-	d.SubmitResult(op, func(lat sim.Duration, err error) {
-		if err == nil && done != nil {
-			done(lat)
-		}
-	})
+	if done == nil {
+		// A dead device schedules its fail-fast rejection whenever the op
+		// has a listener, and a Submit op always has one.
+		done = ignoreLatency
+	}
+	d.submit(op, done, nil)
 }
+
+// ignoreLatency is the listener of a Submit op whose caller passed none.
+var ignoreLatency = func(sim.Duration) {}
 
 // SubmitResult enqueues an operation and reports the outcome: done fires
 // with err == nil on success, or err == ErrDown (after FailFastLatency) if
@@ -342,6 +353,62 @@ func (d *Device) Submit(op Op, done func(lat sim.Duration)) {
 // done never fires — initiators recover via their own timeout (see
 // swap.RetryPolicy).
 func (d *Device) SubmitResult(op Op, done func(lat sim.Duration, err error)) {
+	d.submit(op, nil, done)
+}
+
+// opRecord is one in-flight op. Its stage callbacks are bound once, when the
+// record is built, so recycling the record recycles them too. At most one of
+// onLat (Submit) and onResult (SubmitResult) is set.
+type opRecord struct {
+	d        *Device
+	op       Op
+	ch       *sim.Resource
+	base     sim.Duration
+	start    sim.Time
+	acquired sim.Time
+	served   sim.Time
+	onLat    func(lat sim.Duration)
+	onResult func(lat sim.Duration, err error)
+
+	acquireFn  func()
+	serveFn    func()
+	transferFn func(at sim.Time)
+	failFn     func()
+}
+
+// newOp pops a recycled op record or builds a fresh one with its callbacks.
+func (d *Device) newOp() *opRecord {
+	if r := d.free.Get(); r != nil {
+		return r
+	}
+	r := &opRecord{d: d}
+	r.acquireFn = r.acquire
+	r.serveFn = r.serve
+	r.transferFn = r.transferred
+	r.failFn = r.failed
+	return r
+}
+
+// recycle returns a record whose callbacks can no longer fire to the free
+// list.
+func (d *Device) recycle(r *opRecord) {
+	r.onLat, r.onResult = nil, nil
+	d.free.Put(r)
+}
+
+// complete recycles the record and then reports the outcome: the listener
+// may submit again and reuse this very record.
+func (r *opRecord) complete(lat sim.Duration, err error) {
+	onLat, onResult := r.onLat, r.onResult
+	r.d.recycle(r)
+	if onResult != nil {
+		onResult(lat, err)
+	} else if onLat != nil && err == nil {
+		onLat(lat)
+	}
+}
+
+func (d *Device) submit(op Op, onLat func(sim.Duration), onResult func(sim.Duration, error)) {
 	if op.Size <= 0 {
 		panic(fmt.Sprintf("device %q: op with non-positive size", d.spec.Name))
 	}
@@ -352,105 +419,124 @@ func (d *Device) SubmitResult(op Op, done func(lat sim.Duration, err error)) {
 		}
 		return
 	}
+	r := d.newOp()
+	r.op, r.onLat, r.onResult = op, onLat, onResult
 	if d.down {
-		d.failFast(done)
+		d.failFast(r)
 		return
 	}
-	start := d.eng.Now()
+	r.start = d.eng.Now()
 	if d.obsQueue != nil {
-		d.obsQueue.Add(start, float64(d.QueueDepth()))
+		d.obsQueue.Add(r.start, float64(d.QueueDepth()))
 	}
-	ch := d.readCh
+	r.ch = d.readCh
 	if op.Write {
-		ch = d.writeCh
+		r.ch = d.writeCh
 	}
-	ch.Acquire(1, func() {
-		// Stage spans for correlated ops: wait (channel queueing), arbitrate
-		// (base service latency), transfer (fabric streaming). Together with
-		// the swap path's stage spans these give the analysis tier an exact
-		// decomposition of a swap op's end-to-end latency.
-		acquired := d.eng.Now()
-		if d.rec != nil && op.ID != 0 {
-			d.rec.Span(d.track, "wait", start, obs.DetailOp(op.ID, op.Stripe))
-		}
-		// The device may have faulted while the op sat in the queue.
-		if d.stalled || d.down {
-			ch.Release(1)
-			if d.down {
-				d.failFast(done)
-			} else {
-				d.Dropped.Inc()
-			}
-			return
-		}
-		base := d.spec.ReadLatency
-		if op.Write {
-			base = d.spec.WriteLatency
-		}
-		if !op.Sequential {
-			base += d.spec.RandomPenalty
-		}
-		if d.latFactor > 1 {
-			base = sim.Duration(float64(base) * d.latFactor)
-		}
-		d.eng.After(base, func() {
-			served := d.eng.Now()
-			if d.rec != nil && op.ID != 0 {
-				d.rec.Span(d.track, "arbitrate", acquired, obs.DetailOp(op.ID, op.Stripe))
-			}
-			path := make([]*pcie.Link, 0, 2+len(d.extra))
-			path = append(path, d.internal, d.slot)
-			path = append(path, d.extra...)
-			d.fabric.TransferCapped(op.Size, d.spec.ChannelBandwidth, path, func(at sim.Time) {
-				ch.Release(1)
-				lat := at.Sub(start)
-				d.Ops.Inc()
-				if op.Write {
-					d.WriteOps.Inc()
-					d.BytesWrit += float64(op.Size)
-				} else {
-					d.ReadOps.Inc()
-					d.BytesRead += float64(op.Size)
-				}
-				if invariant.On {
-					ckDevLatency.Assert(lat >= base,
-						"op latency %v below base service latency %v", lat, base)
-					secs := at.Seconds()
-					bound := float64(d.spec.Bandwidth)*secs*(1+1e-6) + 1e-3*float64(d.Ops.Value) + 1
-					ckDevThroughput.Assert(d.TotalBytes() <= bound,
-						"device %q completed %.0f bytes in %.6fs at %.0f B/s",
-						d.spec.Name, d.TotalBytes(), secs, float64(d.spec.Bandwidth))
-				}
-				d.Latency.Add(lat.Microseconds())
-				if d.rec != nil {
-					name := "read"
-					if op.Write {
-						name = "write"
-					}
-					detail := ""
-					if op.ID != 0 {
-						detail = obs.DetailOp(op.ID, op.Stripe)
-						d.rec.Span(d.track, "transfer", served, detail)
-					}
-					d.rec.Span(d.track, name, start, detail)
-				}
-				if done != nil {
-					done(lat, nil)
-				}
-			})
-		})
-	})
+	r.ch.Acquire(1, r.acquireFn)
 }
 
-func (d *Device) failFast(done func(lat sim.Duration, err error)) {
+// acquire runs when the op is granted a channel.
+func (r *opRecord) acquire() {
+	d, op := r.d, r.op
+	// Stage spans for correlated ops: wait (channel queueing), arbitrate
+	// (base service latency), transfer (fabric streaming). Together with
+	// the swap path's stage spans these give the analysis tier an exact
+	// decomposition of a swap op's end-to-end latency.
+	r.acquired = d.eng.Now()
+	if d.rec != nil && op.ID != 0 {
+		d.rec.Span(d.track, "wait", r.start, obs.DetailOp(op.ID, op.Stripe))
+	}
+	// The device may have faulted while the op sat in the queue.
+	if d.stalled || d.down {
+		r.ch.Release(1)
+		if d.down {
+			d.failFast(r)
+		} else {
+			// Dropped: the record is left to the GC, never reused.
+			d.Dropped.Inc()
+		}
+		return
+	}
+	base := d.spec.ReadLatency
+	if op.Write {
+		base = d.spec.WriteLatency
+	}
+	if !op.Sequential {
+		base += d.spec.RandomPenalty
+	}
+	if d.latFactor > 1 {
+		base = sim.Duration(float64(base) * d.latFactor)
+	}
+	r.base = base
+	d.eng.After(base, r.serveFn)
+}
+
+// serve runs once the base service latency has elapsed and streams the
+// payload through the fabric.
+func (r *opRecord) serve() {
+	d := r.d
+	r.served = d.eng.Now()
+	if d.rec != nil && r.op.ID != 0 {
+		d.rec.Span(d.track, "arbitrate", r.acquired, obs.DetailOp(r.op.ID, r.op.Stripe))
+	}
+	d.fabric.TransferCapped(r.op.Size, d.spec.ChannelBandwidth, d.path, r.transferFn)
+}
+
+// transferred runs when the op's last byte lands.
+func (r *opRecord) transferred(at sim.Time) {
+	d, op := r.d, r.op
+	r.ch.Release(1)
+	lat := at.Sub(r.start)
+	d.Ops.Inc()
+	if op.Write {
+		d.WriteOps.Inc()
+		d.BytesWrit += float64(op.Size)
+	} else {
+		d.ReadOps.Inc()
+		d.BytesRead += float64(op.Size)
+	}
+	if invariant.On {
+		ckDevLatency.Assert(lat >= r.base,
+			"op latency %v below base service latency %v", lat, r.base)
+		secs := at.Seconds()
+		bound := float64(d.spec.Bandwidth)*secs*(1+1e-6) + 1e-3*float64(d.Ops.Value) + 1
+		ckDevThroughput.Assert(d.TotalBytes() <= bound,
+			"device %q completed %.0f bytes in %.6fs at %.0f B/s",
+			d.spec.Name, d.TotalBytes(), secs, float64(d.spec.Bandwidth))
+	}
+	d.Latency.Add(lat.Microseconds())
+	if d.rec != nil {
+		name := "read"
+		if op.Write {
+			name = "write"
+		}
+		detail := ""
+		if op.ID != 0 {
+			detail = obs.DetailOp(op.ID, op.Stripe)
+			d.rec.Span(d.track, "transfer", r.served, detail)
+		}
+		d.rec.Span(d.track, name, r.start, detail)
+	}
+	r.complete(lat, nil)
+}
+
+// failFast rejects the op with ErrDown after FailFastLatency. An op without
+// a listener is counted but schedules nothing.
+func (d *Device) failFast(r *opRecord) {
 	d.Failed.Inc()
 	if d.rec != nil {
 		d.rec.Instant(d.track, "err-down", "")
 	}
-	if done != nil {
-		d.eng.After(FailFastLatency, func() { done(FailFastLatency, ErrDown) })
+	if r.onLat == nil && r.onResult == nil {
+		d.recycle(r)
+		return
 	}
+	d.eng.After(FailFastLatency, r.failFn)
 }
+
+// failed delivers a dead device's rejection.
+func (r *opRecord) failed() { r.complete(FailFastLatency, ErrDown) }
 
 // TotalBytes reports all payload moved through the device.
 func (d *Device) TotalBytes() float64 { return d.BytesRead + d.BytesWrit }

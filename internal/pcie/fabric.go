@@ -72,10 +72,12 @@ func (l *Link) Utilization(now sim.Time) float64 {
 	return l.bytesMoved / (l.capacity * secs)
 }
 
-// Flow is an in-progress transfer across a path of links. Its instantaneous
+// flow is an in-progress transfer across a path of links. Its instantaneous
 // rate is the max-min fair share across every link it traverses, further
 // bounded by an optional per-flow cap (e.g. one RDMA queue pair's limit).
-type Flow struct {
+// Flows are recycled through the fabric's free list once they complete, so
+// no pointer to one escapes the package.
+type flow struct {
 	path      []*Link
 	remaining float64
 	size      float64
@@ -83,7 +85,6 @@ type Flow struct {
 	cap       float64 // 0 = uncapped
 	done      func(at sim.Time)
 	frozen    bool // scratch during recompute
-	finished  bool
 
 	// Observability (populated only when the fabric is recorded): start
 	// stamp and the ideal uncontended duration — size over the narrowest
@@ -94,22 +95,23 @@ type Flow struct {
 	ideal sim.Duration
 }
 
-// Rate reports the flow's current fair-share rate in bytes/sec.
-func (f *Flow) Rate() units.BytesPerSec { return units.BytesPerSec(f.rate) }
-
-// Remaining reports the bytes not yet transferred.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // Fabric is the fluid-flow bandwidth simulator. Transfers are modeled as
 // fluid flows whose rates are recomputed (progressive-filling max-min
 // fairness, honoring per-flow caps) whenever a flow starts or completes.
 type Fabric struct {
 	eng        *sim.Engine
 	links      []*Link
-	flows      []*Flow
+	flows      []*flow
 	lastUpdate sim.Time
 	next       sim.Handle
 	hasNext    bool
+
+	// free recycles completed flows; completed is onCompletion's reused
+	// scratch list; completeFn is onCompletion bound once, so scheduling the
+	// next completion does not rebuild the method value.
+	free       sim.FreeList[flow]
+	completed  []*flow
+	completeFn func()
 
 	// Observability handle, resolved once at construction (nil when off).
 	rec *obs.Recorder
@@ -118,6 +120,7 @@ type Fabric struct {
 // NewFabric creates an empty fabric on the engine.
 func NewFabric(eng *sim.Engine) *Fabric {
 	fb := &Fabric{eng: eng, lastUpdate: eng.Now()}
+	fb.completeFn = fb.onCompletion
 	if obs.On {
 		fb.rec = obs.Rec(eng)
 	}
@@ -148,17 +151,26 @@ func (fb *Fabric) ActiveFlows() int { return len(fb.flows) }
 
 // Transfer starts moving size bytes across path and calls done (if non-nil)
 // when the last byte lands. A zero/negative size completes immediately. An
-// empty path panics — latency-only waits belong on the engine directly.
-func (fb *Fabric) Transfer(size int64, path []*Link, done func(at sim.Time)) *Flow {
-	return fb.TransferCapped(size, 0, path, done)
+// empty path panics — latency-only waits belong on the engine directly. The
+// fabric keeps path until the transfer completes, so the caller must not
+// modify it in the meantime.
+func (fb *Fabric) Transfer(size int64, path []*Link, done func(at sim.Time)) {
+	fb.TransferCapped(size, 0, path, done)
 }
 
 // TransferCapped is Transfer with a per-flow rate cap (0 = uncapped).
-func (fb *Fabric) TransferCapped(size int64, rateCap units.BytesPerSec, path []*Link, done func(at sim.Time)) *Flow {
+func (fb *Fabric) TransferCapped(size int64, rateCap units.BytesPerSec, path []*Link, done func(at sim.Time)) {
 	if len(path) == 0 {
 		panic("pcie: transfer with empty path")
 	}
-	f := &Flow{path: path, remaining: float64(size), size: float64(size), cap: float64(rateCap), done: done}
+	if size <= 0 {
+		if done != nil {
+			fb.eng.Immediately(func() { done(fb.eng.Now()) })
+		}
+		return
+	}
+	f := fb.newFlow()
+	f.path, f.remaining, f.size, f.cap, f.done = path, float64(size), float64(size), float64(rateCap), done
 	if fb.rec != nil {
 		f.start = fb.eng.Now()
 		minCap := math.Inf(1)
@@ -170,21 +182,21 @@ func (fb *Fabric) TransferCapped(size int64, rateCap units.BytesPerSec, path []*
 		if f.cap > 0 && f.cap < minCap {
 			minCap = f.cap
 		}
-		if f.size > 0 && !math.IsInf(minCap, 1) {
+		if !math.IsInf(minCap, 1) {
 			f.ideal = sim.Duration(f.size / minCap * float64(sim.Second))
 		}
-	}
-	if f.remaining <= 0 {
-		f.finished = true
-		if done != nil {
-			fb.eng.Immediately(func() { done(fb.eng.Now()) })
-		}
-		return f
 	}
 	fb.advance()
 	fb.flows = append(fb.flows, f)
 	fb.rebalance()
-	return f
+}
+
+// newFlow pops a recycled flow or allocates a fresh one.
+func (fb *Fabric) newFlow() *flow {
+	if f := fb.free.Get(); f != nil {
+		return f
+	}
+	return &flow{}
 }
 
 // Rebalance advances accounting to the current instant and recomputes all
@@ -262,7 +274,7 @@ func (fb *Fabric) rebalance() {
 			share = 0
 		}
 		// A capped flow below the bottleneck share freezes at its cap first.
-		var minCapFlow *Flow
+		var minCapFlow *flow
 		for _, f := range fb.flows {
 			if f.frozen || f.cap <= 0 || f.cap >= share {
 				continue
@@ -316,7 +328,7 @@ func (fb *Fabric) rebalance() {
 	fb.scheduleNext()
 }
 
-func (fb *Fabric) freeze(f *Flow, rate float64) {
+func (fb *Fabric) freeze(f *flow, rate float64) {
 	f.frozen = true
 	f.rate = rate
 	for _, l := range f.path {
@@ -349,7 +361,7 @@ func (fb *Fabric) scheduleNext() {
 	if delay < 1 {
 		delay = 1
 	}
-	fb.next = fb.eng.After(delay, fb.onCompletion)
+	fb.next = fb.eng.After(delay, fb.completeFn)
 	fb.hasNext = true
 }
 
@@ -359,21 +371,25 @@ const completionEpsilon = 1e-3
 func (fb *Fabric) onCompletion() {
 	fb.hasNext = false
 	fb.advance()
-	var still []*Flow
-	var completed []*Flow
+	// Filter finished flows out in place, keeping the survivors' order (the
+	// rebalance and completion order depend on it).
+	still := fb.flows[:0]
 	for _, f := range fb.flows {
 		if f.remaining <= completionEpsilon {
 			f.remaining = 0
-			f.finished = true
-			completed = append(completed, f)
+			fb.completed = append(fb.completed, f)
 		} else {
 			still = append(still, f)
 		}
 	}
+	for i := len(still); i < len(fb.flows); i++ {
+		fb.flows[i] = nil
+	}
 	fb.flows = still
 	fb.rebalance()
 	now := fb.eng.Now()
-	for _, f := range completed {
+	for i, f := range fb.completed {
+		fb.completed[i] = nil
 		if fb.rec != nil && f.ideal > 0 {
 			// Allocation wait: how much longer the transfer took than it
 			// would have alone on its narrowest link. Completion rounds up
@@ -384,8 +400,14 @@ func (fb *Fabric) onCompletion() {
 			}
 			fb.rec.Observe("pcie/alloc-wait", float64(wait))
 		}
-		if f.done != nil {
-			f.done(now)
+		// Recycle before invoking done: the callback may start a transfer
+		// that reuses this very flow.
+		done := f.done
+		*f = flow{}
+		fb.free.Put(f)
+		if done != nil {
+			done(now)
 		}
 	}
+	fb.completed = fb.completed[:0]
 }

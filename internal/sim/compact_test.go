@@ -173,8 +173,8 @@ func TestStationFreeListBounded(t *testing.T) {
 	if st.Served != burst {
 		t.Fatalf("served %d, want %d", st.Served, burst)
 	}
-	if len(st.free) > maxFreeReqs {
-		t.Fatalf("free list holds %d requests after burst, bound is %d", len(st.free), maxFreeReqs)
+	if st.free.Len() > maxFree {
+		t.Fatalf("free list holds %d requests after burst, bound is %d", st.free.Len(), maxFree)
 	}
 	// Steady state keeps recycling.
 	st.Submit(5, nil)

@@ -9,10 +9,8 @@ type Station struct {
 	eng *Engine
 
 	// free recycles submit requests (and the two closures each one owns),
-	// so a steady-state submit-serve-complete cycle does not allocate. It
-	// is bounded at maxFreeReqs: a burst that briefly had thousands of
-	// requests in flight must not pin them all for the station's lifetime.
-	free []*submitReq
+	// so a steady-state submit-serve-complete cycle does not allocate.
+	free FreeList[submitReq]
 
 	// obs, when set, receives submit/completion telemetry. The disabled
 	// cost is one nil check per submit and per completion.
@@ -38,11 +36,6 @@ type StationObserver interface {
 // SetObserver installs an observer (nil removes it). In-flight requests
 // report completions to the observer installed at completion time.
 func (s *Station) SetObserver(o StationObserver) { s.obs = o }
-
-// maxFreeReqs bounds the Station free list. A station's steady-state
-// working set is servers + a modest queue; 256 recycled requests cover that
-// with a wide margin while letting burst overshoot be reclaimed.
-const maxFreeReqs = 256
 
 // submitReq is one in-flight request. acquire and finish are built once per
 // request object and bound to it, so recycling the request recycles the
@@ -75,9 +68,7 @@ func (s *Station) InService() int { return s.res.InUse() }
 
 // newReq pops a recycled request or builds a fresh one with its closures.
 func (s *Station) newReq() *submitReq {
-	if n := len(s.free); n > 0 {
-		r := s.free[n-1]
-		s.free = s.free[:n-1]
+	if r := s.free.Get(); r != nil {
 		return r
 	}
 	r := &submitReq{s: s}
@@ -93,13 +84,9 @@ func (s *Station) newReq() *submitReq {
 			st.obs.StationDone(st.eng.Now(), r.service, sojourn)
 		}
 		// Recycle before invoking done: the callback may Submit again and
-		// reuse this very request. Beyond the free-list bound the request
-		// is dropped for the GC instead — steady-state cycles stay well
-		// under the bound, so the zero-alloc path is unaffected.
+		// reuse this very request.
 		r.done = nil
-		if len(st.free) < maxFreeReqs {
-			st.free = append(st.free, r)
-		}
+		st.free.Put(r)
 		if done != nil {
 			done(sojourn)
 		}

@@ -16,15 +16,45 @@ type AggregateBackend struct {
 	name    string
 	members []*DeviceBackend
 	eng     *sim.Engine
+
+	// reads and writes are the member classes each direction uses (see
+	// NewAggregateBackend).
+	reads, writes []*DeviceBackend
+
+	// free recycles striped-extent records (see stripedOp).
+	free sim.FreeList[stripedOp]
 }
 
 // NewAggregateBackend combines members into one logical backend. Members
 // may be homogeneous (xDM-SSD, xDM-RDMA) or mixed (xDM-Hetero).
+//
+// A heterogeneous aggregate is partitioned once, here: reads use the
+// members within 4x of the lowest read latency, writes use the others.
+// Homogeneous aggregates (or all-read/all-write classes) use every member
+// in both directions.
 func NewAggregateBackend(eng *sim.Engine, name string, members ...*DeviceBackend) *AggregateBackend {
 	if len(members) == 0 {
 		panic("swap: aggregate backend needs at least one member")
 	}
-	return &AggregateBackend{name: name, members: members, eng: eng}
+	a := &AggregateBackend{name: name, members: members, eng: eng, reads: members, writes: members}
+	minLat := members[0].Device().Spec().ReadLatency
+	for _, m := range members[1:] {
+		if l := m.Device().Spec().ReadLatency; l < minLat {
+			minLat = l
+		}
+	}
+	var fast, slow []*DeviceBackend
+	for _, m := range members {
+		if m.Device().Spec().ReadLatency <= 4*minLat {
+			fast = append(fast, m)
+		} else {
+			slow = append(slow, m)
+		}
+	}
+	if len(fast) > 0 && len(slow) > 0 {
+		a.reads, a.writes = fast, slow
+	}
+	return a
 }
 
 // Members exposes the member backends.
@@ -95,57 +125,58 @@ func (a *AggregateBackend) Submit(ex Extent, done func(lat sim.Duration)) {
 	if ex.Pages <= 0 {
 		panic("swap: extent with no pages")
 	}
-	members := a.classFor(ex.Write)
+	members := a.reads
+	if ex.Write {
+		members = a.writes
+	}
 	n := len(members)
 	if n == 1 || ex.Pages < 2*n {
 		a.leastLoadedOf(members).Submit(ex, done)
 		return
 	}
-	start := a.eng.Now()
+	r := a.free.Get()
+	if r == nil {
+		r = &stripedOp{a: a}
+		r.memberFn = r.memberDone
+	}
+	r.start, r.remaining, r.done = a.eng.Now(), n, done
 	base := ex.Pages / n
 	extra := ex.Pages % n
-	remaining := n
-	finish := func(sim.Duration) {
-		remaining--
-		if remaining == 0 && done != nil {
-			done(a.eng.Now().Sub(start))
-		}
-	}
 	for i, m := range members {
 		pages := base
 		if i < extra {
 			pages++
 		}
-		m.Submit(Extent{Pages: pages, Write: ex.Write, Sequential: ex.Sequential, OpID: ex.OpID}, finish)
+		m.Submit(Extent{Pages: pages, Write: ex.Write, Sequential: ex.Sequential, OpID: ex.OpID}, r.memberFn)
 	}
 }
 
-// classFor partitions a heterogeneous aggregate: reads use the members with
-// the lowest read latency kind; writes use the others. Homogeneous
-// aggregates (or all-read/all-write classes) use every member.
-func (a *AggregateBackend) classFor(write bool) []*DeviceBackend {
-	var fast, slow []*DeviceBackend
-	minLat := a.members[0].Device().Spec().ReadLatency
-	for _, m := range a.members[1:] {
-		if l := m.Device().Spec().ReadLatency; l < minLat {
-			minLat = l
-		}
+// stripedOp is one extent striped over several members; memberFn is bound
+// once per record. An extent whose member never completes (a stalled
+// device) keeps its record, which is then left to the GC.
+type stripedOp struct {
+	a         *AggregateBackend
+	start     sim.Time
+	remaining int
+	done      func(lat sim.Duration)
+	memberFn  func(lat sim.Duration)
+}
+
+// memberDone counts one finished member stripe. After the last one it
+// recycles the record and then reports the extent: the listener may submit
+// again and reuse this very record.
+func (r *stripedOp) memberDone(sim.Duration) {
+	r.remaining--
+	if r.remaining != 0 {
+		return
 	}
-	for _, m := range a.members {
-		// Same latency class as the fastest (within 4x) counts as fast.
-		if m.Device().Spec().ReadLatency <= 4*minLat {
-			fast = append(fast, m)
-		} else {
-			slow = append(slow, m)
-		}
+	a, done := r.a, r.done
+	lat := a.eng.Now().Sub(r.start)
+	r.done = nil
+	a.free.Put(r)
+	if done != nil {
+		done(lat)
 	}
-	if len(fast) == 0 || len(slow) == 0 {
-		return a.members
-	}
-	if write {
-		return slow
-	}
-	return fast
 }
 
 func (a *AggregateBackend) leastLoadedOf(members []*DeviceBackend) *DeviceBackend {

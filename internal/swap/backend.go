@@ -111,6 +111,9 @@ type DeviceBackend struct {
 	// least-loaded routing in AggregateBackend.
 	pending int
 
+	// free recycles extent records (see extentOp).
+	free sim.FreeList[extentOp]
+
 	// Observability handle, resolved once at construction (nil when off).
 	rec   *obs.Recorder
 	track string
@@ -162,11 +165,7 @@ func (b *DeviceBackend) SetWidth(w int) {
 // management overhead for the configured width. done only fires when the
 // whole extent succeeds; use SubmitResult for failure notification.
 func (b *DeviceBackend) Submit(ex Extent, done func(lat sim.Duration)) {
-	b.SubmitResult(ex, func(lat sim.Duration, err error) {
-		if err == nil && done != nil {
-			done(lat)
-		}
-	})
+	b.submit(ex, done, nil)
 }
 
 // SubmitResult implements ResultBackend: like Submit, but done reports the
@@ -175,10 +174,32 @@ func (b *DeviceBackend) Submit(ex Extent, done func(lat sim.Duration)) {
 // stripes silently, so done never fires and the extent counts as pending
 // until the initiator times out.
 func (b *DeviceBackend) SubmitResult(ex Extent, done func(lat sim.Duration, err error)) {
+	b.submit(ex, nil, done)
+}
+
+// extentOp is one in-flight extent. Its callbacks are bound once, when the
+// record is built, so recycling the record recycles them too. At most one of
+// onLat (Submit) and onResult (SubmitResult) is set. An extent whose stripe
+// a stalled device dropped never completes, and its record is left to the
+// GC.
+type extentOp struct {
+	b         *DeviceBackend
+	ex        Extent
+	start     sim.Time
+	stripes   int
+	remaining int
+	firstErr  error
+	onLat     func(lat sim.Duration)
+	onResult  func(lat sim.Duration, err error)
+
+	issueFn  func()
+	stripeFn func(lat sim.Duration, err error)
+}
+
+func (b *DeviceBackend) submit(ex Extent, onLat func(sim.Duration), onResult func(sim.Duration, error)) {
 	if ex.Pages <= 0 {
 		panic("swap: extent with no pages")
 	}
-	start := b.eng.Now()
 	width := b.dev.Channels()
 	mgmt := sim.Duration(width-1) * channelOverhead(b.dev.Kind())
 
@@ -198,45 +219,67 @@ func (b *DeviceBackend) SubmitResult(ex Extent, done func(lat sim.Duration, err 
 	if ex.Pages < stripes {
 		stripes = ex.Pages
 	}
-	base := ex.Pages / stripes
-	extra := ex.Pages % stripes
 
-	b.pending++
-	remaining := stripes
-	var firstErr error
-	finish := func(_ sim.Duration, err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		remaining--
-		if remaining == 0 {
-			b.pending--
-			if done != nil {
-				done(b.eng.Now().Sub(start), firstErr)
-			}
-		}
+	r := b.free.Get()
+	if r == nil {
+		r = &extentOp{b: b}
+		r.issueFn = r.issue
+		r.stripeFn = r.stripeDone
 	}
-	b.eng.After(mgmt, func() {
-		// The issue span covers the per-width management overhead paid
-		// before any stripe reaches the device.
-		if b.rec != nil && ex.OpID != 0 {
-			b.rec.Span(b.track, "issue", start, obs.DetailOp(ex.OpID, -1))
+	r.ex, r.start, r.stripes, r.remaining = ex, b.eng.Now(), stripes, stripes
+	r.firstErr, r.onLat, r.onResult = nil, onLat, onResult
+	b.pending++
+	b.eng.After(mgmt, r.issueFn)
+}
+
+// issue runs after the per-width management overhead and sends the stripes
+// to the device.
+func (r *extentOp) issue() {
+	b, ex := r.b, r.ex
+	// The issue span covers the per-width management overhead paid
+	// before any stripe reaches the device.
+	if b.rec != nil && ex.OpID != 0 {
+		b.rec.Span(b.track, "issue", r.start, obs.DetailOp(ex.OpID, -1))
+	}
+	base := ex.Pages / r.stripes
+	extra := ex.Pages % r.stripes
+	for i := 0; i < r.stripes; i++ {
+		pages := base
+		if i < extra {
+			pages++
 		}
-		for i := 0; i < stripes; i++ {
-			pages := base
-			if i < extra {
-				pages++
-			}
-			op := device.Op{
-				Write: ex.Write,
-				Size:  int64(pages) * units.PageSize,
-				// Striped sub-ops of a sequential extent remain sequential
-				// within their channel; random extents stay random.
-				Sequential: ex.Sequential,
-				ID:         ex.OpID,
-				Stripe:     i,
-			}
-			b.dev.SubmitResult(op, finish)
+		op := device.Op{
+			Write: ex.Write,
+			Size:  int64(pages) * units.PageSize,
+			// Striped sub-ops of a sequential extent remain sequential
+			// within their channel; random extents stay random.
+			Sequential: ex.Sequential,
+			ID:         ex.OpID,
+			Stripe:     i,
 		}
-	})
+		b.dev.SubmitResult(op, r.stripeFn)
+	}
+}
+
+// stripeDone counts one finished stripe. After the last one it recycles
+// the record and then reports the extent: the listener may submit again and
+// reuse this very record.
+func (r *extentOp) stripeDone(_ sim.Duration, err error) {
+	if err != nil && r.firstErr == nil {
+		r.firstErr = err
+	}
+	r.remaining--
+	if r.remaining != 0 {
+		return
+	}
+	b, onLat, onResult, err := r.b, r.onLat, r.onResult, r.firstErr
+	lat := b.eng.Now().Sub(r.start)
+	b.pending--
+	r.onLat, r.onResult, r.firstErr = nil, nil, nil
+	b.free.Put(r)
+	if onResult != nil {
+		onResult(lat, err)
+	} else if onLat != nil && err == nil {
+		onLat(lat)
+	}
 }

@@ -23,6 +23,9 @@ type Channel struct {
 	QueueWait sim.Duration
 	eng       *sim.Engine
 
+	// free recycles admission records (see entry).
+	free sim.FreeList[entry]
+
 	// Observability handle, resolved once at construction (nil when off).
 	obsQueue *metrics.BucketTimeline
 }
@@ -52,18 +55,39 @@ func (c *Channel) Depth() int { return c.res.Capacity() }
 // SetDepth adjusts the concurrency limit.
 func (c *Channel) SetDepth(d int) { c.res.Resize(d) }
 
+// entry is one pending admission; grantFn is bound once per record, so
+// recycling the record recycles it too.
+type entry struct {
+	c       *Channel
+	start   sim.Time
+	fn      func()
+	grantFn func()
+}
+
 // Enter admits one operation, calling fn when a slot frees up. The caller
 // must call Leave exactly once when the operation completes.
 func (c *Channel) Enter(fn func()) {
-	start := c.eng.Now()
-	if c.obsQueue != nil {
-		c.obsQueue.Add(start, float64(c.res.Waiting()))
+	e := c.free.Get()
+	if e == nil {
+		e = &entry{c: c}
+		e.grantFn = e.grant
 	}
-	c.res.Acquire(1, func() {
-		c.Ops++
-		c.QueueWait += c.eng.Now().Sub(start)
-		fn()
-	})
+	e.start, e.fn = c.eng.Now(), fn
+	if c.obsQueue != nil {
+		c.obsQueue.Add(e.start, float64(c.res.Waiting()))
+	}
+	c.res.Acquire(1, e.grantFn)
+}
+
+// grant accounts the admission, recycles the record and runs the caller's
+// callback.
+func (e *entry) grant() {
+	c, fn := e.c, e.fn
+	c.Ops++
+	c.QueueWait += c.eng.Now().Sub(e.start)
+	e.fn = nil
+	c.free.Put(e)
+	fn()
 }
 
 // Leave releases the operation's slot.

@@ -122,6 +122,10 @@ type Path struct {
 	Retries   metrics.Counter // re-submissions after timeout/error
 	FailedOps metrics.Counter // ops that exhausted all retries
 
+	// free and freeAttempts recycle op and attempt records (see pathOp).
+	free         sim.FreeList[pathOp]
+	freeAttempts sim.FreeList[attempt]
+
 	// Observability handle, resolved once at construction (nil when off).
 	rec   *obs.Recorder
 	track string
@@ -194,84 +198,132 @@ func (p *Path) SwapOut(ex Extent, done func(lat sim.Duration)) {
 	p.submit(ex, done)
 }
 
+// pathOp is one swap operation in flight on the path. Its stage callbacks
+// are bound once, when the record is built, so recycling the record
+// recycles them too. Exactly one stage of an op is pending at any time, and
+// the record goes back to the free list in finish, before done is called.
+type pathOp struct {
+	p         *Path
+	ex        Extent
+	start     sim.Time
+	admitted  sim.Time
+	hostStart sim.Time
+	done      func(lat sim.Duration)
+	// attempt counts the retries spent so far under p.Retry.
+	attempt int
+
+	enterFn    func()
+	frontendFn func()
+	hostFn     func(sim.Duration)
+	backendFn  func(sim.Duration)
+	tryFn      func()
+}
+
+func (p *Path) newOp() *pathOp {
+	if r := p.free.Get(); r != nil {
+		return r
+	}
+	r := &pathOp{p: p}
+	r.enterFn = r.enter
+	r.frontendFn = r.frontend
+	r.hostFn = r.hostDone
+	r.backendFn = r.backendDone
+	r.tryFn = r.try
+	return r
+}
+
 func (p *Path) submit(ex Extent, done func(lat sim.Duration)) {
-	start := p.eng.Now()
+	r := p.newOp()
+	r.ex, r.start, r.done, r.attempt = ex, p.eng.Now(), done, 0
 	if p.rec != nil {
 		// Correlation id for this swap op: threaded through the backend into
 		// device spans ("op=N" Detail) so the analysis tier can reassemble
 		// the exact stage breakdown of each operation.
-		ex.OpID = p.rec.NextOpID()
-	}
-	finish := func() {
-		lat := p.eng.Now().Sub(start)
-		if ex.Write {
-			p.SwapOuts.Inc()
-			p.PagesOut += uint64(ex.Pages)
-		} else {
-			p.SwapIns.Inc()
-			p.PagesIn += uint64(ex.Pages)
-			p.InLatency.Add(lat.Microseconds())
-		}
-		if p.rec != nil {
-			name := "swapin"
-			if ex.Write {
-				name = "swapout"
-			}
-			p.rec.Span(p.track, name, start, obs.DetailOp(ex.OpID, -1))
-		}
-		if done != nil {
-			done(lat)
-		}
+		r.ex.OpID = p.rec.NextOpID()
 	}
 	// Write-back is asynchronous in the kernel (kswapd / dedicated eviction
 	// workers): it does not occupy a fault-path admission slot. Reads (page
 	// faults) are admitted through the channel; both directions still
 	// contend at the device and, on hierarchical paths, at the host stage.
 	if ex.Write {
-		p.eng.After(FrontendOverhead, func() {
-			if p.rec != nil {
-				p.rec.Span(p.track, "stage/frontend", start, obs.DetailOp(ex.OpID, -1))
-			}
-			p.dispatch(ex, finish)
-		})
+		r.admitted = r.start
+		p.eng.After(FrontendOverhead, r.frontendFn)
 		return
 	}
-	p.channel.Enter(func() {
-		admitted := p.eng.Now()
-		if p.rec != nil {
-			p.rec.Span(p.track, "stage/queue", start, obs.DetailOp(ex.OpID, -1))
-		}
-		p.eng.After(FrontendOverhead, func() {
-			if p.rec != nil {
-				p.rec.Span(p.track, "stage/frontend", admitted, obs.DetailOp(ex.OpID, -1))
-			}
-			p.dispatch(ex, func() {
-				p.channel.Leave()
-				finish()
-			})
-		})
-	})
+	p.channel.Enter(r.enterFn)
 }
 
-// dispatch routes the extent to the backend, via the host stage when
-// hierarchical.
-func (p *Path) dispatch(ex Extent, done func()) {
+// enter runs when a read is admitted through the channel.
+func (r *pathOp) enter() {
+	p := r.p
+	r.admitted = p.eng.Now()
+	if p.rec != nil {
+		p.rec.Span(p.track, "stage/queue", r.start, obs.DetailOp(r.ex.OpID, -1))
+	}
+	p.eng.After(FrontendOverhead, r.frontendFn)
+}
+
+// frontend runs once the frontend overhead is paid and routes the extent to
+// the backend, via the host stage when hierarchical.
+func (r *pathOp) frontend() {
+	p := r.p
+	if p.rec != nil {
+		p.rec.Span(p.track, "stage/frontend", r.admitted, obs.DetailOp(r.ex.OpID, -1))
+	}
 	if !p.hierarchical {
-		p.send(ex, done)
+		p.send(r)
 		return
 	}
 	// Hierarchical: host hop (shared stage) + per-page copy, then the host
 	// performs the device operation.
-	hostWork := HostHopOverhead + sim.Duration(ex.Pages)*HostCopyPerPage
-	hostStart := p.eng.Now()
-	p.hostStage.station.Submit(hostWork, func(sim.Duration) {
-		// The host-copy stage span covers the full host sojourn: queueing
-		// for a host swap worker plus the hop and per-page copy work.
-		if p.rec != nil {
-			p.rec.Span(p.track, "stage/host-copy", hostStart, obs.DetailOp(ex.OpID, -1))
+	hostWork := HostHopOverhead + sim.Duration(r.ex.Pages)*HostCopyPerPage
+	r.hostStart = p.eng.Now()
+	p.hostStage.station.Submit(hostWork, r.hostFn)
+}
+
+// hostDone runs when the host swap stage has copied the extent.
+func (r *pathOp) hostDone(sim.Duration) {
+	p := r.p
+	// The host-copy stage span covers the full host sojourn: queueing
+	// for a host swap worker plus the hop and per-page copy work.
+	if p.rec != nil {
+		p.rec.Span(p.track, "stage/host-copy", r.hostStart, obs.DetailOp(r.ex.OpID, -1))
+	}
+	p.send(r)
+}
+
+func (r *pathOp) backendDone(sim.Duration) { r.finish() }
+
+// finish completes the op: it leaves the channel (reads), accounts the op,
+// recycles the record and then calls done, which may submit again and reuse
+// this very record.
+func (r *pathOp) finish() {
+	p, ex := r.p, r.ex
+	if !ex.Write {
+		p.channel.Leave()
+	}
+	lat := p.eng.Now().Sub(r.start)
+	if ex.Write {
+		p.SwapOuts.Inc()
+		p.PagesOut += uint64(ex.Pages)
+	} else {
+		p.SwapIns.Inc()
+		p.PagesIn += uint64(ex.Pages)
+		p.InLatency.Add(lat.Microseconds())
+	}
+	if p.rec != nil {
+		name := "swapin"
+		if ex.Write {
+			name = "swapout"
 		}
-		p.send(ex, done)
-	})
+		p.rec.Span(p.track, name, r.start, obs.DetailOp(ex.OpID, -1))
+	}
+	done := r.done
+	r.done = nil
+	p.free.Put(r)
+	if done != nil {
+		done(lat)
+	}
 }
 
 // send submits the extent to the backend under the path's retry policy.
@@ -281,90 +333,137 @@ func (p *Path) dispatch(ex Extent, done func()) {
 // retried with exponential backoff, and an op that exhausts its retries
 // fails through: done still fires (the task must not hang), the loss is
 // charged upstream via re-fetch accounting and counted in FailedOps.
-func (p *Path) send(ex Extent, done func()) {
+func (p *Path) send(r *pathOp) {
 	if p.Retry.Timeout <= 0 && p.Health == nil {
-		p.backend.Submit(ex, func(sim.Duration) { done() })
+		p.backend.Submit(r.ex, r.backendFn)
 		return
 	}
-	attempt := 0
-	var try func()
-	try = func() {
-		settled := false
-		var timer sim.Handle
-		hasTimer := false
-		outcome := func(err error) {
-			if settled {
-				return // late completion of an attempt the timer abandoned
-			}
-			settled = true
-			if hasTimer {
-				timer.Cancel(p.eng)
-			}
-			if err == nil {
-				if p.Health != nil {
-					p.Health.Record(true)
-				}
-				done()
-				return
-			}
-			p.Errors.Inc()
-			if p.rec != nil {
-				p.rec.Instant(p.track, "error", err.Error())
-			}
-			if p.Health != nil {
-				p.Health.Record(false)
-			}
-			p.failOrRetry(&attempt, try, done)
-		}
-		p.submitOnce(ex, outcome)
-		if p.Retry.Timeout > 0 {
-			timer = p.eng.After(p.Retry.Timeout, func() {
-				if settled {
-					return
-				}
-				settled = true
-				p.Timeouts.Inc()
-				if p.rec != nil {
-					p.rec.Instant(p.track, "timeout", "")
-				}
-				if p.Health != nil {
-					p.Health.Record(false)
-				}
-				p.failOrRetry(&attempt, try, done)
-			})
-			hasTimer = true
-		}
-	}
-	try()
+	r.try()
 }
 
-// submitOnce performs one backend attempt, surfacing errors when the
-// backend can report them.
-func (p *Path) submitOnce(ex Extent, outcome func(err error)) {
+// attempt is one backend try of an op under the retry policy: the backend's
+// completion races the timeout timer, and settled records that one of them
+// won. Its callbacks are bound once per record. An attempt goes back to the
+// free list only once neither callback can fire again; one abandoned by its
+// timer may still see a late completion, so it is left to the GC.
+type attempt struct {
+	p        *Path
+	op       *pathOp
+	settled  bool
+	timed    bool // a timer is (or is about to be) armed
+	timer    sim.Handle
+	hasTimer bool
+
+	resultFn  func(sim.Duration, error)
+	okFn      func(sim.Duration)
+	timeoutFn func()
+}
+
+func (p *Path) newAttempt() *attempt {
+	if a := p.freeAttempts.Get(); a != nil {
+		return a
+	}
+	a := &attempt{p: p}
+	a.resultFn = func(_ sim.Duration, err error) { a.outcome(err) }
+	a.okFn = func(sim.Duration) { a.outcome(nil) }
+	a.timeoutFn = a.timeout
+	return a
+}
+
+func (p *Path) recycleAttempt(a *attempt) {
+	a.op = nil
+	p.freeAttempts.Put(a)
+}
+
+// try performs one backend attempt, surfacing errors when the backend can
+// report them, and arms the attempt's timeout.
+func (r *pathOp) try() {
+	p := r.p
+	a := p.newAttempt()
+	a.op, a.settled, a.timed, a.hasTimer = r, false, p.Retry.Timeout > 0, false
+	// The backend may complete synchronously and finish r, whose done may
+	// reuse r for a new op: only a is touched from here on.
 	if rb, ok := p.backend.(ResultBackend); ok {
-		rb.SubmitResult(ex, func(_ sim.Duration, err error) { outcome(err) })
-		return
+		rb.SubmitResult(r.ex, a.resultFn)
+	} else {
+		p.backend.Submit(r.ex, a.okFn)
 	}
-	p.backend.Submit(ex, func(sim.Duration) { outcome(nil) })
+	if a.timed {
+		a.timer = p.eng.After(p.Retry.Timeout, a.timeoutFn)
+		a.hasTimer = true
+	}
 }
 
-func (p *Path) failOrRetry(attempt *int, try func(), done func()) {
-	if *attempt < p.Retry.MaxRetries {
-		*attempt++
+// outcome settles the attempt with the backend's result.
+func (a *attempt) outcome(err error) {
+	if a.settled {
+		return // late completion of an attempt the timer abandoned
+	}
+	a.settled = true
+	p, r := a.p, a.op
+	if a.hasTimer {
+		a.timer.Cancel(p.eng)
+	}
+	// A synchronous completion leaves the timer still to be armed; the
+	// timer then recycles the attempt when it fires.
+	if a.hasTimer || !a.timed {
+		p.recycleAttempt(a)
+	}
+	if err == nil {
+		if p.Health != nil {
+			p.Health.Record(true)
+		}
+		r.finish()
+		return
+	}
+	p.Errors.Inc()
+	if p.rec != nil {
+		p.rec.Instant(p.track, "error", err.Error())
+	}
+	if p.Health != nil {
+		p.Health.Record(false)
+	}
+	r.failOrRetry()
+}
+
+// timeout fires Retry.Timeout after the attempt was submitted.
+func (a *attempt) timeout() {
+	p, r := a.p, a.op
+	if a.settled {
+		// The backend completed synchronously, before the timer was armed:
+		// both callbacks have now fired.
+		p.recycleAttempt(a)
+		return
+	}
+	a.settled = true
+	p.Timeouts.Inc()
+	if p.rec != nil {
+		p.rec.Instant(p.track, "timeout", "")
+	}
+	if p.Health != nil {
+		p.Health.Record(false)
+	}
+	r.failOrRetry()
+}
+
+func (r *pathOp) failOrRetry() {
+	p := r.p
+	if r.attempt < p.Retry.MaxRetries {
+		r.attempt++
 		p.Retries.Inc()
 		backoff := p.Retry.Backoff
 		if backoff <= 0 {
 			backoff = DefaultRetryBackoff
 		}
 		if p.rec != nil {
-			p.rec.Instant(p.track, "retry", fmt.Sprintf("attempt=%d backoff=%v", *attempt, backoff<<(*attempt-1)))
+			p.rec.Instant(p.track, "retry", fmt.Sprintf("attempt=%d backoff=%v", r.attempt, backoff<<(r.attempt-1)))
 		}
-		p.eng.After(backoff<<(*attempt-1), try)
+		p.eng.After(backoff<<(r.attempt-1), r.tryFn)
 		return
 	}
 	p.FailedOps.Inc()
 	if p.rec != nil {
 		p.rec.Instant(p.track, "failed", "retries exhausted")
 	}
-	done()
+	r.finish()
 }

@@ -152,9 +152,31 @@ func (s Stats) BytesSwapped() float64 {
 
 // worker is one execution thread of a task: its own access source and
 // sequential-fault detector, sharing the task's address space.
+//
+// A worker has at most one fault outstanding, so the fault's state lives in
+// the worker and its continuations are bound once, in newWorker.
 type worker struct {
 	stream    workload.AccessSource
 	lastFault int32
+
+	// The outstanding fault: the access that faulted and, for a major
+	// fault, the fetched extent's page count, kind and start time.
+	access     workload.Access
+	fetched    int
+	anon       bool
+	faultStart sim.Time
+
+	faultFn  func()
+	minorFn  func()
+	swapInFn func(lat sim.Duration)
+}
+
+func (t *Task) newWorker(src workload.AccessSource) *worker {
+	w := &worker{stream: src, lastFault: -2}
+	w.faultFn = func() { t.fault(w) }
+	w.minorFn = func() { t.minorDone(w) }
+	w.swapInFn = func(sim.Duration) { t.swapInDone(w) }
+	return w
 }
 
 // Task is one running workload instance, possibly multi-threaded
@@ -189,6 +211,8 @@ type Task struct {
 	farCopies int
 
 	wbTokens *sim.Resource
+	// wbFree recycles write-back extent records (see wbExtent).
+	wbFree sim.FreeList[wbExtent]
 
 	sinceEpoch int
 	start      sim.Time
@@ -279,7 +303,7 @@ func New(cfg Config) *Task {
 	}
 	if len(cfg.Sources) > 0 {
 		for _, src := range cfg.Sources {
-			t.workers = append(t.workers, &worker{stream: src, lastFault: -2})
+			t.workers = append(t.workers, t.newWorker(src))
 		}
 		return t
 	}
@@ -294,7 +318,7 @@ func New(cfg Config) *Task {
 			// Thread 0 performs the allocation sweep for the shared space.
 			st.SkipInit()
 		}
-		t.workers = append(t.workers, &worker{stream: st, lastFault: -2})
+		t.workers = append(t.workers, t.newWorker(st))
 	}
 	return t
 }
@@ -439,7 +463,8 @@ func (t *Task) run(w *worker) {
 			continue
 		}
 		// Fault: advance by the accumulated compute, then handle it.
-		t.eng.After(pending, func() { t.fault(w, a) })
+		w.access = a
+		t.eng.After(pending, w.faultFn)
 		return
 	}
 }
@@ -465,8 +490,10 @@ func (t *Task) observe(a workload.Access) {
 	}
 }
 
-// fault handles a page fault on page a.Page, then resumes the worker.
-func (t *Task) fault(w *worker, a workload.Access) {
+// fault handles the worker's outstanding page fault, then resumes the
+// worker.
+func (t *Task) fault(w *worker) {
+	a := w.access
 	page := t.ps.Page(a.Page)
 	anon := page.Type == mem.Anonymous
 
@@ -496,14 +523,7 @@ func (t *Task) fault(w *worker, a workload.Access) {
 		}
 		t.stats.MinorFaults++
 		t.stats.SysTime += cost
-		t.eng.After(cost, func() {
-			// Another worker's reclaim may have evicted the page during the
-			// fault window; it will simply refault on next access.
-			if t.ps.Page(a.Page).Resident {
-				t.ps.Touch(a.Page, t.eng.Now(), a.Write)
-			}
-			t.run(w)
-		})
+		t.eng.After(cost, w.minorFn)
 		return
 	}
 
@@ -561,20 +581,35 @@ func (t *Task) fault(w *worker, a workload.Access) {
 			t.ps.Resident(), t.cg.LimitPages, len(fetch))
 	}
 
-	faultStart := t.eng.Now()
-	path.SwapIn(swap.Extent{Pages: len(fetch), Sequential: sequential}, func(lat sim.Duration) {
-		t.stats.MajorFaults++
-		if anon {
-			t.stats.PagesIn += uint64(len(fetch))
-		} else {
-			t.stats.FileRefaults++
-		}
-		t.stats.SysTime += t.eng.Now().Sub(faultStart)
-		if t.ps.Page(a.Page).Resident {
-			t.ps.Touch(a.Page, t.eng.Now(), a.Write)
-		}
-		t.run(w)
-	})
+	w.fetched, w.anon, w.faultStart = len(fetch), anon, t.eng.Now()
+	path.SwapIn(swap.Extent{Pages: len(fetch), Sequential: sequential}, w.swapInFn)
+}
+
+// minorDone resumes the worker after a zero-fill fault.
+func (t *Task) minorDone(w *worker) {
+	a := w.access
+	// Another worker's reclaim may have evicted the page during the fault
+	// window; it will simply refault on next access.
+	if t.ps.Page(a.Page).Resident {
+		t.ps.Touch(a.Page, t.eng.Now(), a.Write)
+	}
+	t.run(w)
+}
+
+// swapInDone resumes the worker once a major fault's extent arrived.
+func (t *Task) swapInDone(w *worker) {
+	a := w.access
+	t.stats.MajorFaults++
+	if w.anon {
+		t.stats.PagesIn += uint64(w.fetched)
+	} else {
+		t.stats.FileRefaults++
+	}
+	t.stats.SysTime += t.eng.Now().Sub(w.faultStart)
+	if t.ps.Page(a.Page).Resident {
+		t.ps.Touch(a.Page, t.eng.Now(), a.Write)
+	}
+	t.run(w)
 }
 
 // planExtent collects up to max pages eligible per want, always including
@@ -710,15 +745,38 @@ func (t *Task) writeback(path *swap.Path, ids []int32) {
 			continue
 		}
 		pages := i - runStart
-		seq := pages > 1
-		t.wbTokens.Acquire(1, func() {
-			path.SwapOut(swap.Extent{Pages: pages, Sequential: seq}, func(sim.Duration) {
-				t.wbTokens.Release(1)
-			})
-		})
+		r := t.newWBExtent()
+		r.path, r.ex = path, swap.Extent{Pages: pages, Sequential: pages > 1}
+		t.wbTokens.Acquire(1, r.acquireFn)
 		t.stats.PagesOut += uint64(pages)
 		runStart = i
 	}
+}
+
+// wbExtent is one write-back extent waiting for a token or in flight. Its
+// callbacks are bound once per record; the record goes back to the free
+// list when its SwapOut completes, before the token is released.
+type wbExtent struct {
+	t         *Task
+	path      *swap.Path
+	ex        swap.Extent
+	acquireFn func()
+	doneFn    func(lat sim.Duration)
+}
+
+func (t *Task) newWBExtent() *wbExtent {
+	if r := t.wbFree.Get(); r != nil {
+		return r
+	}
+	r := &wbExtent{t: t}
+	r.acquireFn = func() { r.path.SwapOut(r.ex, r.doneFn) }
+	r.doneFn = func(sim.Duration) {
+		t := r.t
+		r.path = nil
+		t.wbFree.Put(r)
+		t.wbTokens.Release(1)
+	}
+	return r
 }
 
 func (t *Task) finish() {
