@@ -22,6 +22,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/mem"
 	"repro/internal/pcie"
+	"repro/internal/place"
 	"repro/internal/sim"
 	"repro/internal/swap"
 	"repro/internal/task"
@@ -232,6 +233,21 @@ func BenchmarkDevicePageOp(b *testing.B) {
 		}
 	}
 	eng.Run()
+}
+
+// BenchmarkLedgerReserveRelease is the arena dispatcher's per-task ledger
+// cost: one debit at dispatch and one credit at completion on a 5000-node
+// ledger, cycling through the nodes.
+func BenchmarkLedgerReserveRelease(b *testing.B) {
+	const nodes = 5000
+	l := place.NewLedger(nodes, 4, 1024, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := i % nodes
+		l.Reserve(n, 1, 256)
+		l.Release(n, 1, 256)
+	}
 }
 
 func BenchmarkLRUTouch(b *testing.B) {

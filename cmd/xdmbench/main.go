@@ -153,7 +153,7 @@ func main() {
 		sweeps := append(experiments.ServingSweeps(opts), experiments.ArenaSweeps(opts)...)
 		sweeps = append(sweeps, experiments.PolicyArenaSweeps(opts)...)
 		sim.ResetShardRunTotals()
-		fmt.Fprint(w, serve.RenderCapacity(serve.SweepGrid(sweeps, *workers)))
+		fmt.Fprint(w, serve.RenderCapacity(experiments.Capacity(opts, sweeps)))
 		fmt.Fprintf(os.Stderr, "[capacity sweep done in %v with %d workers]\n",
 			time.Since(start).Round(time.Millisecond), *workers)
 		reportShardTotals()

@@ -27,8 +27,8 @@ import (
 // Domain partitioning. Each shard's sub-engine owns a disjoint set of nodes
 // — a node's machine, devices, swap paths, and running tasks all live on its
 // shard and are touched only by events there. The dispatcher lives on shard
-// 0 (alongside that shard's nodes) and keeps a cached resource view
-// (cluster.ArenaView); it never reads node state directly, so no shard ever
+// 0 (alongside that shard's nodes) and keeps a cached resource ledger
+// (place.Ledger); it never reads node state directly, so no shard ever
 // reaches across a domain boundary.
 //
 // Lookahead derivation. Dispatcher→node placement and node→dispatcher
@@ -52,6 +52,9 @@ type Arena struct {
 // cross-rack RPC), and therefore the shard group's conservative lookahead.
 const ArenaRPCLatency = 200 * sim.Microsecond
 
+// arenaLocalRatio is each arena task's resident share of its footprint.
+const arenaLocalRatio = 0.5
+
 // ArenaConfig sizes an arena run.
 type ArenaConfig struct {
 	// Nodes is the fleet size; Shards partitions it (1 = serial execution);
@@ -69,10 +72,8 @@ type ArenaConfig struct {
 	// hierarchical path.
 	XDM bool
 
-	// Templates are the task shapes, cycled by arrival index. LocalRatio is
-	// each task's resident share.
-	Templates  []cluster.App
-	LocalRatio float64
+	// Templates are the task shapes, cycled by arrival index.
+	Templates []cluster.App
 
 	// Tasks, when > 0, runs closed-loop: that many tasks are submitted to
 	// the dispatcher at t=0 and the run ends when all complete.
@@ -80,7 +81,8 @@ type ArenaConfig struct {
 
 	// Arrivals, when non-nil, runs open-loop over Duration (+ Drain to let
 	// admitted work finish); MaxQueue bounds the dispatcher's pending queue
-	// (arrivals beyond it are refused); SLO judges placement delay.
+	// (arrivals beyond it are refused; default 4 × Nodes); SLO judges
+	// placement delay.
 	Arrivals workload.ArrivalProcess
 	Duration sim.Duration
 	Drain    sim.Duration
@@ -88,11 +90,11 @@ type ArenaConfig struct {
 	SLO      sim.Duration
 
 	// Policy selects the dispatcher's placement policy (see internal/place);
-	// nil keeps the arena default, worst-fit spreading — byte-for-byte the
-	// pre-policy ArenaView.Place behavior. A one-shot policy refuses tasks
-	// that fail to place instead of queueing them for retry; an
-	// oversubscribing policy extends every node's page ledger by the
-	// policy's overcommit slack.
+	// nil keeps the arena default, worst-fit spreading (most free cores
+	// wins, free pages break ties, then the lowest node index). A one-shot
+	// policy refuses tasks that fail to place instead of queueing them for
+	// retry; an oversubscribing policy extends every node's page ledger by
+	// the policy's overcommit slack.
 	Policy *place.Policy
 
 	Seed int64
@@ -155,17 +157,12 @@ type arenaNode struct {
 	msgSeq               uint64 // report key counter
 }
 
-// arenaSched is the dispatcher: cached view, FIFO queue, delay accounting.
+// arenaSched is the dispatcher: cached ledger, FIFO queue, delay accounting.
 // All fields are touched only by events on shard 0.
 type arenaSched struct {
-	view    *cluster.ArenaView
+	ledger  *place.Ledger
 	queue   []arenaTask
 	dispSeq uint64 // dispatch key counter
-
-	// cands mirrors the view as placement-policy candidates, refreshed
-	// per node on reserve/release so a placement scan never rebuilds the
-	// whole fleet snapshot.
-	cands []place.Candidate
 
 	offered, refused, completed, inSLO int
 	maxQueue                           int
@@ -197,9 +194,6 @@ func NewArena(cfg ArenaConfig) *Arena {
 	if len(cfg.Templates) == 0 {
 		panic("datacenter: arena needs task templates")
 	}
-	if cfg.LocalRatio <= 0 || cfg.LocalRatio > 1 {
-		cfg.LocalRatio = 0.5
-	}
 	pol := cfg.Policy
 	if pol == nil {
 		pol = defaultArenaPolicy
@@ -209,13 +203,8 @@ func NewArena(cfg ArenaConfig) *Arena {
 		shards: sim.NewShards(cfg.Shards, ArenaRPCLatency),
 		pol:    pol,
 		sched: &arenaSched{
-			view:  cluster.NewArenaView(cfg.Nodes, cfg.CoresPerNode, cfg.PagesPerNode),
-			cands: make([]place.Candidate, cfg.Nodes),
+			ledger: place.NewLedger(cfg.Nodes, cfg.CoresPerNode, cfg.PagesPerNode, pol.Overcommit),
 		},
-	}
-	a.sched.view.SetOvercommit(pol.Overcommit)
-	for i := range a.sched.cands {
-		a.syncCandidate(i)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		shard := i % cfg.Shards
@@ -314,33 +303,10 @@ func (a *Arena) makeTask(i int, now sim.Time) arenaTask {
 	return arenaTask{id: i, app: app, pages: app.Spec.FootprintPages, arrived: now}
 }
 
-// defaultArenaPolicy is worst-fit spreading — byte-for-byte the pre-policy
-// ArenaView.Place behavior (most free cores wins, free pages break ties,
-// then the lowest node index). Immutable, safe to share across arenas.
+// defaultArenaPolicy is worst-fit spreading (most free cores wins, free
+// pages break ties, then the lowest node index). Immutable, safe to share
+// across arenas.
 var defaultArenaPolicy = place.Builtin("worst-fit")
-
-// syncCandidate refreshes node i's policy candidate from the cached view.
-// Tier 2 marks a warm node (running work), tier 1 a cold one; arena nodes
-// are always healthy and accepting — the arena masks node death at the
-// dispatcher by excluding crashed machines from the view before this layer.
-func (a *Arena) syncCandidate(i int) {
-	s := a.sched
-	tier := 1
-	if s.view.Running(i) > 0 {
-		tier = 2
-	}
-	s.cands[i] = place.Candidate{
-		ID:         i,
-		FreeCores:  s.view.FreeCores(i),
-		FreePages:  s.view.FreePages(i),
-		TotalCores: a.cfg.CoresPerNode,
-		TotalPages: a.cfg.PagesPerNode,
-		Load:       s.view.Running(i),
-		Tier:       tier,
-		Healthy:    true,
-		Accepts:    true,
-	}
-}
 
 // fill places queued tasks while the placement policy finds a target. FIFO
 // head-of-line: the queue does not reorder around a task that cannot place,
@@ -352,9 +318,9 @@ func (a *Arena) fill() {
 	s := a.sched
 	for len(s.queue) > 0 {
 		t := s.queue[0]
-		node := a.pol.Place(place.Request{Cores: t.app.Cores, Pages: t.pages}, s.cands)
+		node := a.pol.Place(place.Request{Cores: t.app.Cores, Pages: t.pages}, s.ledger.Candidates())
 		if node < 0 {
-			if stranded := s.view.StrandedPages(t.app.Cores); stranded > s.peakStranded {
+			if stranded := s.ledger.StrandedPages(t.app.Cores); stranded > s.peakStranded {
 				s.peakStranded = stranded
 			}
 			if !a.pol.OneShot() {
@@ -365,8 +331,7 @@ func (a *Arena) fill() {
 			continue
 		}
 		s.queue = s.queue[1:]
-		s.view.Reserve(node, t.app.Cores, t.pages)
-		a.syncCandidate(node)
+		s.ledger.Reserve(node, t.app.Cores, t.pages)
 		a.dispatch(t, node)
 	}
 }
@@ -395,7 +360,7 @@ func (a *Arena) startTask(n *arenaNode, t arenaTask) {
 		Name:       fmt.Sprintf("arena/n%04d/t%d", n.id, t.id),
 		Spec:       t.app.Spec,
 		Seed:       t.app.Seed,
-		LocalRatio: a.cfg.LocalRatio,
+		LocalRatio: arenaLocalRatio,
 		FilePath:   n.filePath,
 	}
 	if a.cfg.XDM {
@@ -441,13 +406,12 @@ func (n *arenaNode) pickBackend() string {
 }
 
 // finishTask handles a completion report on the dispatcher: credit the
-// cached view (which therefore lags reality by the report latency, like a
+// cached ledger (which therefore lags reality by the report latency, like a
 // heartbeat-fed scheduler cache), record the outcome, and place more work.
 // Runs on shard 0.
 func (a *Arena) finishTask(t arenaTask, node int, delay sim.Duration) {
 	s := a.sched
-	s.view.Release(node, t.app.Cores, t.pages)
-	a.syncCandidate(node)
+	s.ledger.Release(node, t.app.Cores, t.pages)
 	s.completed++
 	if a.cfg.SLO <= 0 || delay <= a.cfg.SLO {
 		s.inSLO++
@@ -467,11 +431,11 @@ func (a *Arena) result() ArenaResult {
 		InSLO:     s.inSLO,
 		InFlight:  s.offered - s.refused - s.completed,
 		MaxQueue:  s.maxQueue,
-		MBE:       cluster.MBE(s.view.PeakUtilizations(), 0.3, 0.7),
+		MBE:       cluster.MBE(s.ledger.PeakUtilizations(), 0.3, 0.7),
 		Events:    a.shards.Stats().Events,
 		Stats:     a.shards.Stats(),
 	}
-	if total := s.view.TotalPages(); total > 0 {
+	if total := s.ledger.TotalPages(); total > 0 {
 		res.StrandedFrac = float64(s.peakStranded) / float64(total)
 	}
 	res.LastDone = s.lastDone.Sub(0)
@@ -488,7 +452,8 @@ func (a *Arena) result() ArenaResult {
 	return res
 }
 
-// pick reads the q-quantile of a sorted slice (nearest-rank).
+// pick reads the q-quantile of a sorted slice: the element at index
+// floor(q·(n−1)), rounding the rank down rather than nearest-rank.
 func pick(d []sim.Duration, q float64) sim.Duration {
 	if len(d) == 0 {
 		return 0

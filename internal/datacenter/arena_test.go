@@ -37,7 +37,6 @@ func arenaTestConfig(shards, workers int) ArenaConfig {
 		PagesPerNode: 1024,
 		XDM:          true,
 		Templates:    arenaTestTemplates(),
-		LocalRatio:   0.5,
 		Tasks:        48,
 		SLO:          50 * sim.Millisecond,
 		Seed:         1,

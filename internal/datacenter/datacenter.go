@@ -38,9 +38,6 @@ type Node struct {
 	crashed bool
 }
 
-// Alive reports whether the node is up.
-func (n *Node) Alive() bool { return !n.crashed }
-
 // MemUtilization reports the node's local memory utilization including
 // donations (donated memory is pinned and unusable locally).
 func (n *Node) MemUtilization() float64 {

@@ -31,7 +31,6 @@ func TestArenaThroughputFloor(t *testing.T) {
 		PagesPerNode: 1024,
 		XDM:          true,
 		Templates:    arenaTestTemplates(),
-		LocalRatio:   0.5,
 		Tasks:        5000,
 		SLO:          50 * sim.Millisecond,
 		Seed:         1,

@@ -21,7 +21,6 @@ func init() { register("arena", Arena) }
 const (
 	arenaSLO          = 50 * sim.Millisecond
 	arenaCoresPerNode = 4
-	arenaLocalRatio   = 0.5
 )
 
 // arenaFleetSize scales the closed-loop fleet: 5000 nodes at full fidelity,
@@ -60,7 +59,6 @@ func arenaConfig(o Options, nodes, tasks int, xdm bool) datacenter.ArenaConfig {
 		PagesPerNode: 4 * foot,
 		XDM:          xdm,
 		Templates:    apps,
-		LocalRatio:   arenaLocalRatio,
 		Tasks:        tasks,
 		SLO:          arenaSLO,
 		Seed:         o.Seed,
@@ -163,41 +161,36 @@ func arenaServeResult(r datacenter.ArenaResult, window sim.Duration) serve.Resul
 }
 
 // ArenaSweeps is the arena capacity-sweep grid: open-loop Poisson arrivals
-// against the sharded fleet, rammed through the same serve.SweepFunc ramp
-// the single-machine fleets use. Exposed so xdmbench -capacity discovers
-// arena capacity alongside the serving fleets.
+// against the sharded fleet, ramped through the same serve.Sweep the
+// single-machine fleets use. Exposed so xdmbench -capacity discovers arena
+// capacity alongside the serving fleets.
 func ArenaSweeps(o Options) []serve.NamedSweep {
 	o = o.normalize()
 	nodes := arenaCapacityFleet(o)
-	configs := []struct {
-		name string
-		xdm  bool
-		ramp serve.CapacityConfig
-	}{
-		// Calibrated knees at the reference point (10 nodes, scale 8):
-		// static saturates near 3.4k req/s, xdm near 26k req/s — the swap
-		// backend, not CPU, is the binding resource, exactly as on the
-		// single-machine fleets.
-		{"arena-static", false, arenaRamp(o, nodes, 1000, 1000, 6000)},
-		{"arena-xdm", true, arenaRamp(o, nodes, 8000, 8000, 48000)},
+	// Calibrated knees at the reference point (10 nodes, scale 8): static
+	// saturates near 3.4k req/s, xdm near 26k req/s — the swap backend, not
+	// CPU, is the binding resource, exactly as on the single-machine fleets.
+	return []serve.NamedSweep{
+		arenaSweep(o, "arena-static", nodes, false, arenaRamp(o, nodes, 1000, 1000, 6000)),
+		arenaSweep(o, "arena-xdm", nodes, true, arenaRamp(o, nodes, 8000, 8000, 48000)),
 	}
-	out := make([]serve.NamedSweep, len(configs))
-	for i, c := range configs {
-		c := c
-		out[i] = serve.NamedSweep{
-			Name: c.name,
-			RunRung: func(rps float64, window, drain sim.Duration) serve.Result {
-				cfg := arenaConfig(o, nodes, 0, c.xdm)
-				cfg.Arrivals = workload.Poisson{RPS: rps}
-				cfg.Duration = window
-				cfg.Drain = drain
-				cfg.MaxQueue = 4 * nodes
-				return arenaServeResult(datacenter.NewArena(cfg).Run(), window)
-			},
-			Cap: c.ramp,
-		}
+}
+
+// arenaSweep is one open-loop capacity sweep on a fresh arena per rung:
+// Poisson arrivals at the rung's rate against a fleet of the given size,
+// placed by o's policy.
+func arenaSweep(o Options, name string, nodes int, xdm bool, ramp serve.CapacityConfig) serve.NamedSweep {
+	return serve.NamedSweep{
+		Name: name,
+		Run: func(rps float64, window, drain sim.Duration) serve.Result {
+			cfg := arenaConfig(o, nodes, 0, xdm)
+			cfg.Arrivals = workload.Poisson{RPS: rps}
+			cfg.Duration = window
+			cfg.Drain = drain
+			return arenaServeResult(datacenter.NewArena(cfg).Run(), window)
+		},
+		Cap: ramp,
 	}
-	return out
 }
 
 // arenaRamp builds a capacity ramp whose rungs track both knobs that move

@@ -68,7 +68,7 @@ func TestArenaSweepRungDeterministicAcrossShards(t *testing.T) {
 		sweeps := ArenaSweeps(o)
 		for _, s := range sweeps {
 			if s.Name == "arena-xdm" {
-				return s.RunRung(s.Cap.StartRPS, s.Cap.Window, s.Cap.Window/4)
+				return s.Run(s.Cap.StartRPS, s.Cap.Window, s.Cap.Window/4)
 			}
 		}
 		t.Fatal("arena-xdm sweep not found")
@@ -91,7 +91,7 @@ func TestArenaSweepsTrip(t *testing.T) {
 		t.Skip("multi-rung arena sweep; skipped in -short mode")
 	}
 	o := TestOptions()
-	results := serve.SweepGrid(ArenaSweeps(o), o.Workers)
+	results := Capacity(o, ArenaSweeps(o))
 	knees := map[string]float64{}
 	for _, r := range results {
 		if !r.Tripped {

@@ -144,9 +144,6 @@ func (o Options) placementPolicy() *place.Policy {
 	return p
 }
 
-// DefaultOptions is full fidelity, serial.
-func DefaultOptions() Options { return Options{Scale: 1, Seed: 1, Workers: 1} }
-
 // TestOptions is the fast configuration for unit tests.
 func TestOptions() Options { return Options{Scale: 8, Seed: 1, Workers: 1} }
 

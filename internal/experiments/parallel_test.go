@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // runGrid must return results in cell-index order regardless of worker count,
@@ -102,5 +105,29 @@ func TestGridCellTimeAccumulates(t *testing.T) {
 	ResetGridCellTime()
 	if got := GridCellTime(); got != 0 {
 		t.Fatalf("GridCellTime %v after reset, want 0", got)
+	}
+}
+
+// TestCapacityWorkerCountInvariant pins the determinism contract of the
+// capacity path: the same sweeps give deeply equal results at any worker
+// count.
+func TestCapacityWorkerCountInvariant(t *testing.T) {
+	o := TestOptions()
+	mk := func() []serve.NamedSweep {
+		// One rung per sweep keeps the check cheap.
+		sweeps := ServingSweeps(o)
+		for i := range sweeps {
+			sweeps[i].Cap.MaxRPS = sweeps[i].Cap.StartRPS
+		}
+		return sweeps
+	}
+	one := Capacity(o, mk())
+	o.Workers = 4
+	many := Capacity(o, mk())
+	if !reflect.DeepEqual(one, many) {
+		t.Fatalf("worker count changed sweep results:\n%+v\n%+v", one, many)
+	}
+	if len(one) != 2 || len(one[0].Points) == 0 {
+		t.Fatalf("degenerate sweep results: %+v", one)
 	}
 }

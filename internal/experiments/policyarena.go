@@ -82,7 +82,6 @@ func PolicyArenaData(o Options) []PolicyArenaRow {
 		cfg.Arrivals = policyArenaArrivals(o, nodes, policyArenaHorizon)
 		cfg.Duration = policyArenaHorizon
 		cfg.Drain = policyArenaHorizon / 4
-		cfg.MaxQueue = 4 * nodes
 		return PolicyArenaRow{Policy: specs[i], Result: datacenter.NewArena(cfg).Run()}
 	})
 }
@@ -121,20 +120,9 @@ func PolicyArenaSweeps(o Options) []serve.NamedSweep {
 	specs := PolicyArenaPolicies()
 	out := make([]serve.NamedSweep, len(specs))
 	for i, spec := range specs {
-		spec := spec
-		out[i] = serve.NamedSweep{
-			Name: "policy-" + spec,
-			RunRung: func(rps float64, window, drain sim.Duration) serve.Result {
-				cfg := arenaConfig(o, nodes, 0, true)
-				cfg.Policy = place.Builtin(spec)
-				cfg.Arrivals = workload.Poisson{RPS: rps}
-				cfg.Duration = window
-				cfg.Drain = drain
-				cfg.MaxQueue = 4 * nodes
-				return arenaServeResult(datacenter.NewArena(cfg).Run(), window)
-			},
-			Cap: arenaRamp(o, nodes, 8000, 8000, 48000),
-		}
+		po := o
+		po.Policy = spec
+		out[i] = arenaSweep(po, "policy-"+spec, nodes, true, arenaRamp(o, nodes, 8000, 8000, 48000))
 	}
 	return out
 }

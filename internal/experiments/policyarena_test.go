@@ -121,7 +121,7 @@ func TestPolicyArenaSweepNames(t *testing.T) {
 		if s.Name != want {
 			t.Errorf("sweep %d named %q, want %q", i, s.Name, want)
 		}
-		if s.RunRung == nil {
+		if s.Run == nil {
 			t.Errorf("sweep %q has no rung runner", s.Name)
 		}
 		if s.Cap.StartRPS <= 0 || s.Cap.MaxRPS < s.Cap.StartRPS {

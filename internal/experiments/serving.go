@@ -102,32 +102,35 @@ func ServingSweeps(o Options) []serve.NamedSweep {
 	for i, c := range cfgs {
 		c := c
 		apps, foot := servingTemplates(o)
+		base := serve.Config{
+			Templates: apps,
+			SLO:       servingSLO,
+			Shedding:  true,
+			Breakers:  true,
+			Seed:      o.Seed,
+			Policy:    o.placementPolicy(),
+		}
 		out[i] = serve.NamedSweep{
-			Name:  c.name,
-			Build: func() baseline.Env { return servingFleet(c.backends, foot) },
-			Serve: serve.Config{
-				Templates: apps,
-				SLO:       servingSLO,
-				Shedding:  true,
-				Breakers:  true,
-				Seed:      o.Seed,
-				Policy:    o.placementPolicy(),
-			},
-			Cap: c.ramp,
+			Name: c.name,
+			Run:  serve.Fleet(func() baseline.Env { return servingFleet(c.backends, foot) }, base),
+			Cap:  c.ramp,
 		}
 	}
 	return out
 }
 
-// ServingCapacityData sweeps each configuration's capacity. Configurations
-// fan out across workers; the ramp inside one sweep is inherently
-// sequential (each rung decides whether the next runs).
+// ServingCapacityData sweeps each standard serving configuration's capacity.
 func ServingCapacityData(o Options) []serve.CapacityResult {
-	o = o.normalize()
-	sweeps := ServingSweeps(o)
-	return runGrid(o, len(sweeps), func(i int) serve.CapacityResult {
-		s := sweeps[i]
-		return serve.Sweep(s.Name, s.Build, s.Serve, s.Cap)
+	return Capacity(o, ServingSweeps(o))
+}
+
+// Capacity discovers each sweep's capacity. Sweeps fan out across grid
+// workers; the ramp inside one sweep is inherently sequential (each rung
+// decides whether the next runs). Results come back in input order, so the
+// output is byte-identical for any worker count.
+func Capacity(o Options, sweeps []serve.NamedSweep) []serve.CapacityResult {
+	return runGrid(o.normalize(), len(sweeps), func(i int) serve.CapacityResult {
+		return serve.Sweep(sweeps[i])
 	})
 }
 

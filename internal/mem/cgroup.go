@@ -1,7 +1,5 @@
 package mem
 
-import "repro/internal/units"
-
 // Cgroup models the memory.high mechanism the paper uses to cap a task's
 // local memory and force data offloading: when a page set's resident count
 // exceeds the limit, reclaim must run until it fits again.
@@ -26,9 +24,6 @@ func NewCgroupRatio(ps *PageSet, localRatio float64) *Cgroup {
 	}
 	return &Cgroup{LimitPages: limit}
 }
-
-// LimitBytes reports memory.high in bytes.
-func (c *Cgroup) LimitBytes() int64 { return int64(c.LimitPages) * units.PageSize }
 
 // OverLimit reports how many pages must be reclaimed from ps to get back
 // under the limit (0 if within the limit).

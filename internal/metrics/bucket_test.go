@@ -176,41 +176,3 @@ func TestBucketTimelinePanics(t *testing.T) {
 	mustPanic("zero width", func() { NewBucketTimeline(0) })
 	mustPanic("negative sample", func() { NewBucketTimeline(sim.Second).Add(-1, 1) })
 }
-
-func TestMeterRateWindows(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMeter(eng)
-
-	// Zero-duration guard: marks before any time elapses report rate 0.
-	m.Mark(100)
-	if got := m.Rate(); got != 0 {
-		t.Fatalf("rate with no elapsed time = %g, want 0", got)
-	}
-
-	// First window: 100 units over 1s.
-	eng.After(sim.Second, func() {})
-	eng.Run()
-	if got := m.Rate(); math.Abs(got-100) > 1e-9 {
-		t.Errorf("rate after 1s = %g, want 100", got)
-	}
-
-	// Second window: the same total over 4s total dilutes the rate; the
-	// meter measures since its anchor, not per-interval.
-	eng.After(3*sim.Second, func() {})
-	eng.Run()
-	if got := m.Rate(); math.Abs(got-25) > 1e-9 {
-		t.Errorf("rate after 4s = %g, want 25", got)
-	}
-
-	// Reset opens a fresh window anchored now.
-	m.Reset()
-	if m.Total() != 0 || m.Rate() != 0 {
-		t.Errorf("after Reset: total %g rate %g, want 0 0", m.Total(), m.Rate())
-	}
-	m.Mark(30)
-	eng.After(2*sim.Second, func() {})
-	eng.Run()
-	if got := m.Rate(); math.Abs(got-15) > 1e-9 {
-		t.Errorf("rate in fresh window = %g, want 15", got)
-	}
-}

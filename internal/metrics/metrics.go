@@ -295,3 +295,16 @@ func (h *Histogram) Reset() {
 	h.counts = h.counts[:0]
 	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
 }
+
+// Counter is a simple monotonically increasing event count with a name,
+// mirroring kernel counters such as pgmajfault.
+type Counter struct {
+	Name  string
+	Value uint64
+}
+
+// Inc adds one to the counter.
+func (c *Counter) Inc() { c.Value++ }
+
+// Addn adds n to the counter.
+func (c *Counter) Addn(n uint64) { c.Value += n }

@@ -267,24 +267,6 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMeter(eng)
-	eng.At(sim.Time(sim.Second), func() { m.Mark(100) })
-	eng.At(sim.Time(2*sim.Second), func() { m.Mark(100) })
-	eng.Run()
-	if m.Total() != 200 {
-		t.Fatalf("total=%v", m.Total())
-	}
-	if r := m.Rate(); math.Abs(r-100) > 1e-9 {
-		t.Fatalf("rate=%v, want 100/s", r)
-	}
-	m.Reset()
-	if m.Total() != 0 || m.Rate() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestCounter(t *testing.T) {
 	c := Counter{Name: "pgmajfault"}
 	c.Inc()

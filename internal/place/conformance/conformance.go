@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/place"
 )
 
@@ -150,34 +149,12 @@ func checkDeterministic(t *testing.T, p *place.Policy) {
 }
 
 // checkLedgerConservation drives the frontends' reserve/release round trip
-// against a real cluster.ArenaView: every policy-approved placement must be
+// against a real place.Ledger: every policy-approved placement must be
 // reservable without overdraw (the policy and the ledger share one
-// overcommit rule), and after all work releases the view must be back at
+// overcommit rule), and after all work releases the ledger must be back at
 // its initial state — redispatch cycles leak nothing.
 func checkLedgerConservation(t *testing.T, p *place.Policy) {
-	view := cluster.NewArenaView(nodes, coresPerNode, pagesPerNode)
-	view.SetOvercommit(p.Overcommit)
-	cands := make([]place.Candidate, nodes)
-	sync := func(i int) {
-		tier := 1
-		if view.Running(i) > 0 {
-			tier = 2
-		}
-		cands[i] = place.Candidate{
-			ID:         i,
-			FreeCores:  view.FreeCores(i),
-			FreePages:  view.FreePages(i),
-			TotalCores: coresPerNode,
-			TotalPages: pagesPerNode,
-			Load:       view.Running(i),
-			Tier:       tier,
-			Healthy:    true,
-			Accepts:    true,
-		}
-	}
-	for i := range cands {
-		sync(i)
-	}
+	ledger := place.NewLedger(nodes, coresPerNode, pagesPerNode, p.Overcommit)
 
 	type lease struct {
 		node, cores, pages int
@@ -191,27 +168,25 @@ func checkLedgerConservation(t *testing.T, p *place.Policy) {
 			i := rng.Intn(len(held))
 			l := held[i]
 			held = append(held[:i], held[i+1:]...)
-			view.Release(l.node, l.cores, l.pages)
-			sync(l.node)
+			ledger.Release(l.node, l.cores, l.pages)
 			continue
 		}
 		r := place.Request{Cores: 1 + rng.Intn(2), Pages: 1 + rng.Intn(pagesPerNode/2)}
-		node := p.Place(r, cands)
+		node := p.Place(r, ledger.Candidates())
 		if node == -1 {
 			continue
 		}
 		// Reserve panics on overdraw; a policy-approved placement must fit.
-		view.Reserve(node, r.Cores, r.Pages)
-		sync(node)
+		ledger.Reserve(node, r.Cores, r.Pages)
 		held = append(held, lease{node, r.Cores, r.Pages})
 	}
 	for _, l := range held {
-		view.Release(l.node, l.cores, l.pages)
+		ledger.Release(l.node, l.cores, l.pages)
 	}
-	for i := 0; i < nodes; i++ {
-		if view.FreeCores(i) != coresPerNode || view.FreePages(i) != pagesPerNode || view.Running(i) != 0 {
-			t.Fatalf("node %d not conserved after full release: %d cores, %d pages, %d running (want %d, %d, 0)",
-				i, view.FreeCores(i), view.FreePages(i), view.Running(i), coresPerNode, pagesPerNode)
+	for _, c := range ledger.Candidates() {
+		if c.FreeCores != coresPerNode || c.FreePages != pagesPerNode || c.Load != 0 || c.Tier != 1 {
+			t.Fatalf("node %d not conserved after full release: %d cores, %d pages, %d running, tier %d (want %d, %d, 0, 1)",
+				c.ID, c.FreeCores, c.FreePages, c.Load, c.Tier, coresPerNode, pagesPerNode)
 		}
 	}
 }

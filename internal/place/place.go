@@ -112,7 +112,7 @@ type Policy struct {
 
 	// Overcommit is the memory oversubscription factor the capacity
 	// predicate allows (1 = none). Frontends that track a resource ledger
-	// must grant the same slack (see cluster.ArenaView.SetOvercommit).
+	// must grant the same slack (NewLedger takes it for that reason).
 	Overcommit float64
 }
 

@@ -54,7 +54,8 @@ func TestBestFitPacksWorstFitSpreads(t *testing.T) {
 
 // TestWorstFitMatchesLegacyArenaPlace pins the equivalence the arena's
 // default rests on: worst-fit's lexicographic (free cores, free pages,
-// lowest ID) choice is exactly the pre-refactor ArenaView.Place scan.
+// lowest ID) choice is exactly the arena's pre-policy placement scan,
+// reproduced below.
 func TestWorstFitMatchesLegacyArenaPlace(t *testing.T) {
 	legacy := func(r Request, cands []Candidate) int {
 		best := -1

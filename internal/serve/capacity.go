@@ -60,19 +60,26 @@ type CapacityResult struct {
 // simulation at the given offered rate over the given arrival window — and
 // reports the serving outcome. It abstracts the system under test away from
 // the ramp logic, so capacity discovery applies equally to a baseline.Env
-// fleet and to a sharded datacenter arena.
+// fleet (see Fleet) and to a sharded datacenter arena.
 type RungRunner func(rps float64, window, drain sim.Duration) Result
 
-// SweepFunc is capacity discovery over any rung runner: serve a Poisson
-// window at each ramp rate and stop at the first rung that trips the
-// overload signal. Rungs are inherently sequential (each rung decides
-// whether the next runs); parallelism lives across configurations (see
-// SweepGrid).
-func SweepFunc(name string, run RungRunner, cc CapacityConfig) CapacityResult {
-	cc = cc.withDefaults()
-	out := CapacityResult{Name: name}
+// NamedSweep is one configuration's capacity discovery: a rung runner for
+// the system under test and the ramp to drive it with.
+type NamedSweep struct {
+	Name string
+	Run  RungRunner
+	Cap  CapacityConfig
+}
+
+// Sweep ramps a configuration's offered load: serve a Poisson window at each
+// ramp rate and stop at the first rung that trips the overload signal. Rungs
+// are inherently sequential (each rung decides whether the next runs);
+// parallelism lives across configurations.
+func Sweep(s NamedSweep) CapacityResult {
+	cc := s.Cap.withDefaults()
+	out := CapacityResult{Name: s.Name}
 	for rps := cc.StartRPS; rps <= cc.MaxRPS+1e-9; rps += cc.StepRPS {
-		res := run(rps, cc.Window, cc.Window/4)
+		res := s.Run(rps, cc.Window, cc.Window/4)
 		ok := res.SLOViolationFrac <= cc.MaxViolationFrac && res.ShedRate <= cc.MaxShedRate
 		out.Points = append(out.Points, CapacityPoint{OfferedRPS: rps, Sustainable: ok, Result: res})
 		if !ok {
@@ -87,11 +94,12 @@ func SweepFunc(name string, run RungRunner, cc CapacityConfig) CapacityResult {
 	return out
 }
 
-// Sweep is one fleet configuration's capacity discovery: build a fresh
-// environment per rung (each rung is an independent simulation — no state
-// bleeds between load levels) and ramp until overload.
-func Sweep(name string, build func() baseline.Env, base Config, cc CapacityConfig) CapacityResult {
-	return SweepFunc(name, func(rps float64, window, drain sim.Duration) Result {
+// Fleet is the rung runner for a serving fleet: build a fresh environment
+// per rung (each rung is an independent simulation — no state bleeds
+// between load levels) and serve Poisson arrivals at the rung's rate
+// through Run.
+func Fleet(build func() baseline.Env, base Config) RungRunner {
+	return func(rps float64, window, drain sim.Duration) Result {
 		cfg := base
 		cfg.Arrivals = workload.Poisson{RPS: rps}
 		cfg.Duration = window
@@ -99,59 +107,7 @@ func Sweep(name string, build func() baseline.Env, base Config, cc CapacityConfi
 			cfg.Drain = drain
 		}
 		return Run(build(), cfg)
-	}, cc)
-}
-
-// NamedSweep pairs a configuration with its sweep parameters for SweepGrid.
-// Exactly one of Build (a serving fleet swept through Run) or RunRung (an
-// arbitrary rung runner, e.g. a sharded arena) must be set.
-type NamedSweep struct {
-	Name  string
-	Build func() baseline.Env
-	Serve Config
-	Cap   CapacityConfig
-
-	// RunRung, when non-nil, replaces the Build/Serve fleet path.
-	RunRung RungRunner
-}
-
-// SweepGrid runs several configuration sweeps, fanned out over workers.
-// Each sweep is an independent deterministic simulation and results are
-// assembled by input index, so output is byte-identical for any worker
-// count. (The experiments package's grid runner is not reused here because
-// experiments imports serve — and a sweep's inner ramp is sequential
-// anyway; only whole configurations parallelize.)
-func SweepGrid(sweeps []NamedSweep, workers int) []CapacityResult {
-	if workers < 1 {
-		workers = 1
 	}
-	if workers > len(sweeps) {
-		workers = len(sweeps)
-	}
-	results := make([]CapacityResult, len(sweeps))
-	jobs := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range jobs {
-				s := sweeps[i]
-				if s.RunRung != nil {
-					results[i] = SweepFunc(s.Name, s.RunRung, s.Cap)
-				} else {
-					results[i] = Sweep(s.Name, s.Build, s.Serve, s.Cap)
-				}
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := range sweeps {
-		jobs <- i
-	}
-	close(jobs)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	return results
 }
 
 // RenderCapacity formats sweep results as an aligned text report, one

@@ -69,9 +69,6 @@ type Config struct {
 	// delay bounded. Defaults to SLO; 0 with no SLO disables deadline
 	// enforcement entirely.
 	AdmitDeadline sim.Duration
-	// MaxTasksPerVM is the dispatcher's per-VM concurrency bound
-	// (default 2); see cluster.Dispatcher.MaxTasksPerVM.
-	MaxTasksPerVM int
 	// Shedding enables the adaptive token-bucket shedder; without it, only
 	// the queue bound and the admit deadline protect the server.
 	Shedding bool
@@ -81,9 +78,6 @@ type Config struct {
 	// pressure: Free VMs parked on broken or saturated backends are
 	// switched to the healthiest one.
 	Retier bool
-	// Tick is the control-loop cadence (default 50ms): shedder adaptation,
-	// queue-deadline scanning, pressure detection, conservation checks.
-	Tick sim.Duration
 	// Policy overrides the dispatcher's placement policy (nil = alg1);
 	// see internal/place.
 	Policy *place.Policy
@@ -98,12 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AdmitDeadline <= 0 {
 		c.AdmitDeadline = c.SLO
-	}
-	if c.MaxTasksPerVM <= 0 {
-		c.MaxTasksPerVM = 2
-	}
-	if c.Tick <= 0 {
-		c.Tick = 50 * sim.Millisecond
 	}
 	return c
 }
@@ -231,6 +219,13 @@ const (
 	ewmaAlpha    = 0.2
 	minShedRate  = 5.0
 	shedHeadroom = 1.25 // rate cap as a multiple of the offered rate
+
+	// maxTasksPerVM is the dispatcher's per-VM concurrency bound; see
+	// cluster.Dispatcher.MaxTasksPerVM.
+	maxTasksPerVM = 2
+	// controlTick is the control-loop cadence: shedder adaptation,
+	// queue-deadline scanning, pressure detection, conservation checks.
+	controlTick = 50 * sim.Millisecond
 )
 
 // Run executes one open-loop serving simulation against env's machine. The
@@ -245,7 +240,7 @@ func Run(env baseline.Env, cfg Config) Result {
 		d:   cluster.NewDispatcher(env),
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
-	s.d.MaxTasksPerVM = cfg.MaxTasksPerVM
+	s.d.MaxTasksPerVM = maxTasksPerVM
 	s.d.Policy = cfg.Policy
 	s.backendOrder = env.Machine.BackendNames()
 
@@ -328,12 +323,12 @@ func Run(env baseline.Env, cfg Config) Result {
 	var tick func()
 	tick = func() {
 		s.tick()
-		next := s.eng.Now().Add(cfg.Tick)
+		next := s.eng.Now().Add(controlTick)
 		if next <= end {
 			s.eng.At(next, tick)
 		}
 	}
-	s.eng.At(s.start.Add(cfg.Tick), tick)
+	s.eng.At(s.start.Add(controlTick), tick)
 
 	s.eng.RunUntil(end)
 
@@ -436,7 +431,7 @@ func (s *server) predictedWait() sim.Duration {
 	}
 	slots := 0
 	for range s.env.Machine.VMs() {
-		slots += s.cfg.MaxTasksPerVM
+		slots += maxTasksPerVM
 	}
 	if slots == 0 {
 		slots = 1
@@ -498,7 +493,7 @@ func (s *server) readyFn(q queued) func(cluster.Placement) {
 		}
 
 		// Serving fleets overcommit memory: a VM's DRAM is shared by its
-		// MaxTasksPerVM concurrent requests, so each request's local share
+		// maxTasksPerVM concurrent requests, so each request's local share
 		// is capped by pages/(slots × footprint) regardless of what the
 		// console's SLO planning asked for. This cap is what makes backend
 		// speed matter for serving capacity — the overflow must live on a
@@ -506,7 +501,7 @@ func (s *server) readyFn(q queued) func(cluster.Placement) {
 		local := pl.Decision.LocalRatio
 		if q.app.Spec.FootprintPages > 0 {
 			memCap := float64(pl.VM.Pages) /
-				float64(s.cfg.MaxTasksPerVM*q.app.Spec.FootprintPages)
+				float64(maxTasksPerVM*q.app.Spec.FootprintPages)
 			if memCap < 0.05 {
 				memCap = 0.05
 			}
@@ -590,7 +585,7 @@ func (s *server) tick() {
 		if s.shed.rate > maxRate {
 			s.shed.rate = maxRate
 		}
-		s.shed.tokens += s.shed.rate * s.cfg.Tick.Seconds()
+		s.shed.tokens += s.shed.rate * controlTick.Seconds()
 		if s.shed.tokens > s.shed.burst {
 			s.shed.tokens = s.shed.burst
 		}

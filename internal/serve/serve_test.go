@@ -262,12 +262,12 @@ func TestCapacitySweepXDMBeatsStatic(t *testing.T) {
 		}
 	}
 	sweeps := []NamedSweep{
-		{Name: "static-ssd", Build: warm("ssd0"), Serve: base,
+		{Name: "static-ssd", Run: Fleet(warm("ssd0"), base),
 			Cap: CapacityConfig{StartRPS: 4, StepRPS: 4, MaxRPS: 48, Window: 2 * sim.Second}},
-		{Name: "xdm", Build: warm("ssd0", "rdma0", "dram0"), Serve: base,
+		{Name: "xdm", Run: Fleet(warm("ssd0", "rdma0", "dram0"), base),
 			Cap: CapacityConfig{StartRPS: 100, StepRPS: 100, MaxRPS: 1200, Window: sim.Second}},
 	}
-	results := SweepGrid(sweeps, 2)
+	results := []CapacityResult{Sweep(sweeps[0]), Sweep(sweeps[1])}
 
 	static, xdm := results[0], results[1]
 	if !static.Tripped {
@@ -290,25 +290,6 @@ func TestCapacitySweepXDMBeatsStatic(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q:\n%s", want, text)
 		}
-	}
-}
-
-// TestSweepGridWorkerCountInvariant pins the determinism contract: the
-// same sweeps produce deeply equal results at any worker count.
-func TestSweepGridWorkerCountInvariant(t *testing.T) {
-	mk := func() []NamedSweep {
-		base := Config{Templates: RequestTemplates(), SLO: 100 * sim.Millisecond, Seed: 2}
-		cc := CapacityConfig{StartRPS: 50, StepRPS: 50, MaxRPS: 150, Window: 500 * sim.Millisecond}
-		return []NamedSweep{
-			{Name: "a", Build: func() baseline.Env { return warmedEnv("ssd0") }, Serve: base, Cap: cc},
-			{Name: "b", Build: func() baseline.Env { return warmedEnv("ssd0", "rdma0") }, Serve: base, Cap: cc},
-			{Name: "c", Build: func() baseline.Env { return warmedEnv("ssd0", "dram0") }, Serve: base, Cap: cc},
-		}
-	}
-	one := SweepGrid(mk(), 1)
-	many := SweepGrid(mk(), 4)
-	if !reflect.DeepEqual(one, many) {
-		t.Fatalf("worker count changed sweep results:\n%+v\n%+v", one, many)
 	}
 }
 
@@ -436,7 +417,7 @@ func TestPrewarmFleet(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{SLO: 100 * sim.Millisecond}.withDefaults()
-	if c.QueueCap != 256 || c.MaxTasksPerVM != 2 || c.Tick != 50*sim.Millisecond {
+	if c.QueueCap != 256 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	if c.AdmitDeadline != c.SLO {

@@ -54,17 +54,8 @@ func NewStation(eng *Engine, servers int) *Station {
 	return &Station{res: NewResource(eng, servers), eng: eng}
 }
 
-// Servers reports the current number of parallel servers.
-func (s *Station) Servers() int { return s.res.Capacity() }
-
 // SetServers changes the parallelism; in-flight requests are unaffected.
 func (s *Station) SetServers(n int) { s.res.Resize(n) }
-
-// QueueLength reports the number of waiting (not yet in service) requests.
-func (s *Station) QueueLength() int { return s.res.Waiting() }
-
-// InService reports the number of requests currently being served.
-func (s *Station) InService() int { return s.res.InUse() }
 
 // newReq pops a recycled request or builds a fresh one with its closures.
 func (s *Station) newReq() *submitReq {

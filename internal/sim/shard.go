@@ -111,9 +111,6 @@ func (s *Shards) N() int { return len(s.engines) }
 // scheduled directly (At/After/Immediately as usual).
 func (s *Shards) Engine(i int) *Engine { return s.engines[i] }
 
-// Lookahead reports the group's conservative lookahead window.
-func (s *Shards) Lookahead() Duration { return s.lookahead }
-
 // Send schedules fn on shard dst at shard src's current time plus d. It
 // must be called from shard src — from an event executing on src's engine,
 // or before the run starts. For src != dst, d must be at least the group's

@@ -49,12 +49,6 @@ func NewChannel(eng *sim.Engine, name string, depth int) *Channel {
 // Name reports the channel's name.
 func (c *Channel) Name() string { return c.name }
 
-// Depth reports the concurrency limit.
-func (c *Channel) Depth() int { return c.res.Capacity() }
-
-// SetDepth adjusts the concurrency limit.
-func (c *Channel) SetDepth(d int) { c.res.Resize(d) }
-
 // entry is one pending admission; grantFn is bound once per record, so
 // recycling the record recycles it too.
 type entry struct {

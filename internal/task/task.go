@@ -349,10 +349,6 @@ func (t *Task) SetGranularity(pages int) {
 // migration cost.
 func (t *Task) SetSwapPath(p *swap.Path) { t.cfg.SwapPath = p }
 
-// FarCopies reports the pages currently holding a live far-memory copy —
-// the residency a pooled-fabric cell must cover with granted slabs.
-func (t *Task) FarCopies() int { return t.farCopies }
-
 // DropFarCopies invalidates every far-memory copy the task holds — the
 // backend that stored them died. Swap slots are reclaimed exactly once
 // (SlotAllocator.DropAll) and each lost page is marked so its next fault
