@@ -11,7 +11,7 @@ package repro
 // Benchmarks report reproduced headline metrics via b.ReportMetric (e.g.
 // speedup ratios), so the paper-facing numbers appear directly in the
 // benchmark output. benchScale (default 4) trades fidelity for time; the
-// standalone cmd/xdmbench binary runs everything at full scale.
+// standalone cmd/xdmsim binary runs everything at full scale.
 
 import (
 	"io"
@@ -41,7 +41,7 @@ func benchOptions() experiments.Options {
 
 // runExperiment executes the experiment once per iteration, discarding the
 // rendered output (the numbers of record live in EXPERIMENTS.md, generated
-// by cmd/xdmbench at full scale).
+// by cmd/xdmsim at full scale).
 func runExperiment(b *testing.B, id string) []experiments.Table {
 	b.Helper()
 	var tables []experiments.Table

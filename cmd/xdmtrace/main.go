@@ -1,5 +1,5 @@
-// Command xdmtrace analyzes the observability artifacts the simulators emit
-// (-metrics / -trace on xdmsim and xdmbench) and gates latency regressions.
+// Command xdmtrace analyzes the observability artifacts xdmsim emits
+// (-metrics / -trace / -latency) and gates latency regressions.
 //
 // Usage:
 //
@@ -11,7 +11,7 @@
 // aggregates (mean, peak, idle fraction, integral), and — when -trace is
 // given — the exact per-op stage attribution totals correlated from "op=N"
 // spans. -format json emits the xdm-latency-summary/1 artifact that diff
-// consumes and CI commits as a baseline.
+// consumes and CI commits as a baseline. -o replaces its file atomically.
 //
 // diff compares two summaries (either may also be a raw metrics artifact,
 // which is summarized on the fly). A statistic regresses when
@@ -22,10 +22,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/analyze"
+	"repro/internal/obs"
 )
 
 func usage() {
@@ -100,27 +102,22 @@ func runSummarize(args []string) {
 		s.AttachStages(analyze.Correlate(tr))
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
+	write := func(w io.Writer) error { renderText(w, s); return nil }
 	if *format == "json" {
 		data, err := s.Render()
 		if err != nil {
 			fail(err)
 		}
-		w.Write(data)
-		return
+		write = func(w io.Writer) error { _, err := w.Write(data); return err }
 	}
-	renderText(w, s)
+	if *out == "" {
+		write(os.Stdout)
+	} else if err := obs.WriteFileAtomic(*out, write); err != nil {
+		fail(err)
+	}
 }
 
-func renderText(w *os.File, s *analyze.Summary) {
+func renderText(w io.Writer, s *analyze.Summary) {
 	if s.Label != "" {
 		fmt.Fprintf(w, "summary %s (source %s)\n\n", s.Label, s.Source)
 	}

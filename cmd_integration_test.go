@@ -24,6 +24,45 @@ func buildCmd(t *testing.T, dir, name string) string {
 	return bin
 }
 
+// checkUsageError runs xdmsim with args and fails unless it exits 2 with a
+// usage line and want on stderr. Every run also carries an -o results file
+// and a -latency stem whose per-run artifacts exist beforehand: a usage
+// error must leave them byte-identical and no other file behind.
+func checkUsageError(t *testing.T, bin, want string, args ...string) {
+	t.Helper()
+	dir := t.TempDir()
+	old := []byte("previous run\n")
+	files := []string{"results.txt"}
+	for _, id := range []string{"fig3", "alg1", "cxlpool", "serve", "custom"} {
+		files = append(files, "lat."+id+".json")
+	}
+	for _, f := range files {
+		if err := os.WriteFile(filepath.Join(dir, f), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	args = append([]string{"-o", filepath.Join(dir, "results.txt"), "-latency", filepath.Join(dir, "lat.json")}, args...)
+	cmd := exec.Command(bin, args...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 2 {
+		t.Fatalf("%v exited %v, want exit code 2\n%s", args, err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "usage:") || !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr missing usage line or %q:\n%s", want, stderr.String())
+	}
+	for _, f := range files {
+		if got, _ := os.ReadFile(filepath.Join(dir, f)); !bytes.Equal(got, old) {
+			t.Errorf("usage error changed %s: %q", f, got)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != len(files) {
+		t.Errorf("usage error left %d files, want %d", len(entries), len(files))
+	}
+}
+
 func TestXdmsimCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -54,13 +93,6 @@ func TestXdmsimCLI(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "MEI pick") {
 		t.Error("fig8 output incomplete")
-	}
-
-	if err := exec.Command(bin, "-exp", "bogus").Run(); err == nil {
-		t.Error("unknown experiment should exit nonzero")
-	}
-	if err := exec.Command(bin).Run(); err == nil {
-		t.Error("missing -exp should exit nonzero")
 	}
 }
 
@@ -100,25 +132,40 @@ func TestTracegenCLI(t *testing.T) {
 	}
 }
 
+// TestXdmbenchCLI runs the full evaluation, xdmsim's default mode: the -o
+// file holds exactly the stdout bytes, and the -trace/-metrics stems expand
+// to one file per experiment.
 func TestXdmbenchCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and runs the evaluation")
 	}
 	dir := t.TempDir()
-	bin := buildCmd(t, dir, "xdmbench")
+	bin := buildCmd(t, dir, "xdmsim")
 	outFile := filepath.Join(dir, "results.txt")
 	traceStem := filepath.Join(dir, "trace.json")
 	metricsStem := filepath.Join(dir, "metrics.csv")
-	out, err := exec.Command(bin, "-o", outFile, "-scale", "16",
-		"-trace", traceStem, "-metrics", metricsStem).CombinedOutput()
+	cmd := exec.Command(bin, "-o", outFile, "-scale", "16",
+		"-trace", traceStem, "-metrics", metricsStem)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("xdmbench: %v\n%s", err, out)
+		t.Fatalf("xdmsim: %v\n%s", err, stderr.String())
 	}
 	data := string(out)
+	if !strings.HasPrefix(data, "xDM reproduction — full evaluation (scale=16 seed=1)") {
+		t.Errorf("missing evaluation header:\n%.200s", data)
+	}
 	for _, id := range []string{"tab6", "tab7", "fig14", "fig19-sim"} {
 		if !strings.Contains(data, id) {
 			t.Errorf("results missing %s", id)
 		}
+	}
+	if file, err := os.ReadFile(outFile); err != nil || !bytes.Equal(file, out) {
+		t.Errorf("-o file differs from stdout (read error %v)", err)
+	}
+	if !strings.Contains(stderr.String(), "[tab6 done in") || !strings.Contains(stderr.String(), "total wall-clock") {
+		t.Errorf("stderr missing timing reports:\n%s", stderr.String())
 	}
 	// -trace/-metrics stems expand to one file per experiment:
 	// trace.json → trace.tab6.json, trace.fig14.json, ...
@@ -177,12 +224,16 @@ func TestXdmsimCustomSpecs(t *testing.T) {
 	if err := os.WriteFile(specFile, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(bin, "-custom", specFile, "-scale", "2").Output()
+	out, err := exec.Command(bin, "-custom", specFile, "-scale", "2",
+		"-metrics", filepath.Join(dir, "m.csv")).Output()
 	if err != nil {
 		t.Fatalf("-custom: %v", err)
 	}
 	if !strings.Contains(string(out), "custom-app") || !strings.Contains(string(out), "speedup") {
 		t.Fatalf("custom output incomplete:\n%s", out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "m.custom.csv")); err != nil {
+		t.Errorf("-metrics stem under -custom: %v", err)
 	}
 	// Invalid spec file exits nonzero.
 	bad := filepath.Join(dir, "bad.json")
@@ -192,48 +243,82 @@ func TestXdmsimCustomSpecs(t *testing.T) {
 	}
 }
 
+// TestXdmsimFlagValidation pins the exit-2 contract: every malformed flag,
+// mode conflict and unusable output path is reported with a usage line
+// before any output is written.
 func TestXdmsimFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	bin := buildCmd(t, t.TempDir(), "xdmsim")
+	dir := t.TempDir()
+	bin := buildCmd(t, dir, "xdmsim")
 	cases := []struct {
 		name string
+		want string
 		args []string
 	}{
-		{"zero scale", []string{"-exp", "fig3", "-scale", "0"}},
-		{"negative scale", []string{"-exp", "fig3", "-scale", "-4"}},
-		{"negative seed", []string{"-exp", "fig3", "-seed", "-1"}},
+		{"zero scale", "-scale", []string{"-exp", "fig3", "-scale", "0"}},
+		{"negative scale", "-scale", []string{"-exp", "fig3", "-scale", "-4"}},
+		{"negative seed", "-seed", []string{"-exp", "fig3", "-seed", "-1"}},
+		{"zero workers", "-workers", []string{"-exp", "fig3", "-workers", "0"}},
+		{"zero shards", "-shards", []string{"-exp", "fig3", "-shards", "0"}},
+		{"unknown format", "-format", []string{"-exp", "fig3", "-format", "xml"}},
+		{"unknown experiment", "unknown experiment", []string{"-exp", "fig3,bogus"}},
+		{"no experiment selected", "no experiments", []string{"-exp", ","}},
+		{"positional argument", "unexpected argument", []string{"-exp", "fig3", "fig8"}},
+		{"output is a directory", "is a directory", []string{"-exp", "fig3", "-o", dir}},
+		{"serve negative slo", "-slo", []string{"-serve", "poisson:100", "-slo", "-1s"}},
+		{"serve negative duration", "-duration", []string{"-serve", "poisson:100", "-duration", "-2s"}},
+		{"serve unknown trace year", "arrival spec", []string{"-serve", "trace:2019:100"}},
+		{"serve with custom", "cannot be combined", []string{"-serve", "poisson:100", "-custom", "specs.json"}},
+		{"capacity with exp", "cannot be combined", []string{"-capacity", "-exp", "tab6"}},
+		{"capacity with serve", "cannot be combined", []string{"-capacity", "-serve", "poisson:100"}},
+		{"capacity with latency", "cannot be combined", []string{"-capacity"}},
+		{"custom with exp", "cannot be combined", []string{"-exp", "fig3", "-custom", "specs.json"}},
+		{"list with exp", "cannot be combined", []string{"-exp", "fig3", "-list"}},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			cmd := exec.Command(bin, c.args...)
-			var stderr strings.Builder
-			cmd.Stderr = &stderr
-			err := cmd.Run()
-			ee, ok := err.(*exec.ExitError)
-			if !ok || ee.ExitCode() != 2 {
-				t.Fatalf("%v exited %v, want exit code 2", c.args, err)
-			}
-			if !strings.Contains(stderr.String(), "usage:") {
-				t.Errorf("stderr missing usage line:\n%s", stderr.String())
-			}
+			checkUsageError(t, bin, c.want, c.args...)
 		})
 	}
 }
 
-// TestPolicyFlagCLI pins the -policy surface on both CLIs: a valid spec
-// runs and changes placement-sensitive output, and every malformed spec the
-// grammar rejects is a usage failure (exit 2) naming the offense — never a
-// crash deep inside a simulation.
-func TestPolicyFlagCLI(t *testing.T) {
+// TestXdmsimObservabilityFlagValidation pins the exit-2 contract for the
+// per-run artifact stems: a -trace or -metrics stem in a missing directory
+// is rejected with a usage line before any simulation runs.
+func TestXdmsimObservabilityFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
-	sim := buildCmd(t, dir, "xdmsim")
-	bench := buildCmd(t, dir, "xdmbench")
+	bin := buildCmd(t, dir, "xdmsim")
+	cases := []struct {
+		name string
+		want string
+		args []string
+	}{
+		{"unwritable trace path", "no-such-dir", []string{"-exp", "fig3", "-trace", filepath.Join(dir, "no-such-dir", "t.json")}},
+		{"unwritable metrics path", "no-such-dir", []string{"-exp", "fig3", "-metrics", filepath.Join(dir, "no-such-dir", "m.csv")}},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			checkUsageError(t, bin, c.want, c.args...)
+		})
+	}
+}
+
+// TestPolicyFlagCLI pins the -policy surface: a valid spec runs and changes
+// placement-sensitive output, and every malformed spec the grammar rejects
+// is a usage failure (exit 2) naming the offense — never a crash deep inside
+// a simulation.
+func TestPolicyFlagCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	sim := buildCmd(t, t.TempDir(), "xdmsim")
 
 	out, err := exec.Command(sim, "-exp", "alg1", "-scale", "16", "-policy", "best-fit").Output()
 	if err != nil {
@@ -259,38 +344,20 @@ func TestPolicyFlagCLI(t *testing.T) {
 	for _, c := range bad {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			for _, bin := range []string{sim, bench} {
-				args := []string{"-exp", "alg1", "-scale", "16", "-policy", c.spec}
-				if bin == bench {
-					args = []string{"-o", "-", "-only", "alg1", "-scale", "16", "-policy", c.spec}
-				}
-				cmd := exec.Command(bin, args...)
-				var stderr strings.Builder
-				cmd.Stderr = &stderr
-				err := cmd.Run()
-				ee, ok := err.(*exec.ExitError)
-				if !ok || ee.ExitCode() != 2 {
-					t.Fatalf("%s -policy %q exited %v, want exit code 2", filepath.Base(bin), c.spec, err)
-				}
-				if !strings.Contains(stderr.String(), "usage:") {
-					t.Errorf("%s stderr missing usage line:\n%s", filepath.Base(bin), stderr.String())
-				}
-			}
+			checkUsageError(t, sim, "policy spec", "-exp", "alg1", "-scale", "16", "-policy", c.spec)
 		})
 	}
 }
 
-// TestFabricFlagCLI pins the -fabric surface on both CLIs: a valid topology
-// spec runs the pooled-memory experiment and changes its header, and every
-// malformed spec the grammar rejects is a usage failure (exit 2) carrying
-// the hosts=N[,...] grammar — never a panic inside a cell.
+// TestFabricFlagCLI pins the -fabric surface: a valid topology spec runs
+// the pooled-memory experiment and changes its header, and every malformed
+// spec the grammar rejects is a usage failure (exit 2) carrying the
+// hosts=N[,...] grammar — never a panic inside a cell.
 func TestFabricFlagCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	dir := t.TempDir()
-	sim := buildCmd(t, dir, "xdmsim")
-	bench := buildCmd(t, dir, "xdmbench")
+	sim := buildCmd(t, t.TempDir(), "xdmsim")
 
 	out, err := exec.Command(sim, "-exp", "cxlpool", "-scale", "16", "-fabric", "hosts=2,pool=1,hops=2").Output()
 	if err != nil {
@@ -317,23 +384,7 @@ func TestFabricFlagCLI(t *testing.T) {
 	for _, c := range bad {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			for _, bin := range []string{sim, bench} {
-				args := []string{"-exp", "cxlpool", "-scale", "16", "-fabric", c.spec}
-				if bin == bench {
-					args = []string{"-o", "-", "-only", "cxlpool", "-scale", "16", "-fabric", c.spec}
-				}
-				cmd := exec.Command(bin, args...)
-				var stderr strings.Builder
-				cmd.Stderr = &stderr
-				err := cmd.Run()
-				ee, ok := err.(*exec.ExitError)
-				if !ok || ee.ExitCode() != 2 {
-					t.Fatalf("%s -fabric %q exited %v, want exit code 2", filepath.Base(bin), c.spec, err)
-				}
-				if !strings.Contains(stderr.String(), "usage:") || !strings.Contains(stderr.String(), "hosts=N") {
-					t.Errorf("%s stderr missing usage grammar:\n%s", filepath.Base(bin), stderr.String())
-				}
-			}
+			checkUsageError(t, sim, "hosts=N", "-exp", "cxlpool", "-scale", "16", "-fabric", c.spec)
 		})
 	}
 }
@@ -376,20 +427,18 @@ func TestXdmsimObservabilityOutputs(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bin := buildCmd(t, dir, "xdmsim")
-	tracePath := filepath.Join(dir, "out.json")
-	metricsPath := filepath.Join(dir, "out.csv")
 
 	run := func(workers string) (trace, metrics []byte) {
-		out, err := exec.Command(bin, "-exp", "fig2b", "-scale", "8",
-			"-workers", workers, "-trace", tracePath, "-metrics", metricsPath).CombinedOutput()
+		out, err := exec.Command(bin, "-exp", "fig2b", "-scale", "8", "-workers", workers,
+			"-trace", filepath.Join(dir, "out.json"), "-metrics", filepath.Join(dir, "out.csv")).CombinedOutput()
 		if err != nil {
 			t.Fatalf("xdmsim -trace/-metrics: %v\n%s", err, out)
 		}
-		trace, err = os.ReadFile(tracePath)
+		trace, err = os.ReadFile(filepath.Join(dir, "out.fig2b.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		metrics, err = os.ReadFile(metricsPath)
+		metrics, err = os.ReadFile(filepath.Join(dir, "out.fig2b.csv"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,50 +488,13 @@ func TestXdmsimObservabilityOutputs(t *testing.T) {
 	}
 }
 
-func TestXdmsimObservabilityFlagValidation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	dir := t.TempDir()
-	bin := buildCmd(t, dir, "xdmsim")
-	cases := []struct {
-		name    string
-		args    []string
-		wantMsg string
-	}{
-		{"trace with -exp all", []string{"-exp", "all", "-trace", filepath.Join(dir, "t.json")},
-			"cannot be combined with -exp all"},
-		{"metrics with -exp all", []string{"-exp", "all", "-metrics", filepath.Join(dir, "m.csv")},
-			"cannot be combined with -exp all"},
-		{"unwritable trace path", []string{"-exp", "fig3", "-trace", filepath.Join(dir, "no-such-dir", "t.json")},
-			"no-such-dir"},
-		{"unwritable metrics path", []string{"-exp", "fig3", "-metrics", filepath.Join(dir, "no-such-dir", "m.csv")},
-			"no-such-dir"},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			cmd := exec.Command(bin, c.args...)
-			var stderr strings.Builder
-			cmd.Stderr = &stderr
-			err := cmd.Run()
-			ee, ok := err.(*exec.ExitError)
-			if !ok || ee.ExitCode() != 2 {
-				t.Fatalf("%v exited %v, want exit code 2", c.args, err)
-			}
-			if !strings.Contains(stderr.String(), c.wantMsg) {
-				t.Errorf("stderr missing %q:\n%s", c.wantMsg, stderr.String())
-			}
-		})
-	}
-}
-
+// TestXdmbenchFormats renders the full evaluation through xdmsim -format.
 func TestXdmbenchFormats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
-	bin := buildCmd(t, dir, "xdmbench")
+	bin := buildCmd(t, dir, "xdmsim")
 	for _, format := range []string{"md", "csv"} {
 		outFile := filepath.Join(dir, "results."+format)
 		if out, err := exec.Command(bin, "-o", outFile, "-scale", "32", "-format", format).CombinedOutput(); err != nil {
@@ -505,7 +517,7 @@ func TestXdmbenchFormats(t *testing.T) {
 	}
 }
 
-// TestXdmbenchLatencySummaries covers -only experiment filtering and the
+// TestXdmbenchLatencySummaries covers -exp experiment filtering and the
 // -latency stem, then drives xdmtrace over the emitted artifacts: an
 // identical rerun must diff clean (exit 0) and an injected p99 regression
 // must gate (exit 1).
@@ -514,19 +526,19 @@ func TestXdmbenchLatencySummaries(t *testing.T) {
 		t.Skip("builds binaries and runs an experiment")
 	}
 	dir := t.TempDir()
-	bench := buildCmd(t, dir, "xdmbench")
+	bin := buildCmd(t, dir, "xdmsim")
 	xdmtrace := buildCmd(t, dir, "xdmtrace")
 
 	latStem := filepath.Join(dir, "lat.json")
 	metricsStem := filepath.Join(dir, "m.json")
 	traceStem := filepath.Join(dir, "t.json")
-	out, err := exec.Command(bench, "-o", "-", "-scale", "16", "-only", "fig2b",
+	out, err := exec.Command(bin, "-scale", "16", "-exp", "fig2b",
 		"-latency", latStem, "-metrics", metricsStem, "-trace", traceStem).CombinedOutput()
 	if err != nil {
-		t.Fatalf("xdmbench -only fig2b: %v\n%s", err, out)
+		t.Fatalf("xdmsim -exp fig2b: %v\n%s", err, out)
 	}
 	if strings.Contains(string(out), "#tab6") {
-		t.Error("-only fig2b still ran tab6")
+		t.Error("-exp fig2b still ran tab6")
 	}
 	latPath := filepath.Join(dir, "lat.fig2b.json")
 	raw, err := os.ReadFile(latPath)
@@ -542,7 +554,7 @@ func TestXdmbenchLatencySummaries(t *testing.T) {
 	}
 
 	// Offline summarize of the written metrics+trace must agree with the
-	// in-process summary xdmbench emitted.
+	// in-process summary xdmsim emitted.
 	sumPath := filepath.Join(dir, "offline.json")
 	out, err = exec.Command(xdmtrace, "summarize", filepath.Join(dir, "m.fig2b.json"),
 		"-trace", filepath.Join(dir, "t.fig2b.json"), "-label", "fig2b",
@@ -585,7 +597,11 @@ func TestXdmbenchLatencySummaries(t *testing.T) {
 		t.Fatal("no nonzero p99 to regress")
 	}
 	badPath := filepath.Join(dir, "regressed.json")
-	if err := bad.WriteFile(badPath); err != nil {
+	data, err := bad.Render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(badPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(xdmtrace, "diff", latPath, badPath)
@@ -665,11 +681,12 @@ func TestXdmsimServe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and runs a serving window")
 	}
-	bin := buildCmd(t, t.TempDir(), "xdmsim")
+	dir := t.TempDir()
+	bin := buildCmd(t, dir, "xdmsim")
 
 	run := func() string {
-		out, err := exec.Command(bin, "-serve", "flash:100:4:1:1",
-			"-slo", "100ms", "-duration", "3s", "-scale", "8", "-seed", "3").Output()
+		out, err := exec.Command(bin, "-serve", "flash:100:4:1:1", "-slo", "100ms", "-duration", "3s",
+			"-scale", "8", "-seed", "3", "-trace", filepath.Join(dir, "t.json")).Output()
 		if err != nil {
 			t.Fatalf("-serve: %v", err)
 		}
@@ -684,6 +701,9 @@ func TestXdmsimServe(t *testing.T) {
 	}
 	if second := run(); second != first {
 		t.Fatalf("same seed produced different serve output:\n--- first\n%s\n--- second\n%s", first, second)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "t.serve.json")); err != nil {
+		t.Errorf("-trace stem under -serve: %v", err)
 	}
 
 	cases := []struct {
@@ -701,17 +721,7 @@ func TestXdmsimServe(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			cmd := exec.Command(bin, c.args...)
-			var stderr strings.Builder
-			cmd.Stderr = &stderr
-			err := cmd.Run()
-			ee, ok := err.(*exec.ExitError)
-			if !ok || ee.ExitCode() != 2 {
-				t.Fatalf("%v exited %v, want exit code 2", c.args, err)
-			}
-			if !strings.Contains(stderr.String(), "usage:") {
-				t.Errorf("stderr missing usage line:\n%s", stderr.String())
-			}
+			checkUsageError(t, bin, "xdmsim: ", c.args...)
 		})
 	}
 }
@@ -725,7 +735,7 @@ func TestXdmbenchCapacity(t *testing.T) {
 		t.Skip("builds binaries and runs the capacity ramps")
 	}
 	dir := t.TempDir()
-	bin := buildCmd(t, dir, "xdmbench")
+	bin := buildCmd(t, dir, "xdmsim")
 
 	run := func(workers string) string {
 		outFile := filepath.Join(dir, "cap."+workers+".txt")
@@ -770,36 +780,5 @@ func TestXdmbenchCapacity(t *testing.T) {
 	}
 	if parallel := run("8"); parallel != report {
 		t.Fatal("capacity report differs between -workers 1 and -workers 8")
-	}
-
-	// -capacity conflicts with the evaluation-grid output flags.
-	cmd := exec.Command(bin, "-capacity", "-only", "tab6")
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("-capacity -only exited %v, want exit code 2", err)
-	}
-	if !strings.Contains(stderr.String(), "cannot be combined") {
-		t.Errorf("stderr missing diagnostic:\n%s", stderr.String())
-	}
-}
-
-func TestXdmbenchOnlyValidation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	bin := buildCmd(t, t.TempDir(), "xdmbench")
-	cmd := exec.Command(bin, "-o", "-", "-only", "bogus")
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("-only bogus exited %v, want exit code 2", err)
-	}
-	if !strings.Contains(stderr.String(), "unknown experiment") {
-		t.Errorf("stderr missing diagnostic:\n%s", stderr.String())
 	}
 }

@@ -8,6 +8,6 @@
 // See README.md for the architecture tour, DESIGN.md for the system
 // inventory and per-experiment index, and EXPERIMENTS.md for
 // paper-vs-measured results. The root-level benchmarks in bench_test.go
-// regenerate every table and figure of the paper's evaluation; cmd/xdmbench
+// regenerate every table and figure of the paper's evaluation; cmd/xdmsim
 // does the same as a standalone binary.
 package repro

@@ -3,14 +3,13 @@ package analyze
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 
 	"repro/internal/metrics"
 )
 
 // SummarySchema versions the latency-summary artifact — the compact,
-// regression-gateable reduction of a run that xdmbench emits and CI
+// regression-gateable reduction of a run that xdmsim -latency emits and CI
 // baselines commit. Bump when fields change meaning.
 const SummarySchema = "xdm-latency-summary/1"
 
@@ -188,15 +187,6 @@ func (s *Summary) Render() ([]byte, error) {
 		return nil, err
 	}
 	return append(out, '\n'), nil
-}
-
-// WriteFile renders the summary to path.
-func (s *Summary) WriteFile(path string) error {
-	data, err := s.Render()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 // ParseSummary parses a latency-summary artifact and validates its schema.

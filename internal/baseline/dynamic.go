@@ -196,7 +196,7 @@ func availableOptions(env Env, opts []core.BackendOption) []core.BackendOption {
 	copy(out, opts)
 	for i := range out {
 		dev := env.Machine.Device(out[i].Name)
-		if dev != nil && dev.QueueDepth() > 4*dev.Channels() {
+		if dev != nil && dev.Saturated() {
 			out[i].Available = false
 		}
 	}

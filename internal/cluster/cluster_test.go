@@ -340,7 +340,7 @@ func TestDispatcherAvoidsSaturatedBackend(t *testing.T) {
 	}
 	// Let the submissions land in the device queues.
 	eng.RunUntil(eng.Now().Add(50 * sim.Microsecond))
-	if dev.QueueDepth() <= 4*dev.Channels() {
+	if !dev.Saturated() {
 		t.Skipf("could not saturate %s (queue %d)", preferred, dev.QueueDepth())
 	}
 

@@ -112,7 +112,7 @@ func (d *Dispatcher) systemPressure() []core.BackendOption {
 		if dev == nil {
 			continue
 		}
-		if dev.Down() || dev.Stalled() || dev.QueueDepth() > 4*dev.Channels() {
+		if dev.Down() || dev.Stalled() || dev.Saturated() {
 			opts[i].Available = false
 		}
 	}

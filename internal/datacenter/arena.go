@@ -142,19 +142,18 @@ type ArenaResult struct {
 	Stats sim.ShardStats
 }
 
-// arenaNode is one server: a machine on its shard's engine plus local
-// resource accounting. All fields are touched only by events on the node's
-// shard.
+// arenaNode is one server: a machine on its shard's engine plus its
+// running-task counts per backend. All fields are touched only by events on
+// the node's shard.
 type arenaNode struct {
 	id      int
 	shard   int
 	machine *vm.Machine
 	ssdName string
 
-	usedCores, usedPages int
-	perBackend           map[string]int // running tasks per backend (XDM spreading)
-	filePath             *swap.Path
-	msgSeq               uint64 // report key counter
+	perBackend map[string]int // running tasks per backend (XDM spreading)
+	filePath   *swap.Path
+	msgSeq     uint64 // report key counter
 }
 
 // arenaSched is the dispatcher: cached ledger, FIFO queue, delay accounting.
@@ -350,8 +349,6 @@ func (a *Arena) dispatch(t arenaTask, node int) {
 func (a *Arena) startTask(n *arenaNode, t arenaTask) {
 	eng := a.shards.Engine(n.shard)
 	start := eng.Now()
-	n.usedCores += t.app.Cores
-	n.usedPages += t.pages
 	backend := n.pickBackend()
 	n.perBackend[backend]++
 
@@ -379,8 +376,6 @@ func (a *Arena) startTask(n *arenaNode, t arenaTask) {
 	}
 
 	task.New(cfg).Start(func(task.Stats) {
-		n.usedCores -= t.app.Cores
-		n.usedPages -= t.pages
 		n.perBackend[backend]--
 		n.msgSeq++
 		key := uint64(n.id+1)<<32 | n.msgSeq

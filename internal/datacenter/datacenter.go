@@ -146,15 +146,6 @@ func (c *Cluster) DeadNodes() []int {
 	return dead
 }
 
-// Utilizations snapshots every node's memory utilization.
-func (c *Cluster) Utilizations() []float64 {
-	out := make([]float64, len(c.nodes))
-	for i, n := range c.nodes {
-		out[i] = n.MemUtilization()
-	}
-	return out
-}
-
 // RemoteMemory is a swap backend reaching a donor node's DRAM across the
 // cluster network: borrower NIC → switch → donor NIC, plus the donor's
 // memory service latency. It implements swap.Backend.

@@ -249,6 +249,10 @@ func (d *Device) SetChannels(n int) {
 // QueueDepth reports operations waiting for a channel in either direction.
 func (d *Device) QueueDepth() int { return d.readCh.Waiting() + d.writeCh.Waiting() }
 
+// Saturated reports system pressure: more than four waiting operations per
+// channel. Placement treats a saturated backend as unavailable.
+func (d *Device) Saturated() bool { return d.QueueDepth() > 4*d.Channels() }
+
 // InFlight reports operations currently holding a channel.
 func (d *Device) InFlight() int { return d.readCh.InUse() + d.writeCh.InUse() }
 

@@ -162,7 +162,7 @@ func arenaServeResult(r datacenter.ArenaResult, window sim.Duration) serve.Resul
 
 // ArenaSweeps is the arena capacity-sweep grid: open-loop Poisson arrivals
 // against the sharded fleet, ramped through the same serve.Sweep the
-// single-machine fleets use. Exposed so xdmbench -capacity discovers arena
+// single-machine fleets use. Exposed so xdmsim -capacity discovers arena
 // capacity alongside the serving fleets.
 func ArenaSweeps(o Options) []serve.NamedSweep {
 	o = o.normalize()

@@ -213,16 +213,6 @@ func Run(id string, o Options) (tables []Table, ok bool) {
 	return r(o.normalize()), true
 }
 
-// RunAll executes every registered experiment in id order.
-func RunAll(o Options) []Table {
-	var out []Table
-	for _, id := range IDs() {
-		ts, _ := Run(id, o)
-		out = append(out, ts...)
-	}
-	return out
-}
-
 // --- shared run helpers ---
 
 // testbed builds the paper's single-node testbed: two 10-core CPUs, SSD,

@@ -219,9 +219,13 @@ func TestRunAllProducesEveryTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	tables := RunAll(Options{Scale: 16, Seed: 1})
+	var tables []Table
+	for _, id := range IDs() {
+		ts, _ := Run(id, Options{Scale: 16, Seed: 1})
+		tables = append(tables, ts...)
+	}
 	if len(tables) < 18 {
-		t.Fatalf("RunAll produced %d tables", len(tables))
+		t.Fatalf("every experiment together produced %d tables", len(tables))
 	}
 	for _, tb := range tables {
 		if len(tb.Rows) == 0 {

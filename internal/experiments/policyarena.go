@@ -112,7 +112,7 @@ func PolicyArena(o Options) []Table {
 }
 
 // PolicyArenaSweeps exposes one capacity sweep per placement policy on the
-// xdm arena, so xdmbench -capacity ranks policies by sustainable request
+// xdm arena, so xdmsim -capacity ranks policies by sustainable request
 // rate next to the static-vs-xdm arena sweeps.
 func PolicyArenaSweeps(o Options) []serve.NamedSweep {
 	o = o.normalize()

@@ -108,7 +108,7 @@ func TestPolicyArenaShardWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestPolicyArenaSweepNames locks the capacity-sweep surface xdmbench
+// TestPolicyArenaSweepNames locks the capacity-sweep surface xdmsim
 // -capacity appends: one sweep per built-in policy, ramped like the xdm
 // arena.
 func TestPolicyArenaSweepNames(t *testing.T) {

@@ -93,7 +93,7 @@ func servingConfigs(o Options) []servingConfig {
 }
 
 // ServingSweeps is the standard capacity-sweep grid, exposed so the
-// xdmbench -capacity harness and the serving experiment discover capacity
+// xdmsim -capacity harness and the serving experiment discover capacity
 // on the exact same configurations.
 func ServingSweeps(o Options) []serve.NamedSweep {
 	o = o.normalize()
@@ -117,11 +117,6 @@ func ServingSweeps(o Options) []serve.NamedSweep {
 		}
 	}
 	return out
-}
-
-// ServingCapacityData sweeps each standard serving configuration's capacity.
-func ServingCapacityData(o Options) []serve.CapacityResult {
-	return Capacity(o, ServingSweeps(o))
 }
 
 // Capacity discovers each sweep's capacity. Sweeps fan out across grid
@@ -220,7 +215,7 @@ func ServingFlashData(o Options) []ServingFlashRow {
 // Serving renders the open-loop serving experiment: the capacity table and
 // the flash-crowd shedding comparison.
 func Serving(o Options) []Table {
-	sweeps := ServingCapacityData(o)
+	sweeps := Capacity(o, ServingSweeps(o))
 
 	cap := Table{
 		ID:    "serving",

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -255,19 +256,41 @@ func WriteMetricsJSON(w io.Writer) error {
 }
 
 // WriteMetricsFile writes metrics to path: JSON when the path ends in
-// .json, CSV otherwise.
+// .json, CSV otherwise. The file is replaced atomically (WriteFileAtomic).
 func WriteMetricsFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
 	write := WriteMetricsCSV
 	if strings.HasSuffix(path, ".json") {
 		write = WriteMetricsJSON
 	}
-	if err := write(f); err != nil {
-		f.Close()
+	return WriteFileAtomic(path, write)
+}
+
+// WriteFileAtomic writes path through write without ever exposing a partial
+// file: the bytes go to a temporary file in path's directory, which is
+// synced and renamed over path only when write succeeds. On any error the
+// temporary file is removed and an existing file at path is left untouched.
+func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
 		return err
 	}
-	return f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = write(f); err != nil {
+		return err
+	}
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }

@@ -3,7 +3,11 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -484,4 +488,52 @@ func TestStationWaitHistogram(t *testing.T) {
 			t.Errorf("wait hist min/max = %g/%g, want 0/2e6", h.Min(), h.Max())
 		}
 	})
+}
+
+// TestWriteFileAtomic pins the artifact contract: a successful write
+// replaces the file whole, and a writer that fails part-way leaves an
+// existing file byte-identical with no temporary file beside it.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "results.txt")
+	old := []byte("previous run\n")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := obs.WriteFileAtomic(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "half a"); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failing writer returned %v, want %v", err, boom)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+		t.Errorf("failed write changed the file: %q", got)
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 1 {
+		t.Errorf("failed write left files behind: %v", names)
+	}
+
+	if err := obs.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "new run\n")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "new run\n" {
+		t.Errorf("successful write produced %q", got)
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 1 {
+		t.Errorf("successful write left files behind: %v", names)
+	}
+
+	if err := obs.WriteFileAtomic(filepath.Join(dir, "no-such-dir", "x"), func(io.Writer) error {
+		t.Error("writer called without a temporary file")
+		return nil
+	}); err == nil {
+		t.Error("write into a missing directory succeeded")
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 
@@ -36,18 +35,9 @@ func WriteTrace(w io.Writer) error {
 	return err
 }
 
-// WriteTraceFile writes the trace to path, creating or truncating it.
-func WriteTraceFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+// WriteTraceFile writes the trace to path, replacing it atomically
+// (WriteFileAtomic).
+func WriteTraceFile(path string) error { return WriteFileAtomic(path, WriteTrace) }
 
 // tracks returns the union of event tracks and timeline names, sorted, so
 // tid assignment is deterministic.

@@ -20,22 +20,14 @@ type CapacityConfig struct {
 	// Window is the arrival window simulated at each step (plus a drain of
 	// one window quarter).
 	Window sim.Duration
-	// MaxViolationFrac and MaxShedRate are the overload signal: a step is
-	// sustainable while the SLO-violation fraction and the shed rate both
-	// stay at or under these bounds (defaults 0.05 and 0.01).
-	MaxViolationFrac float64
-	MaxShedRate      float64
 }
 
-func (c CapacityConfig) withDefaults() CapacityConfig {
-	if c.MaxViolationFrac <= 0 {
-		c.MaxViolationFrac = 0.05
-	}
-	if c.MaxShedRate <= 0 {
-		c.MaxShedRate = 0.01
-	}
-	return c
-}
+// The overload signal: a step is sustainable while the SLO-violation
+// fraction and the shed rate both stay at or under these bounds.
+const (
+	maxViolationFrac = 0.05
+	maxShedRate      = 0.01
+)
 
 // CapacityPoint is one rung of the ramp.
 type CapacityPoint struct {
@@ -76,11 +68,11 @@ type NamedSweep struct {
 // are inherently sequential (each rung decides whether the next runs);
 // parallelism lives across configurations.
 func Sweep(s NamedSweep) CapacityResult {
-	cc := s.Cap.withDefaults()
+	cc := s.Cap
 	out := CapacityResult{Name: s.Name}
 	for rps := cc.StartRPS; rps <= cc.MaxRPS+1e-9; rps += cc.StepRPS {
 		res := s.Run(rps, cc.Window, cc.Window/4)
-		ok := res.SLOViolationFrac <= cc.MaxViolationFrac && res.ShedRate <= cc.MaxShedRate
+		ok := res.SLOViolationFrac <= maxViolationFrac && res.ShedRate <= maxShedRate
 		out.Points = append(out.Points, CapacityPoint{OfferedRPS: rps, Sustainable: ok, Result: res})
 		if !ok {
 			out.Tripped = true

@@ -697,7 +697,7 @@ func (s *server) backendSick(name string) bool {
 	if dev == nil {
 		return false
 	}
-	return dev.Down() || dev.Stalled() || dev.QueueDepth() > 4*dev.Channels()
+	return dev.Down() || dev.Stalled() || dev.Saturated()
 }
 
 // bestBackend picks the healthy backend with the shallowest device queue,

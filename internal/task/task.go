@@ -40,6 +40,10 @@ const (
 	// maxOutstandingWritebacks bounds in-flight write-back extents per task,
 	// modeling the kernel's dirty throttling.
 	maxOutstandingWritebacks = 32
+	// fileReadaheadPages is the file-refault readahead window.
+	fileReadaheadPages = 16
+	// cpuNode is the NUMA node the task's threads run on.
+	cpuNode int8 = 0
 
 	// THP model (Sec IV-B): accesses to huge-backed pages skip most TLB
 	// misses, saving tlbSaving per access; reclaiming a huge-backed page
@@ -92,14 +96,11 @@ type Config struct {
 	// savings on access against page-split cost at reclaim (Sec IV-B's
 	// granularity trade-off).
 	UseTHP bool
-	// FileReadaheadPages is the file-refault readahead window (default 16).
-	FileReadaheadPages int
 
-	// Topo, NUMAPolicy and CPUNode control local page placement. Topo may
-	// be nil, in which case an unconstrained single-node topology is built.
+	// Topo and NUMAPolicy control local page placement. Topo may be nil, in
+	// which case an unconstrained single-node topology is built.
 	Topo       *mem.Topology
 	NUMAPolicy mem.NUMAPolicy
-	CPUNode    int8
 
 	// Sources, when non-nil, replaces the spec-derived access streams: one
 	// source per thread (Threads is then ignored). Used for phased
@@ -193,7 +194,6 @@ type Task struct {
 	topo    *mem.Topology
 
 	granularity int
-	fileRA      int
 
 	// slotValid marks anonymous pages whose far-memory copy is current.
 	slotValid []bool
@@ -240,9 +240,6 @@ func New(cfg Config) *Task {
 	if cfg.GranularityPages < 1 {
 		cfg.GranularityPages = 1
 	}
-	if cfg.FileReadaheadPages < 1 {
-		cfg.FileReadaheadPages = 16
-	}
 	if cfg.RandomWindowPages < 1 {
 		cfg.RandomWindowPages = 1
 	}
@@ -272,7 +269,6 @@ func New(cfg Config) *Task {
 		cg:          cg,
 		topo:        topo,
 		granularity: cfg.GranularityPages,
-		fileRA:      cfg.FileReadaheadPages,
 		slotValid:   make([]bool, n),
 		slots:       swap.NewSlotAllocator(n),
 		prefetched:  make([]bool, n),
@@ -445,7 +441,7 @@ func (t *Task) run(w *worker) {
 		t.stats.Accesses++
 
 		if t.ps.Page(a.Page).Resident {
-			lat := t.topo.AccessLatency(t.cfg.CPUNode, t.ps.Page(a.Page).Node)
+			lat := t.topo.AccessLatency(cpuNode, t.ps.Page(a.Page).Node)
 			if t.ps.Page(a.Page).Huge && lat > tlbSaving {
 				lat -= tlbSaving
 			}
@@ -551,7 +547,7 @@ func (t *Task) fault(w *worker) {
 		}
 		path = t.cfg.SwapPath
 	} else {
-		fetch = t.planExtent(a.Page, t.fileRA, true, func(id int32) bool {
+		fetch = t.planExtent(a.Page, fileReadaheadPages, true, func(id int32) bool {
 			p := t.ps.Page(id)
 			return p.Type == mem.FileBacked && !p.Resident
 		})
@@ -654,11 +650,11 @@ func contiguous(ids []int32) bool {
 
 // makeResident allocates a NUMA node and installs the page.
 func (t *Task) makeResident(id int32, viaPrefetch bool) {
-	node := t.topo.Allocate(t.cfg.NUMAPolicy, t.cfg.CPUNode)
+	node := t.topo.Allocate(t.cfg.NUMAPolicy, cpuNode)
 	if node < 0 {
 		// Topology exhausted: reclaim one page and retry once.
 		t.reclaimPages(1)
-		node = t.topo.Allocate(t.cfg.NUMAPolicy, t.cfg.CPUNode)
+		node = t.topo.Allocate(t.cfg.NUMAPolicy, cpuNode)
 		if node < 0 {
 			panic("task: NUMA topology smaller than cgroup limit")
 		}
