@@ -11,7 +11,8 @@
 // Output goes to stdout and, with -o, to a file replaced atomically once the
 // run succeeds. -trace, -metrics and -latency are stems: t.json becomes
 // t.<id>.json per run, id being the experiment id, "serve" or "custom".
-// Every flag is checked before any output is written; a bad one exits 2.
+// Metrics are always CSV, so a .json -metrics stem is refused. Every flag
+// is checked before any output is written; a bad one exits 2.
 package main
 
 import (
@@ -93,7 +94,7 @@ func main() {
 	flag.StringVar(&arts.trace, "trace", "",
 		"per-run Chrome trace-event JSON stem: t.json writes t.fig2b.json, t.serve.json, ... (open in Perfetto)")
 	flag.StringVar(&arts.metrics, "metrics", "",
-		"per-run counters/gauges/timelines stem (CSV, or JSON when the path ends in .json)")
+		"per-run counters/gauges/histograms/timelines CSV stem: m.csv writes m.fig2b.csv, ... (a .json stem is refused)")
 	flag.StringVar(&arts.latency, "latency", "",
 		"per-run latency-summary JSON stem (xdm-latency-summary/1, diffable with xdmtrace)")
 	flag.Usage = func() {
@@ -155,6 +156,9 @@ func main() {
 	}
 	if mode == "capacity" && arts != (artifacts{}) {
 		usageError("-capacity cannot be combined with -trace/-metrics/-latency")
+	}
+	if filepath.Ext(arts.metrics) == ".json" {
+		usageError("-metrics %s: the metrics artifact is CSV; name it .csv", arts.metrics)
 	}
 	var arrivals workload.ArrivalProcess
 	if mode == "serve" {
@@ -352,7 +356,7 @@ func (a artifacts) write(id string) {
 // offline `xdmtrace summarize -trace ...` of the written artifacts produces.
 func writeLatencySummary(path, label string) error {
 	var mbuf, tbuf bytes.Buffer
-	if err := obs.WriteMetricsJSON(&mbuf); err != nil {
+	if err := obs.WriteMetricsCSV(&mbuf); err != nil {
 		return err
 	}
 	if err := obs.WriteTrace(&tbuf); err != nil {

@@ -3,18 +3,17 @@
 //
 // Usage:
 //
-//	xdmtrace summarize <metrics-artifact> [-trace t.json] [-label s] [-format text|json] [-o out]
+//	xdmtrace summarize <metrics.csv> [-trace t.json] [-label s] [-format text|json] [-o out]
 //	xdmtrace diff <baseline> <candidate> [-rel 0.05] [-all]
 //
-// summarize reduces a metrics artifact (CSV or JSON) to a latency summary:
+// summarize reduces a CSV metrics artifact to a latency summary:
 // per-histogram count/min/max/mean/p50/p95/p99, utilization timeline
 // aggregates (mean, peak, idle fraction, integral), and — when -trace is
 // given — the exact per-op stage attribution totals correlated from "op=N"
 // spans. -format json emits the xdm-latency-summary/1 artifact that diff
 // consumes and CI commits as a baseline. -o replaces its file atomically.
 //
-// diff compares two summaries (either may also be a raw metrics artifact,
-// which is summarized on the fly). A statistic regresses when
+// diff compares two latency summaries. A statistic regresses when
 // new > old*(1+rel). Exit status: 0 clean, 1 regression found, 2 usage or
 // artifact error (missing file, unparseable input, schema mismatch).
 package main
@@ -24,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/analyze"
 	"repro/internal/obs"
@@ -32,7 +30,7 @@ import (
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  xdmtrace summarize <metrics-artifact> [-trace t.json] [-label s] [-format text|json] [-o out]
+  xdmtrace summarize <metrics.csv> [-trace t.json] [-label s] [-format text|json] [-o out]
   xdmtrace diff <baseline> <candidate> [-rel 0.05] [-all]`)
 	os.Exit(2)
 }
@@ -153,40 +151,18 @@ func renderText(w io.Writer, s *analyze.Summary) {
 	}
 }
 
-// loadSummary reads path as either a latency summary or a raw metrics
-// artifact (summarized on the fly), dispatching on the embedded schema.
+// loadSummary reads the latency summary at path; ParseSummary refuses any
+// other schema.
 func loadSummary(path string) *analyze.Summary {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fail(err)
 	}
-	schema := analyze.SchemaOf(data)
-	switch {
-	case schema == analyze.SummarySchema:
-		s, err := analyze.ParseSummary(data)
-		if err != nil {
-			fail(err)
-		}
-		return s
-	case strings.HasPrefix(schema, "xdm-metrics/"):
-		m, err := analyze.ParseMetrics(data)
-		if err != nil {
-			fail(err)
-		}
-		s := analyze.Summarize(m, "")
-		if s.Source == "" {
-			// Pre-versioning CSV artifacts carry no schema line; SchemaOf
-			// still identifies them, so v1-vs-v2 diffs are refused rather
-			// than silently compared.
-			s.Source = schema
-		}
-		return s
-	case schema == "":
-		fail(fmt.Errorf("%s: unrecognized artifact (no schema)", path))
-	default:
-		fail(fmt.Errorf("%s: unsupported artifact schema %q", path, schema))
+	s, err := analyze.ParseSummary(data)
+	if err != nil {
+		fail(fmt.Errorf("%s: %w", path, err))
 	}
-	panic("unreachable")
+	return s
 }
 
 func runDiff(args []string) {

@@ -276,6 +276,7 @@ func TestXdmsimFlagValidation(t *testing.T) {
 		{"capacity with latency", "cannot be combined", []string{"-capacity"}},
 		{"custom with exp", "cannot be combined", []string{"-exp", "fig3", "-custom", "specs.json"}},
 		{"list with exp", "cannot be combined", []string{"-exp", "fig3", "-list"}},
+		{"metrics stem named json", "-metrics", []string{"-exp", "fig3", "-metrics", filepath.Join(dir, "m.json")}},
 	}
 	for _, c := range cases {
 		c := c
@@ -530,7 +531,7 @@ func TestXdmbenchLatencySummaries(t *testing.T) {
 	xdmtrace := buildCmd(t, dir, "xdmtrace")
 
 	latStem := filepath.Join(dir, "lat.json")
-	metricsStem := filepath.Join(dir, "m.json")
+	metricsStem := filepath.Join(dir, "m.csv")
 	traceStem := filepath.Join(dir, "t.json")
 	out, err := exec.Command(bin, "-scale", "16", "-exp", "fig2b",
 		"-latency", latStem, "-metrics", metricsStem, "-trace", traceStem).CombinedOutput()
@@ -556,7 +557,7 @@ func TestXdmbenchLatencySummaries(t *testing.T) {
 	// Offline summarize of the written metrics+trace must agree with the
 	// in-process summary xdmsim emitted.
 	sumPath := filepath.Join(dir, "offline.json")
-	out, err = exec.Command(xdmtrace, "summarize", filepath.Join(dir, "m.fig2b.json"),
+	out, err = exec.Command(xdmtrace, "summarize", filepath.Join(dir, "m.fig2b.csv"),
 		"-trace", filepath.Join(dir, "t.fig2b.json"), "-label", "fig2b",
 		"-format", "json", "-o", sumPath).CombinedOutput()
 	if err != nil {
@@ -571,7 +572,7 @@ func TestXdmbenchLatencySummaries(t *testing.T) {
 	}
 
 	// The text rendering includes the stage attribution table.
-	out, err = exec.Command(xdmtrace, "summarize", filepath.Join(dir, "m.fig2b.json"),
+	out, err = exec.Command(xdmtrace, "summarize", filepath.Join(dir, "m.fig2b.csv"),
 		"-trace", filepath.Join(dir, "t.fig2b.json")).CombinedOutput()
 	if err != nil {
 		t.Fatalf("xdmtrace summarize text: %v\n%s", err, out)
@@ -652,7 +653,7 @@ func TestXdmtraceValidation(t *testing.T) {
 		{"summarize bad format", []string{"summarize", garbage, "-format", "xml"}, "-format"},
 		{"diff one arg", []string{"diff", v2}, "usage:"},
 		{"diff missing file", []string{"diff", v2, filepath.Join(dir, "nope.json")}, "no such file"},
-		{"diff garbage", []string{"diff", v2, garbage}, "unrecognized artifact"},
+		{"diff garbage", []string{"diff", v2, garbage}, "summary JSON"},
 		{"diff source schema mismatch", []string{"diff", v1, v2}, "schema mismatch"},
 		{"diff unsupported summary version", []string{"diff", v2, badSchema}, "xdm-latency-summary/99"},
 	}

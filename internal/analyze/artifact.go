@@ -1,5 +1,5 @@
 // Package analyze is the post-run analysis tier over the obs export formats:
-// it parses metrics artifacts (CSV or JSON) and Chrome trace-event files,
+// it parses the CSV metrics artifact and Chrome trace-event files,
 // reconstructs histograms and timelines, correlates per-op spans into exact
 // stage breakdowns, reduces everything to a compact latency summary, and
 // diffs two summaries for regression gating. cmd/xdmtrace is its CLI.
@@ -11,13 +11,13 @@
 package analyze
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -32,21 +32,19 @@ type Run struct {
 }
 
 // Timeline is a parsed bucketed series, reconstructed into a BucketTimeline
-// so the aggregate accessors (Mean/Peak/Integrate) apply directly.
+// so the aggregate accessors (Mean/Peak/Integrate) apply directly. The
+// exported values are already bucket levels (sum or mean, as recorded).
 type Timeline struct {
 	Name    string
-	Mode    string // "mean" or "sum"
 	WidthNs int64
 	TL      *metrics.BucketTimeline
-	// Filled tracks the populated bucket indices, for idle-fraction math.
-	Filled int
-	Len    int
+	// Len is one past the last populated bucket, for idle-fraction math.
+	Len int
 }
 
 // Metrics is a parsed metrics artifact.
 type Metrics struct {
-	Schema string
-	Runs   []*Run
+	Runs []*Run
 }
 
 func newRun(id int) *Run {
@@ -59,113 +57,6 @@ func newRun(id int) *Run {
 	}
 }
 
-// ParseMetrics parses a metrics artifact from raw bytes, auto-detecting the
-// format: JSON (WriteMetricsJSON) or CSV (WriteMetricsCSV).
-func ParseMetrics(data []byte) (*Metrics, error) {
-	trimmed := strings.TrimLeft(string(data), " \t\r\n")
-	if trimmed == "" {
-		return nil, fmt.Errorf("analyze: empty metrics artifact")
-	}
-	if trimmed[0] == '{' {
-		return parseMetricsJSON([]byte(trimmed))
-	}
-	return parseMetricsCSV(trimmed)
-}
-
-// ParseMetricsFile reads and parses the metrics artifact at path.
-func ParseMetricsFile(path string) (*Metrics, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := ParseMetrics(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return m, nil
-}
-
-// jsonHist mirrors the per-run hist object in WriteMetricsJSON.
-type jsonHist struct {
-	Name    string  `json:"name"`
-	Count   uint64  `json:"count"`
-	Sum     float64 `json:"sum"`
-	Min     float64 `json:"min"`
-	Max     float64 `json:"max"`
-	Buckets []struct {
-		I int    `json:"i"`
-		C uint64 `json:"c"`
-	} `json:"buckets"`
-}
-
-func (jh *jsonHist) reconstruct() *metrics.Histogram {
-	h := &metrics.Histogram{}
-	for _, b := range jh.Buckets {
-		h.AddBucket(b.I, b.C)
-	}
-	h.SetStats(jh.Count, jh.Sum, jh.Min, jh.Max)
-	return h
-}
-
-func parseMetricsJSON(data []byte) (*Metrics, error) {
-	var doc struct {
-		Schema string `json:"schema"`
-		Runs   []struct {
-			Run       int                `json:"run"`
-			Label     string             `json:"label"`
-			Counters  map[string]float64 `json:"counters"`
-			Gauges    map[string]float64 `json:"gauges"`
-			Hists     []jsonHist         `json:"hists"`
-			Timelines []struct {
-				Name    string `json:"name"`
-				Mode    string `json:"mode"`
-				WidthNs int64  `json:"width_ns"`
-				Buckets []struct {
-					I int     `json:"i"`
-					V float64 `json:"v"`
-				} `json:"buckets"`
-			} `json:"timelines"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("analyze: metrics JSON: %w", err)
-	}
-	m := &Metrics{Schema: doc.Schema}
-	for _, jr := range doc.Runs {
-		r := newRun(jr.Run)
-		r.Label = jr.Label
-		for k, v := range jr.Counters {
-			r.Counters[k] = v
-		}
-		for k, v := range jr.Gauges {
-			r.Gauges[k] = v
-		}
-		for i := range jr.Hists {
-			r.Hists[jr.Hists[i].Name] = jr.Hists[i].reconstruct()
-		}
-		for _, jt := range jr.Timelines {
-			if jt.WidthNs <= 0 {
-				return nil, fmt.Errorf("analyze: timeline %q with width %d", jt.Name, jt.WidthNs)
-			}
-			t := &Timeline{Name: jt.Name, Mode: jt.Mode, WidthNs: jt.WidthNs,
-				TL: metrics.NewBucketTimeline(sim.Duration(jt.WidthNs))}
-			// Coarsening on reconstruction would change the width; the export
-			// already coarsened, so lift the cap well past the bucket count.
-			t.TL.SetMaxBuckets(1 << 30)
-			for _, b := range jt.Buckets {
-				t.TL.Add(sim.Time(int64(b.I)*jt.WidthNs), b.V)
-				t.Filled++
-				if b.I+1 > t.Len {
-					t.Len = b.I + 1
-				}
-			}
-			r.Timelines[jt.Name] = t
-		}
-		m.Runs = append(m.Runs, r)
-	}
-	return m, nil
-}
-
 // histAccum gathers hist CSV rows until the run is complete.
 type histAccum struct {
 	h                  *metrics.Histogram
@@ -174,34 +65,39 @@ type histAccum struct {
 	haveCount, haveAgg bool
 }
 
-func parseMetricsCSV(text string) (*Metrics, error) {
+// csvHeader is the column line that follows the schema line.
+const csvHeader = "run,type,name,key,value"
+
+// ParseMetrics parses a CSV metrics artifact (obs.WriteMetricsCSV). The
+// first line must be "# schema: " + obs.MetricsSchema and the second the
+// column header; a file without them is refused.
+func ParseMetrics(data []byte) (*Metrics, error) {
+	lines := strings.Split(string(data), "\n")
+	schema, ok := strings.CutPrefix(lines[0], "# schema: ")
+	if !ok {
+		return nil, fmt.Errorf("analyze: not a metrics CSV (no %q line)", "# schema: "+obs.MetricsSchema)
+	}
+	if schema != obs.MetricsSchema {
+		return nil, fmt.Errorf("analyze: metrics schema %q, want %q", schema, obs.MetricsSchema)
+	}
+	if len(lines) < 2 || lines[1] != csvHeader {
+		return nil, fmt.Errorf("analyze: not a metrics CSV (missing %q header)", csvHeader)
+	}
 	m := &Metrics{}
 	runs := map[int]*Run{}
 	accums := map[int]map[string]*histAccum{}
-	sawHeader := false
-	for ln, line := range strings.Split(text, "\n") {
-		line = strings.TrimRight(line, "\r")
+	for i, line := range lines[2:] {
+		ln := i + 3
 		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# schema:") {
-			m.Schema = strings.TrimSpace(strings.TrimPrefix(line, "# schema:"))
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if line == "run,type,name,key,value" {
-			sawHeader = true
 			continue
 		}
 		parts := strings.SplitN(line, ",", 5)
 		if len(parts) != 5 {
-			return nil, fmt.Errorf("analyze: metrics CSV line %d: %q", ln+1, line)
+			return nil, fmt.Errorf("analyze: metrics CSV line %d: %q", ln, line)
 		}
 		id, err := strconv.Atoi(parts[0])
 		if err != nil {
-			return nil, fmt.Errorf("analyze: metrics CSV line %d: run %q", ln+1, parts[0])
+			return nil, fmt.Errorf("analyze: metrics CSV line %d: run %q", ln, parts[0])
 		}
 		r := runs[id]
 		if r == nil {
@@ -219,13 +115,13 @@ func parseMetricsCSV(text string) (*Metrics, error) {
 		case "counter":
 			v, err := strconv.ParseFloat(val, 64)
 			if err != nil {
-				return nil, fmt.Errorf("analyze: metrics CSV line %d: %w", ln+1, err)
+				return nil, fmt.Errorf("analyze: metrics CSV line %d: %w", ln, err)
 			}
 			r.Counters[name] = v
 		case "gauge":
 			v, err := strconv.ParseFloat(val, 64)
 			if err != nil {
-				return nil, fmt.Errorf("analyze: metrics CSV line %d: %w", ln+1, err)
+				return nil, fmt.Errorf("analyze: metrics CSV line %d: %w", ln, err)
 			}
 			r.Gauges[name] = v
 		case "hist":
@@ -235,54 +131,59 @@ func parseMetricsCSV(text string) (*Metrics, error) {
 				accums[id][name] = a
 			}
 			if err := a.row(key, val); err != nil {
-				return nil, fmt.Errorf("analyze: metrics CSV line %d: %w", ln+1, err)
+				return nil, fmt.Errorf("analyze: metrics CSV line %d: %w", ln, err)
 			}
 		case "timeline":
 			t := r.Timelines[name]
 			if key == "width_ns" {
 				w, err := strconv.ParseInt(val, 10, 64)
 				if err != nil || w <= 0 {
-					return nil, fmt.Errorf("analyze: metrics CSV line %d: width %q", ln+1, val)
+					return nil, fmt.Errorf("analyze: metrics CSV line %d: width %q", ln, val)
 				}
 				if t == nil {
-					t = &Timeline{Name: name, Mode: "mean", WidthNs: w,
-						TL: metrics.NewBucketTimeline(sim.Duration(w))}
+					t = &Timeline{Name: name, WidthNs: w, TL: metrics.NewBucketTimeline(sim.Duration(w))}
+					// The export already coarsened; reconstruction must keep
+					// the width, so lift the cap past any bucket count.
 					t.TL.SetMaxBuckets(1 << 30)
 					r.Timelines[name] = t
 				}
 				continue
 			}
 			if t == nil {
-				return nil, fmt.Errorf("analyze: metrics CSV line %d: timeline %q bucket before width", ln+1, name)
+				return nil, fmt.Errorf("analyze: metrics CSV line %d: timeline %q bucket before width", ln, name)
 			}
-			i, err := strconv.Atoi(key)
+			b, err := strconv.Atoi(key)
 			if err != nil {
-				return nil, fmt.Errorf("analyze: metrics CSV line %d: bucket %q", ln+1, key)
+				return nil, fmt.Errorf("analyze: metrics CSV line %d: bucket %q", ln, key)
 			}
 			v, err := strconv.ParseFloat(val, 64)
 			if err != nil {
-				return nil, fmt.Errorf("analyze: metrics CSV line %d: %w", ln+1, err)
+				return nil, fmt.Errorf("analyze: metrics CSV line %d: %w", ln, err)
 			}
-			t.TL.Add(sim.Time(int64(i)*t.WidthNs), v)
-			t.Filled++
-			if i+1 > t.Len {
-				t.Len = i + 1
-			}
+			t.TL.Add(sim.Time(int64(b)*t.WidthNs), v)
+			t.Len = max(t.Len, b+1)
 		default:
-			return nil, fmt.Errorf("analyze: metrics CSV line %d: unknown type %q", ln+1, typ)
+			return nil, fmt.Errorf("analyze: metrics CSV line %d: unknown type %q", ln, typ)
 		}
-	}
-	if !sawHeader {
-		return nil, fmt.Errorf("analyze: not a metrics CSV (missing %q header)", "run,type,name,key,value")
 	}
 	for id, byName := range accums {
 		for name, a := range byName {
 			runs[id].Hists[name] = a.finish()
 		}
 	}
-	// The CSV mode column is not serialized per-timeline (the sum/mean choice
-	// is baked into the exported values), so Mode stays "mean"; consumers of
-	// CSV-reconstructed timelines read levels, which is what analysis needs.
+	return m, nil
+}
+
+// ParseMetricsFile reads and parses the metrics artifact at path.
+func ParseMetricsFile(path string) (*Metrics, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	m, err := ParseMetrics(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
 	return m, nil
 }
 
@@ -351,33 +252,4 @@ func (m *Metrics) mergedHists() map[string]*metrics.Histogram {
 		}
 	}
 	return out
-}
-
-// SchemaOf extracts the schema string of an artifact without fully parsing
-// it: the JSON "schema" key, the CSV "# schema:" line, or the summary's
-// schema field. Unknown shapes report "".
-func SchemaOf(data []byte) string {
-	trimmed := strings.TrimLeft(string(data), " \t\r\n")
-	if strings.HasPrefix(trimmed, "{") {
-		var probe struct {
-			Schema string `json:"schema"`
-		}
-		if err := json.Unmarshal([]byte(trimmed), &probe); err == nil {
-			return probe.Schema
-		}
-		return ""
-	}
-	for _, line := range strings.Split(trimmed, "\n") {
-		if strings.HasPrefix(line, "# schema:") {
-			return strings.TrimSpace(strings.TrimPrefix(line, "# schema:"))
-		}
-		if !strings.HasPrefix(line, "#") {
-			break
-		}
-	}
-	// Headerful CSV without a schema line predates versioning.
-	if strings.HasPrefix(trimmed, "run,type,name,key,value") {
-		return "xdm-metrics/1"
-	}
-	return ""
 }

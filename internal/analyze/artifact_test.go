@@ -9,100 +9,25 @@ import (
 
 const obsTestdata = "../obs/testdata"
 
-func TestParseMetricsCSVAndJSONAgree(t *testing.T) {
-	csvM, err := ParseMetricsFile(filepath.Join(obsTestdata, "scenario.metrics.csv"))
-	if err != nil {
-		t.Fatalf("parse CSV: %v", err)
-	}
-	jsonM, err := ParseMetricsFile(filepath.Join(obsTestdata, "scenario.metrics.json"))
-	if err != nil {
-		t.Fatalf("parse JSON: %v", err)
-	}
-	if csvM.Schema != MetricsSchemaWant || jsonM.Schema != MetricsSchemaWant {
-		t.Fatalf("schemas = %q, %q, want %q", csvM.Schema, jsonM.Schema, MetricsSchemaWant)
-	}
-	if len(csvM.Runs) != 1 || len(jsonM.Runs) != 1 {
-		t.Fatalf("runs = %d, %d, want 1 each", len(csvM.Runs), len(jsonM.Runs))
-	}
-	cr, jr := csvM.Runs[0], jsonM.Runs[0]
-	if cr.Label != "golden" || jr.Label != "golden" {
-		t.Fatalf("labels = %q, %q", cr.Label, jr.Label)
-	}
-	if len(cr.Hists) == 0 || len(cr.Hists) != len(jr.Hists) {
-		t.Fatalf("hist count: csv %d, json %d", len(cr.Hists), len(jr.Hists))
-	}
-	for name, ch := range cr.Hists {
-		jh, ok := jr.Hists[name]
-		if !ok {
-			t.Fatalf("hist %q missing from JSON parse", name)
-		}
-		if ch.Count() != jh.Count() || ch.Sum() != jh.Sum() ||
-			ch.Min() != jh.Min() || ch.Max() != jh.Max() {
-			t.Errorf("hist %q stats differ: csv (%d,%g,%g,%g) json (%d,%g,%g,%g)",
-				name, ch.Count(), ch.Sum(), ch.Min(), ch.Max(),
-				jh.Count(), jh.Sum(), jh.Min(), jh.Max())
-		}
-		if ch.Quantile(0.99) != jh.Quantile(0.99) {
-			t.Errorf("hist %q p99 differs: %g vs %g", name, ch.Quantile(0.99), jh.Quantile(0.99))
-		}
-	}
-	if len(cr.Counters) != len(jr.Counters) {
-		t.Fatalf("counter count: csv %d, json %d", len(cr.Counters), len(jr.Counters))
-	}
-	for name, v := range cr.Counters {
-		if jr.Counters[name] != v {
-			t.Errorf("counter %q: csv %g json %g", name, v, jr.Counters[name])
-		}
-	}
-	if len(cr.Timelines) != len(jr.Timelines) {
-		t.Fatalf("timeline count: csv %d, json %d", len(cr.Timelines), len(jr.Timelines))
-	}
-	for name, ct := range cr.Timelines {
-		jt, ok := jr.Timelines[name]
-		if !ok {
-			t.Fatalf("timeline %q missing from JSON parse", name)
-		}
-		if ct.TL.Mean() != jt.TL.Mean() || ct.TL.Peak() != jt.TL.Peak() {
-			t.Errorf("timeline %q aggregates differ: mean %g/%g peak %g/%g",
-				name, ct.TL.Mean(), jt.TL.Mean(), ct.TL.Peak(), jt.TL.Peak())
-		}
-	}
-}
-
 // MetricsSchemaWant pins the metrics schema the parser was written against;
-// kept here (not imported from obs) so the test also catches accidental
+// kept here (not imported from obs) so the tests also catch accidental
 // drift between the exporter constant and the committed goldens.
 const MetricsSchemaWant = "xdm-metrics/2"
 
 func TestParseMetricsErrors(t *testing.T) {
+	const schema = "# schema: " + MetricsSchemaWant + "\n"
 	cases := map[string]string{
-		"empty":          "",
-		"json garbage":   "{not json",
-		"csv no header":  "0,counter,x,,1\n",
-		"csv bad column": "run,type,name,key,value\n0,counter,x\n",
-		"csv bad type":   "run,type,name,key,value\n0,mystery,x,,1\n",
+		"empty":              "",
+		"json garbage":       "{not json",
+		"csv no schema line": "run,type,name,key,value\n0,counter,x,,1\n",
+		"csv other schema":   "# schema: xdm-metrics/3\nrun,type,name,key,value\n",
+		"csv no header":      schema + "0,counter,x,,1\n",
+		"csv bad column":     schema + "run,type,name,key,value\n0,counter,x\n",
+		"csv bad type":       schema + "run,type,name,key,value\n0,mystery,x,,1\n",
 	}
 	for name, data := range cases {
 		if _, err := ParseMetrics([]byte(data)); err == nil {
 			t.Errorf("%s: expected error, got none", name)
-		}
-	}
-}
-
-func TestSchemaOf(t *testing.T) {
-	cases := []struct {
-		name, data, want string
-	}{
-		{"json", `{"schema":"xdm-metrics/2","runs":[]}`, "xdm-metrics/2"},
-		{"summary", `{"schema":"xdm-latency-summary/1"}`, "xdm-latency-summary/1"},
-		{"csv v2", "# schema: xdm-metrics/2\nrun,type,name,key,value\n", "xdm-metrics/2"},
-		{"csv v1", "run,type,name,key,value\n", "xdm-metrics/1"},
-		{"garbage", "hello world", ""},
-		{"bad json", "{nope", ""},
-	}
-	for _, c := range cases {
-		if got := SchemaOf([]byte(c.data)); got != c.want {
-			t.Errorf("%s: SchemaOf = %q, want %q", c.name, got, c.want)
 		}
 	}
 }

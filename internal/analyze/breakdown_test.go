@@ -111,7 +111,7 @@ func TestAttachStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	bs := Correlate(tr)
-	m, err := ParseMetricsFile(filepath.Join(obsTestdata, "scenario.metrics.json"))
+	m, err := ParseMetricsFile(filepath.Join(obsTestdata, "scenario.metrics.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}

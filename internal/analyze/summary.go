@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // SummarySchema versions the latency-summary artifact — the compact,
@@ -41,8 +42,8 @@ type UtilStats struct {
 // aggregates, and (when a trace was available) the stage attribution totals.
 type Summary struct {
 	Schema string `json:"schema"`
-	// Source records the schema of the artifact the summary was reduced
-	// from, so diff can refuse cross-version comparisons.
+	// Source records the schema of the metrics artifact the summary was
+	// reduced from, so diff can refuse cross-version comparisons.
 	Source string       `json:"source_schema,omitempty"`
 	Label  string       `json:"label,omitempty"`
 	Hists  []HistStats  `json:"hists"`
@@ -54,7 +55,7 @@ type Summary struct {
 // the same name across runs merge exactly (shared log-bucket layout);
 // level-style timelines reduce via the BucketTimeline aggregate accessors.
 func Summarize(m *Metrics, label string) *Summary {
-	s := &Summary{Schema: SummarySchema, Source: m.Schema, Label: label}
+	s := &Summary{Schema: SummarySchema, Source: obs.MetricsSchema, Label: label}
 	merged := m.mergedHists()
 	names := make([]string, 0, len(merged))
 	for name := range merged {

@@ -53,21 +53,6 @@ type ArrivalSimResult struct {
 	FleetSize int
 }
 
-// readyOnce wraps a placement-ready callback so it forwards at most once.
-// Dispatch fires ready exactly once per call, but an app that is
-// re-dispatched after a failure passes the same callback to Dispatch again
-// — without the guard its placement delay would be double-counted.
-func readyOnce(fn func(Placement)) func(Placement) {
-	fired := false
-	return func(pl Placement) {
-		if fired {
-			return
-		}
-		fired = true
-		fn(pl)
-	}
-}
-
 // RunArrivalSim executes the arrival stream against env's machine. The
 // machine should have its backends attached; pre-booting warm VMs is the
 // caller's choice (see AblationWarmStart for the effect).
@@ -90,7 +75,7 @@ func RunArrivalSim(env baseline.Env, cfg ArrivalSimConfig) ArrivalSimResult {
 		app.Seed = cfg.Seed + int64(i)
 		submitted := eng.Now()
 
-		d.Dispatch(app, readyOnce(func(pl Placement) {
+		d.Dispatch(app, func(pl Placement) {
 			delaySum += eng.Now().Sub(submitted)
 			delayed++
 			// Run the app on its VM's active backend with the console's
@@ -103,7 +88,7 @@ func RunArrivalSim(env baseline.Env, cfg ArrivalSimConfig) ArrivalSimResult {
 				res.Completed++
 				d.Release(pl)
 			})
-		}))
+		})
 		// Schedule the next arrival.
 		gap := sim.Duration(rng.ExpFloat64() * float64(cfg.MeanInterarrival))
 		if gap < 1 {

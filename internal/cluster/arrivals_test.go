@@ -51,47 +51,6 @@ func TestArrivalSimRejectedAppsNotInDelay(t *testing.T) {
 	}
 }
 
-// TestReadyOnceGuardsRedispatch proves the double-count hazard the guard
-// exists for: an app re-dispatched after a failure passes the same ready
-// callback to Dispatch a second time; without readyOnce the app's placement
-// delay would be measured twice (the second time spanning submission →
-// second VM-ready, inflating both the sample count and the sum).
-func TestReadyOnceGuardsRedispatch(t *testing.T) {
-	eng := sim.NewEngine()
-	env := clusterEnv(eng)
-	for _, name := range env.Machine.BackendNames() {
-		env.Machine.CreateVM("vm-"+name, 4, 4096, []string{name}, nil)
-	}
-	eng.Run()
-
-	d := NewDispatcher(env)
-	app := App{Spec: friendlySpec(), SLO: 1.4, Seed: 1, Cores: 1}
-
-	samples := 0
-	ready := readyOnce(func(Placement) { samples++ })
-	first := d.Dispatch(app, ready)
-	eng.Run()
-	if first.Via == ViaNone {
-		t.Fatal("first dispatch failed")
-	}
-	if samples != 1 {
-		t.Fatalf("samples after first placement: %d", samples)
-	}
-	// The placement's backend fails; the app is re-dispatched with the
-	// same callback, exactly as a failure-recovery loop would do.
-	second := d.Redispatch(app, first, ready)
-	eng.Run()
-	if second.Via == ViaNone {
-		t.Fatal("redispatch failed")
-	}
-	if samples != 1 {
-		t.Fatalf("redispatch double-counted the delay sample: %d samples", samples)
-	}
-	if d.Redispatched != 1 {
-		t.Fatalf("redispatch counter %d", d.Redispatched)
-	}
-}
-
 // TestDispatcherMaxTasksPerVM pins the serving-mode concurrency bound: with
 // MaxTasksPerVM set, a VM at the bound stops accepting placements, and with
 // no other capacity the dispatch is refused instead of oversubscribing.

@@ -27,12 +27,6 @@ type BalanceSimConfig struct {
 	// (default 25 GB/s per rack of contention).
 	NICBandwidth    units.BytesPerSec
 	SwitchBandwidth units.BytesPerSec
-
-	// Dead lists machine indices that are unreachable (crashed or
-	// partitioned): they are excluded from balancing on both sides —
-	// an unhealthy machine can neither donate headroom nor stream its
-	// excess (its tasks are re-dispatched instead, see Dispatcher).
-	Dead []int
 }
 
 // BalanceSimResult reports the outcome.
@@ -46,10 +40,6 @@ type BalanceSimResult struct {
 	AggregateGBps  float64
 	DonorMachines  int
 	SourceMachines int
-	// DeadExcluded counts machines dropped from balancing for being
-	// unreachable; their utilization still counts toward MBE (the load
-	// exists, the balancer just cannot touch it).
-	DeadExcluded int
 }
 
 // RunBalanceSim executes the balancing: greedy matching of the hottest
@@ -87,17 +77,7 @@ func RunBalanceSim(cfg BalanceSimConfig) BalanceSimResult {
 	}
 	var sources, donors []ref
 	perPage := float64(cfg.PagesPerMachine)
-	dead := make(map[int]bool, len(cfg.Dead))
-	for _, i := range cfg.Dead {
-		if i >= 0 && i < cfg.Machines && !dead[i] {
-			dead[i] = true
-			res.DeadExcluded++
-		}
-	}
 	for i, u := range utils {
-		if dead[i] {
-			continue
-		}
 		if u > cfg.Beta {
 			sources = append(sources, ref{i, int64((u - cfg.Beta) * perPage)})
 		} else if u < cfg.Alpha {

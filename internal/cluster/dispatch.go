@@ -81,9 +81,8 @@ type Dispatcher struct {
 	MaxTasksPerVM int
 
 	// Stats per branch.
-	Placed       map[PlacementKind]int
-	Rejected     int
-	Redispatched int
+	Placed   map[PlacementKind]int
+	Rejected int
 }
 
 // defaultPolicy is Algorithm 1's placement, shared by every dispatcher that
@@ -274,15 +273,4 @@ func (d *Dispatcher) Release(p Placement) {
 	if p.VM != nil {
 		p.VM.EndTask()
 	}
-}
-
-// Redispatch re-places an app whose placement was invalidated by a failure
-// (its backend died or its donor crashed): the old placement is released
-// and the app runs Algorithm 1 again. Because systemPressure marks dead and
-// stalled devices unavailable, the new placement cannot land on the failed
-// backend.
-func (d *Dispatcher) Redispatch(app App, old Placement, ready func(Placement)) Placement {
-	d.Release(old)
-	d.Redispatched++
-	return d.Dispatch(app, ready)
 }

@@ -3,9 +3,7 @@ package cluster
 import (
 	"testing"
 
-	"repro/internal/clustertrace"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // dispatchApp is a small app that any healthy backend can host.
@@ -58,78 +56,5 @@ func TestDispatchAvoidsStalledBackendUntilRecovery(t *testing.T) {
 	p3 := d.Dispatch(app, nil)
 	if p3.Decision.Backend != first {
 		t.Fatalf("recovered backend %q not re-selected (got %q)", first, p3.Decision.Backend)
-	}
-}
-
-func TestRedispatchMovesOffFailedBackend(t *testing.T) {
-	eng := sim.NewEngine()
-	env := clusterEnv(eng)
-	d := NewDispatcher(env)
-	app := dispatchApp()
-
-	p := d.Dispatch(app, nil)
-	if p.Via == ViaNone || p.VM == nil {
-		t.Fatal("initial dispatch failed")
-	}
-	failed := p.Decision.Backend
-	env.Machine.Device(failed).Fail()
-
-	p2 := d.Redispatch(app, p, nil)
-	if p2.Via == ViaNone {
-		t.Fatal("redispatch rejected the app")
-	}
-	if p2.Decision.Backend == failed {
-		t.Fatalf("redispatch landed back on dead backend %q", failed)
-	}
-	if d.Redispatched != 1 {
-		t.Fatalf("Redispatched=%d, want 1", d.Redispatched)
-	}
-	if p.VM != nil && p.VM.State() == vm.Online && p2.VM == p.VM && p2.Decision.Backend == failed {
-		t.Fatal("old placement still occupies its VM on the dead backend")
-	}
-}
-
-func TestBalanceSimExcludesDeadMachines(t *testing.T) {
-	cfg := BalanceSimConfig{
-		Machines:        32,
-		PagesPerMachine: 1 << 18,
-		Profile:         clustertrace.Alibaba2018(),
-		Alpha:           0.4,
-		Beta:            0.8,
-		Seed:            3,
-	}
-	healthy := RunBalanceSim(cfg)
-	if healthy.DonorMachines == 0 || healthy.SourceMachines == 0 {
-		t.Fatal("scenario has no balancing work; pick another seed")
-	}
-
-	// Kill the emptiest machine — the most valuable donor.
-	deadIdx := 0
-	for i, u := range healthy.Before {
-		if u < healthy.Before[deadIdx] {
-			deadIdx = i
-		}
-	}
-	cfg.Dead = []int{deadIdx}
-	lame := RunBalanceSim(cfg)
-
-	if lame.DeadExcluded != 1 {
-		t.Fatalf("DeadExcluded=%d, want 1", lame.DeadExcluded)
-	}
-	if lame.After[deadIdx] != lame.Before[deadIdx] {
-		t.Fatalf("dead machine's utilization changed: %.3f -> %.3f",
-			lame.Before[deadIdx], lame.After[deadIdx])
-	}
-	// With the best donor gone, the balancer cannot do better.
-	if lame.MBEAfter < healthy.MBEAfter-1e-9 {
-		t.Fatalf("losing the best donor improved MBE (%.4f < %.4f)",
-			lame.MBEAfter, healthy.MBEAfter)
-	}
-
-	// Bogus or duplicate indices are ignored rather than panicking.
-	cfg.Dead = []int{-1, 99999, deadIdx, deadIdx}
-	dup := RunBalanceSim(cfg)
-	if dup.DeadExcluded != 1 {
-		t.Fatalf("DeadExcluded=%d with duplicate/out-of-range entries, want 1", dup.DeadExcluded)
 	}
 }

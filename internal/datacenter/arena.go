@@ -80,13 +80,12 @@ type ArenaConfig struct {
 	Tasks int
 
 	// Arrivals, when non-nil, runs open-loop over Duration (+ Drain to let
-	// admitted work finish); MaxQueue bounds the dispatcher's pending queue
-	// (arrivals beyond it are refused; default 4 × Nodes); SLO judges
+	// admitted work finish); the dispatcher's pending queue holds at most
+	// 4 × Nodes tasks and refuses arrivals beyond that; SLO judges
 	// placement delay.
 	Arrivals workload.ArrivalProcess
 	Duration sim.Duration
 	Drain    sim.Duration
-	MaxQueue int
 	SLO      sim.Duration
 
 	// Policy selects the dispatcher's placement policy (see internal/place);
@@ -268,10 +267,7 @@ func (a *Arena) startOpenLoop() {
 	s := a.sched
 	eng := a.shards.Engine(0)
 	rng := rand.New(rand.NewSource(a.cfg.Seed))
-	maxQ := a.cfg.MaxQueue
-	if maxQ <= 0 {
-		maxQ = 4 * a.cfg.Nodes
-	}
+	maxQ := 4 * a.cfg.Nodes
 	id := 0
 	var arrive func()
 	arrive = func() {

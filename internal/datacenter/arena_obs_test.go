@@ -36,7 +36,7 @@ func runObservedArena(t *testing.T, shards, workers int) (trace, metricsOut []by
 	if err := obs.WriteTrace(&tb); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteMetricsJSON(&mb); err != nil {
+	if err := obs.WriteMetricsCSV(&mb); err != nil {
 		t.Fatal(err)
 	}
 	return tb.Bytes(), mb.Bytes()

@@ -101,7 +101,6 @@ func TestArenaOpenLoop(t *testing.T) {
 	cfg.Arrivals = workload.Poisson{RPS: 400}
 	cfg.Duration = 200 * sim.Millisecond
 	cfg.Drain = 100 * sim.Millisecond
-	cfg.MaxQueue = 16
 	res := NewArena(cfg).Run()
 	if res.Offered == 0 {
 		t.Fatal("no arrivals")
@@ -138,7 +137,6 @@ func TestArenaOverloadRefuses(t *testing.T) {
 	cfg.Arrivals = workload.Poisson{RPS: 20000}
 	cfg.Duration = 100 * sim.Millisecond
 	cfg.Drain = 50 * sim.Millisecond
-	cfg.MaxQueue = 8
 	res := NewArena(cfg).Run()
 	if res.Refused == 0 {
 		t.Fatalf("overload never refused: %+v", res)

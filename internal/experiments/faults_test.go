@@ -84,15 +84,18 @@ func TestFaultRecoveryDeterministic(t *testing.T) {
 }
 
 func TestFaultScheduleDeterministicAcrossInjectors(t *testing.T) {
-	// The generator is deterministic (see faults.TestGenerateDeterministic);
-	// here: applying the same schedule twice injects the same events in the
-	// same order.
-	cfg := faults.GenConfig{
-		Targets: []string{"ssd", "rdma", "dram"},
-		Horizon: faultHorizon, Events: 16,
-		CrashWeight: 1, FlapWeight: 2, DegradeWt: 1,
-	}
-	s := faults.Generate(cfg, TestOptions().Seed)
+	// Applying the same mixed crash/flap/degrade schedule twice injects the
+	// same events in the same order, overlapping windows and a recovery
+	// that a crash overrides included.
+	s := faults.Schedule{Events: []faults.Event{
+		{At: 2 * sim.Second, Target: "rdma", Kind: faults.Flap, Duration: 5 * sim.Second},
+		{At: 3 * sim.Second, Target: "ssd", Kind: faults.Degrade, Duration: 10 * sim.Second,
+			LatencyFactor: 4, BandwidthFactor: 0.5},
+		{At: 4 * sim.Second, Target: "rdma", Kind: faults.Crash},
+		{At: 6 * sim.Second, Target: "dram", Kind: faults.Flap, Duration: 2 * sim.Second},
+		{At: 8 * sim.Second, Target: "ssd", Kind: faults.Flap, Duration: sim.Second},
+		{At: 20 * sim.Second, Target: "dram", Kind: faults.Degrade, LatencyFactor: 2, BandwidthFactor: 0.8},
+	}}
 	runOnce := func() []faults.Event {
 		eng := sim.NewEngine()
 		env := testbed(eng)

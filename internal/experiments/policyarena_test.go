@@ -69,7 +69,6 @@ func TestPolicyArenaOneShotRefusesUnderOverload(t *testing.T) {
 		cfg.Arrivals = workload.Poisson{RPS: 4000}
 		cfg.Duration = sim.Second / 4
 		cfg.Drain = sim.Second / 16
-		cfg.MaxQueue = 8
 		return datacenter.NewArena(cfg).Run()
 	}
 	oneShot := run("one-shot")

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/device"
@@ -46,8 +47,9 @@ type Config struct {
 	LocalRatio float64
 
 	// Policy overrides the host-side placement policy (nil = worst-fit).
-	// Pooled cells with Spec.Placer == PlacerFabric additionally append the
-	// in-fabric PoolExtender.
+	// The cell runs a copy extended with the far-capacity predicate and,
+	// when pooled with Spec.Placer == PlacerFabric, the in-fabric
+	// PoolExtender; Policy itself is never modified.
 	Policy *place.Policy
 
 	Seed int64
@@ -179,17 +181,24 @@ func NewCell(cfg Config) *Cell {
 		})
 	}
 
-	c.policy = cfg.Policy
-	if c.policy == nil {
-		c.policy = place.Builtin("worst-fit")
+	base := cfg.Policy
+	if base == nil {
+		base = place.Builtin("worst-fit")
 	}
+	// Extend a copy: the caller's policy is immutable and may back other
+	// cells. Clipped slices make append reallocate instead of writing into
+	// the caller's backing arrays.
+	policy := *base
+	policy.Predicates = slices.Clip(policy.Predicates)
+	policy.Extenders = slices.Clip(policy.Extenders)
 	// Far demand is a hard constraint in both modes; the predicate lives
 	// here rather than in the standard chain so far-less frontends never
 	// pay for it.
-	c.policy.Predicates = append(c.policy.Predicates, place.FarCapacityPredicate())
+	policy.Predicates = append(policy.Predicates, place.FarCapacityPredicate())
 	if cfg.Pooled && cfg.Spec.Placer == PlacerFabric {
-		c.policy.Extenders = append(c.policy.Extenders, PoolExtender(c.pool))
+		policy.Extenders = append(policy.Extenders, PoolExtender(c.pool))
 	}
+	c.policy = &policy
 
 	for i := 0; i < cfg.Tasks; i++ {
 		c.queue = append(c.queue, i)

@@ -121,6 +121,30 @@ func TestCellPooledRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestNewCellLeavesCallerPolicyUntouched builds two pooled cells from one
+// policy: each extends its own copy, so the caller's chains keep their
+// length and neither cell runs the other's pool extender.
+func TestNewCellLeavesCallerPolicyUntouched(t *testing.T) {
+	p := place.Builtin("worst-fit")
+	preds, exts := len(p.Predicates), len(p.Extenders)
+	for _, name := range []string{"a", "b"} {
+		cfg := testCellConfig(sim.NewEngine(), name, true)
+		cfg.Spec.Placer = PlacerFabric
+		cfg.Policy = p
+		cell := NewCell(cfg)
+		if got := len(cell.policy.Predicates); got != preds+1 {
+			t.Errorf("cell %s has %d predicates, want %d", name, got, preds+1)
+		}
+		if got := len(cell.policy.Extenders); got != exts+1 {
+			t.Errorf("cell %s has %d extenders, want %d", name, got, exts+1)
+		}
+	}
+	if len(p.Predicates) != preds || len(p.Extenders) != exts {
+		t.Fatalf("NewCell grew the caller's policy to %d predicates and %d extenders, want %d and %d",
+			len(p.Predicates), len(p.Extenders), preds, exts)
+	}
+}
+
 func TestCellStaticRefusesWhatCannotFit(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := testCellConfig(eng, "cell", false)

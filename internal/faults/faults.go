@@ -1,13 +1,14 @@
 // Package faults injects deterministic failures into the simulated
 // far-memory substrate: permanent device death, transient unavailability
 // windows (RDMA link flaps, NVMe controller resets), latency/bandwidth
-// degradation (SSD wear, congested NICs), and remote-node crashes. Fault
-// schedules are generated from a seed and driven entirely by the virtual
-// clock, so every failure scenario replays byte-identically.
+// degradation (SSD wear, congested NICs), and CXL switch crashes. Fault
+// schedules are literal event lists driven entirely by the virtual clock,
+// so every failure scenario replays byte-identically.
 //
 // The package deliberately depends only on internal/sim (plus the
 // observability layer, which itself sits directly on sim): anything that can
-// fail implements the small Target interface (internal/device.Device does),
+// fail implements the small Target interface (internal/device.Device and
+// internal/fabric.Switch do),
 // and anything that watches backend health feeds a Monitor (internal/swap
 // paths do). That keeps the dependency graph acyclic — device, swap, and
 // datacenter all sit above faults, never below it.
@@ -15,7 +16,6 @@ package faults
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/obs"
@@ -81,65 +81,6 @@ func (s *Schedule) Sort() {
 		}
 		return s.Events[i].Target < s.Events[j].Target
 	})
-}
-
-// GenConfig parameterises random schedule generation.
-type GenConfig struct {
-	Targets     []string     // candidate devices (round-robin weighted by rng)
-	Horizon     sim.Duration // events land in [0, Horizon)
-	Events      int          // how many events to generate
-	CrashWeight float64      // relative weights of the three kinds;
-	FlapWeight  float64      // all zero = Flap only
-	DegradeWt   float64
-	FlapMean    sim.Duration // mean flap window (exponential), default 10s
-	DegradeMean sim.Duration // mean degrade window, default 30s
-}
-
-// Generate builds a deterministic random schedule: the same config and seed
-// always produce the same events. Used by tests and by scripted chaos runs;
-// experiments that need a precise scenario construct Events directly.
-func Generate(cfg GenConfig, seed int64) Schedule {
-	rng := rand.New(rand.NewSource(seed))
-	if cfg.FlapMean <= 0 {
-		cfg.FlapMean = 10 * sim.Second
-	}
-	if cfg.DegradeMean <= 0 {
-		cfg.DegradeMean = 30 * sim.Second
-	}
-	total := cfg.CrashWeight + cfg.FlapWeight + cfg.DegradeWt
-	if total <= 0 {
-		cfg.FlapWeight, total = 1, 1
-	}
-	var s Schedule
-	for i := 0; i < cfg.Events && len(cfg.Targets) > 0 && cfg.Horizon > 0; i++ {
-		ev := Event{
-			At:     sim.Duration(rng.Int63n(int64(cfg.Horizon))),
-			Target: cfg.Targets[rng.Intn(len(cfg.Targets))],
-		}
-		switch p := rng.Float64() * total; {
-		case p < cfg.CrashWeight:
-			ev.Kind = Crash
-		case p < cfg.CrashWeight+cfg.FlapWeight:
-			ev.Kind = Flap
-			ev.Duration = expDuration(rng, cfg.FlapMean)
-		default:
-			ev.Kind = Degrade
-			ev.Duration = expDuration(rng, cfg.DegradeMean)
-			ev.LatencyFactor = 1 + rng.Float64()*9 // 1x..10x
-			ev.BandwidthFactor = 0.1 + rng.Float64()*0.9
-		}
-		s.Events = append(s.Events, ev)
-	}
-	s.Sort()
-	return s
-}
-
-func expDuration(rng *rand.Rand, mean sim.Duration) sim.Duration {
-	d := sim.Duration(rng.ExpFloat64() * float64(mean))
-	if d < sim.Millisecond {
-		d = sim.Millisecond
-	}
-	return d
 }
 
 // Target is anything the injector can break. internal/device.Device

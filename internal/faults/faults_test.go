@@ -21,35 +21,6 @@ func (f *fakeTarget) Degrade(lat, bw float64) {
 }
 func (f *fakeTarget) Recover() { f.events = append(f.events, "recover") }
 
-func TestGenerateDeterministic(t *testing.T) {
-	cfg := GenConfig{
-		Targets:     []string{"ssd", "rdma", "dram"},
-		Horizon:     60 * sim.Second,
-		Events:      32,
-		CrashWeight: 1, FlapWeight: 3, DegradeWt: 2,
-	}
-	a := Generate(cfg, 42)
-	b := Generate(cfg, 42)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same config+seed produced different schedules")
-	}
-	if len(a.Events) != 32 {
-		t.Fatalf("generated %d events, want 32", len(a.Events))
-	}
-	c := Generate(cfg, 43)
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical schedules")
-	}
-	for _, ev := range a.Events {
-		if ev.At < 0 || ev.At >= cfg.Horizon {
-			t.Fatalf("event at %v outside horizon", ev.At)
-		}
-		if ev.Kind == Degrade && (ev.LatencyFactor < 1 || ev.BandwidthFactor <= 0 || ev.BandwidthFactor > 1) {
-			t.Fatalf("degrade factors out of range: %+v", ev)
-		}
-	}
-}
-
 func TestScheduleSortStable(t *testing.T) {
 	s := Schedule{Events: []Event{
 		{At: 2 * sim.Second, Target: "b"},

@@ -66,9 +66,9 @@ func sortedGaugeNames(r *Recorder) []string {
 }
 
 // MetricsSchema versions the metrics artifact layout. The CSV export carries
-// it as a leading "# schema:" comment line and the JSON export as a top-level
-// "schema" key; consumers (internal/analyze, cmd/xdmtrace) refuse to diff
-// artifacts whose schemas disagree. Bump it when rows/keys change shape.
+// it as a leading "# schema:" comment line; internal/analyze refuses a file
+// without it, and diff refuses summaries reduced from different schemas.
+// Bump it when rows/keys change shape.
 const MetricsSchema = "xdm-metrics/2"
 
 func sortedHistNames(hists map[string]*metrics.Histogram) []string {
@@ -90,8 +90,9 @@ func sortedTimelineNames(r *Recorder) []string {
 }
 
 // fmtFloat renders v in the shortest round-trip form ('g', like %v).
-// Non-finite values render as 0: NaN/±Inf are not valid JSON tokens, and a
-// clamped sample beats an artifact no parser will load.
+// Non-finite values render as 0: NaN/±Inf are not valid JSON tokens in the
+// trace's counter events, and a clamped sample beats an artifact no parser
+// will load.
 func fmtFloat(v float64) string {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return "0"
@@ -174,95 +175,10 @@ func (r *Recorder) writeMetricsCSVChunk(buf *bytes.Buffer, run int) {
 	}
 }
 
-// WriteMetricsJSON writes the same data as WriteMetricsCSV as one JSON
-// object, hand-rendered so key order (and therefore the bytes) is fixed.
-func WriteMetricsJSON(w io.Writer) error {
-	recs := orderedRecorders()
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, `{"schema":%q,"runs":[`, MetricsSchema)
-	for run, r := range recs {
-		if run > 0 {
-			buf.WriteByte(',')
-		}
-		fmt.Fprintf(&buf, `{"run":%d,"label":%s,"events":%d,"dropped":%d`,
-			run, jsonString(r.label), len(r.events), r.dropped)
-		buf.WriteString(`,"counters":{`)
-		for i, name := range sortedCounterNames(r) {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			fmt.Fprintf(&buf, `%s:%s`, jsonString(name), fmtFloat(r.counters[name].Value))
-		}
-		buf.WriteString(`},"gauges":{`)
-		for i, name := range sortedGaugeNames(r) {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			fmt.Fprintf(&buf, `%s:%s`, jsonString(name), fmtFloat(r.gauges[name].Value))
-		}
-		buf.WriteString(`},"hists":[`)
-		hists := r.exportHists()
-		for i, name := range sortedHistNames(hists) {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			h := hists[name]
-			fmt.Fprintf(&buf, `{"name":%s,"count":%d,"sum":%s,"min":%s,"max":%s,"p50":%s,"p95":%s,"p99":%s,"buckets":[`,
-				jsonString(name), h.Count(), fmtFloat(h.Sum()), fmtFloat(h.Min()), fmtFloat(h.Max()),
-				fmtFloat(h.Quantile(0.50)), fmtFloat(h.Quantile(0.95)), fmtFloat(h.Quantile(0.99)))
-			idx, counts := h.Buckets()
-			for j, bi := range idx {
-				if j > 0 {
-					buf.WriteByte(',')
-				}
-				fmt.Fprintf(&buf, `{"i":%d,"c":%d}`, bi, counts[j])
-			}
-			buf.WriteString(`]}`)
-		}
-		buf.WriteString(`],"timelines":[`)
-		for i, name := range sortedTimelineNames(r) {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			e := r.timelines[name]
-			mode := "mean"
-			if e.mode == ModeSum {
-				mode = "sum"
-			}
-			fmt.Fprintf(&buf, `{"name":%s,"mode":%q,"width_ns":%d,"buckets":[`,
-				jsonString(name), mode, int64(e.tl.Width()))
-			wrote := false
-			for b := 0; b < e.tl.Len(); b++ {
-				if e.tl.Count(b) == 0 {
-					continue
-				}
-				if wrote {
-					buf.WriteByte(',')
-				}
-				wrote = true
-				v := e.tl.BucketMean(b)
-				if e.mode == ModeSum {
-					v = e.tl.Sum(b)
-				}
-				fmt.Fprintf(&buf, `{"i":%d,"v":%s}`, b, fmtFloat(v))
-			}
-			buf.WriteString(`]}`)
-		}
-		buf.WriteString(`]}`)
-	}
-	buf.WriteString("]}\n")
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// WriteMetricsFile writes metrics to path: JSON when the path ends in
-// .json, CSV otherwise. The file is replaced atomically (WriteFileAtomic).
+// WriteMetricsFile writes the CSV metrics artifact to path, replacing the
+// file atomically (WriteFileAtomic).
 func WriteMetricsFile(path string) error {
-	write := WriteMetricsCSV
-	if strings.HasSuffix(path, ".json") {
-		write = WriteMetricsJSON
-	}
-	return WriteFileAtomic(path, write)
+	return WriteFileAtomic(path, WriteMetricsCSV)
 }
 
 // WriteFileAtomic writes path through write without ever exposing a partial

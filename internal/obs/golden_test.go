@@ -26,7 +26,7 @@ var update = flag.Bool("update", false, "rewrite golden observability corpus")
 // surface — device spans, swap-path retries, channel queueing, a PCIe link,
 // and a fault flap — and returns the sealed exports. The scenario is fully
 // deterministic (no RNG), so the files under testdata must be byte-stable.
-func goldenScenario(t *testing.T) (trace, csv, jsonOut []byte) {
+func goldenScenario(t *testing.T) (trace, csv []byte) {
 	t.Helper()
 	obs.Reset()
 	restore := obs.Capture()
@@ -71,17 +71,14 @@ func goldenScenario(t *testing.T) (trace, csv, jsonOut []byte) {
 	eng.After(0, func() { issue(0) })
 	eng.Run()
 
-	var tb, cb, jb bytes.Buffer
+	var tb, cb bytes.Buffer
 	if err := obs.WriteTrace(&tb); err != nil {
 		t.Fatal(err)
 	}
 	if err := obs.WriteMetricsCSV(&cb); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteMetricsJSON(&jb); err != nil {
-		t.Fatal(err)
-	}
-	return tb.Bytes(), cb.Bytes(), jb.Bytes()
+	return tb.Bytes(), cb.Bytes()
 }
 
 // diffLines renders the first divergences so a golden failure points at the
@@ -117,14 +114,13 @@ func diffLines(want, got []byte) string {
 // formatting, track naming, or export layout fails here with a line diff;
 // after an intentional change regenerate with -update and review the diff.
 func TestGoldenObservability(t *testing.T) {
-	trace, csv, jsonOut := goldenScenario(t)
+	trace, csv := goldenScenario(t)
 	files := []struct {
 		name string
 		got  []byte
 	}{
 		{"scenario.trace.json", trace},
 		{"scenario.metrics.csv", csv},
-		{"scenario.metrics.json", jsonOut},
 	}
 	for _, f := range files {
 		path := filepath.Join("testdata", f.name)
@@ -152,15 +148,12 @@ func TestGoldenObservability(t *testing.T) {
 // byte-identical-across-reruns acceptance gate (the CLI half lives in
 // cmd_integration_test.go).
 func TestGoldenObservabilityStable(t *testing.T) {
-	t1, c1, j1 := goldenScenario(t)
-	t2, c2, j2 := goldenScenario(t)
+	t1, c1 := goldenScenario(t)
+	t2, c2 := goldenScenario(t)
 	if !bytes.Equal(t1, t2) {
 		t.Errorf("trace differs between identical runs:\n%s", diffLines(t1, t2))
 	}
 	if !bytes.Equal(c1, c2) {
 		t.Errorf("metrics CSV differs between identical runs:\n%s", diffLines(c1, c2))
-	}
-	if !bytes.Equal(j1, j2) {
-		t.Errorf("metrics JSON differs between identical runs:\n%s", diffLines(j1, j2))
 	}
 }

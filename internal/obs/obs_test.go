@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -209,6 +210,9 @@ func TestMetricsCSVShape(t *testing.T) {
 		r.Counter("a").Add(2)
 		r.Gauge("g").Set(0.5)
 		r.Timeline("tl", sim.Millisecond, obs.ModeMean).Add(0, 4)
+		sum := r.Timeline("tls", sim.Millisecond, obs.ModeSum)
+		sum.Add(0, 3)
+		sum.Add(0, 4)
 
 		var buf bytes.Buffer
 		if err := obs.WriteMetricsCSV(&buf); err != nil {
@@ -225,6 +229,8 @@ func TestMetricsCSVShape(t *testing.T) {
 		for _, want := range []string{
 			"0,counter,a,,2", "0,counter,z,,1", "0,gauge,g,,0.5",
 			"0,timeline,tl,width_ns,1000000", "0,timeline,tl,0,4",
+			"0,timeline,tls,0,7", // sum mode exports the bucket total
+
 			"0,recorder,events,,0", "0,recorder,dropped,,0",
 		} {
 			if !strings.Contains(joined, want+"\n") {
@@ -234,55 +240,6 @@ func TestMetricsCSVShape(t *testing.T) {
 		// Counters are name-sorted: a before z.
 		if strings.Index(joined, "counter,a") > strings.Index(joined, "counter,z") {
 			t.Errorf("counters not sorted:\n%s", joined)
-		}
-	})
-}
-
-func TestMetricsJSONShape(t *testing.T) {
-	withCapture(t, func() {
-		r := obs.Rec(sim.NewEngine())
-		r.SetLabel("j")
-		r.Counter("c").Add(2)
-		r.Timeline("tl", sim.Millisecond, obs.ModeSum).Add(0, 3)
-
-		var buf bytes.Buffer
-		if err := obs.WriteMetricsJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var doc struct {
-			Runs []struct {
-				Run       int                `json:"run"`
-				Label     string             `json:"label"`
-				Counters  map[string]float64 `json:"counters"`
-				Timelines []struct {
-					Name    string `json:"name"`
-					Mode    string `json:"mode"`
-					WidthNs int64  `json:"width_ns"`
-					Buckets []struct {
-						I int     `json:"i"`
-						V float64 `json:"v"`
-					} `json:"buckets"`
-				} `json:"timelines"`
-			} `json:"runs"`
-		}
-		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-			t.Fatalf("metrics JSON invalid: %v", err)
-		}
-		if len(doc.Runs) != 1 || doc.Runs[0].Label != "j" || doc.Runs[0].Counters["c"] != 2 {
-			t.Fatalf("runs = %+v", doc.Runs)
-		}
-		found := false
-		for _, tl := range doc.Runs[0].Timelines {
-			if tl.Name != "tl" {
-				continue // the capture hook auto-attaches sim/events
-			}
-			found = true
-			if tl.Mode != "sum" || tl.WidthNs != 1e6 || len(tl.Buckets) == 0 || tl.Buckets[0].V != 3 {
-				t.Errorf("timeline = %+v", tl)
-			}
-		}
-		if !found {
-			t.Errorf("timeline tl missing from %+v", doc.Runs[0].Timelines)
 		}
 	})
 }
@@ -328,19 +285,29 @@ func TestCanonicalOrderIgnoresRegistrationOrder(t *testing.T) {
 	}
 }
 
+// TestNonFiniteValuesExportAsValidJSON pins fmtFloat's clamp on both
+// artifacts: timeline buckets holding NaN/±Inf still export as a trace that
+// parses as JSON, and no metric leaks a NaN or Inf token into the CSV.
 func TestNonFiniteValuesExportAsValidJSON(t *testing.T) {
 	withCapture(t, func() {
 		r := obs.Rec(sim.NewEngine())
 		r.Gauge("nan").Set(math.NaN())
 		r.Gauge("posinf").Set(math.Inf(1))
 		r.Counter("neginf").Add(math.Inf(-1))
-		var mb bytes.Buffer
-		if err := obs.WriteMetricsJSON(&mb); err != nil {
+		r.Timeline("tl/nan", sim.Millisecond, obs.ModeMean).Add(0, math.NaN())
+		r.Timeline("tl/inf", sim.Millisecond, obs.ModeSum).Add(0, math.Inf(1))
+		var tb bytes.Buffer
+		if err := obs.WriteTrace(&tb); err != nil {
 			t.Fatal(err)
 		}
 		var parsed any
-		if err := json.Unmarshal(mb.Bytes(), &parsed); err != nil {
-			t.Fatalf("metrics JSON with non-finite values does not parse: %v\n%s", err, mb.String())
+		if err := json.Unmarshal(tb.Bytes(), &parsed); err != nil {
+			t.Fatalf("trace with non-finite timeline values does not parse: %v\n%s", err, tb.String())
+		}
+		for _, name := range []string{`"tl/nan"`, `"tl/inf"`} {
+			if !strings.Contains(tb.String(), name) {
+				t.Errorf("trace lacks the %s counter series:\n%s", name, tb.String())
+			}
 		}
 		var cb bytes.Buffer
 		if err := obs.WriteMetricsCSV(&cb); err != nil {
@@ -413,6 +380,7 @@ func TestRecorderHistogramsAndOpIDs(t *testing.T) {
 			"0,hist,pcie/alloc-wait,max,300",
 			"0,hist,pcie/alloc-wait,sum,700",
 			"0,hist,dev/x/read,count,2",
+			"0,hist,dev/x/read,sum,30000",
 			"0,hist,dev/x/read,min,10000",
 			"0,hist,dev/x/read,max,20000",
 		} {
@@ -421,50 +389,18 @@ func TestRecorderHistogramsAndOpIDs(t *testing.T) {
 			}
 		}
 
-		var mb bytes.Buffer
-		if err := obs.WriteMetricsJSON(&mb); err != nil {
-			t.Fatal(err)
+		if n := strings.Count(cb.String(), ",count,"); n != 2 {
+			t.Errorf("exported %d histograms, want 2:\n%s", n, cb.String())
 		}
-		var doc struct {
-			Schema string `json:"schema"`
-			Runs   []struct {
-				Hists []struct {
-					Name    string  `json:"name"`
-					Count   int     `json:"count"`
-					Sum     float64 `json:"sum"`
-					Min     float64 `json:"min"`
-					Max     float64 `json:"max"`
-					P50     float64 `json:"p50"`
-					P99     float64 `json:"p99"`
-					Buckets []struct {
-						I int    `json:"i"`
-						C uint64 `json:"c"`
-					} `json:"buckets"`
-				} `json:"hists"`
-			} `json:"runs"`
+		// Bucket rows back the reconstruction; quantiles carry the
+		// log-bucket relative error bound.
+		if !strings.Contains(cb.String(), "0,hist,dev/x/read,b") {
+			t.Errorf("dev/x/read exported no buckets:\n%s", cb.String())
 		}
-		if err := json.Unmarshal(mb.Bytes(), &doc); err != nil {
-			t.Fatalf("metrics JSON does not parse: %v\n%s", err, mb.String())
-		}
-		if doc.Schema != obs.MetricsSchema {
-			t.Errorf("schema = %q, want %q", doc.Schema, obs.MetricsSchema)
-		}
-		if len(doc.Runs) != 1 || len(doc.Runs[0].Hists) != 2 {
-			t.Fatalf("runs/hists shape = %+v", doc.Runs)
-		}
-		devx := doc.Runs[0].Hists[0]
-		if devx.Name != "dev/x/read" || devx.Count != 2 || devx.Min != 10000 || devx.Max != 20000 {
-			t.Errorf("dev/x/read hist = %+v", devx)
-		}
-		if devx.Sum != 30000 {
-			t.Errorf("dev/x/read sum = %g, want 30000", devx.Sum)
-		}
-		if len(devx.Buckets) == 0 {
-			t.Errorf("dev/x/read exported no buckets")
-		}
-		// Quantiles carry the log-bucket relative error bound.
-		if devx.P99 < 20000*(1-1.0/32) || devx.P99 > 20000 {
-			t.Errorf("p99 = %g, want ≈20000", devx.P99)
+		_, p99, _ := strings.Cut(cb.String(), "0,hist,dev/x/read,p99,")
+		p99, _, _ = strings.Cut(p99, "\n")
+		if v, err := strconv.ParseFloat(p99, 64); err != nil || v < 20000*(1-1.0/32) || v > 20000 {
+			t.Errorf("p99 = %q, want ≈20000", p99)
 		}
 	})
 }

@@ -59,9 +59,6 @@ type Config struct {
 	// SLO is the placement-delay target (submission → VM-ready) the
 	// shedder defends for admitted traffic, as a p99.
 	SLO sim.Duration
-	// QueueCap bounds the admission queue (default 256). Arrivals finding
-	// the queue full are refused.
-	QueueCap int
 	// AdmitDeadline refuses arrivals whose predicted queue wait exceeds
 	// it, and sheds queued requests that have already waited longer —
 	// work that cannot possibly meet its deadline is not worth queueing,
@@ -86,10 +83,11 @@ type Config struct {
 	Seed int64
 }
 
+// queueCap bounds the admission queue: arrivals finding it full are
+// refused.
+const queueCap = 256
+
 func (c Config) withDefaults() Config {
-	if c.QueueCap <= 0 {
-		c.QueueCap = 256
-	}
 	if c.AdmitDeadline <= 0 {
 		c.AdmitDeadline = c.SLO
 	}
@@ -379,7 +377,7 @@ func (s *server) offer(i int) {
 	}
 
 	// 1. Bounded queue.
-	if len(s.queue) >= s.cfg.QueueCap {
+	if len(s.queue) >= queueCap {
 		s.res.RefusedQueueFull++
 		return
 	}
@@ -467,16 +465,11 @@ func (s *server) pump() {
 	}
 }
 
-// readyFn builds the VM-ready callback for one queued request: measure the
-// placement delay (submission → VM-ready, counted exactly once — see
-// cluster.RunArrivalSim) and start the task.
+// readyFn builds the VM-ready callback for one queued request, which
+// Dispatch calls at most once: measure the placement delay (submission →
+// VM-ready) and start the task.
 func (s *server) readyFn(q queued) func(cluster.Placement) {
-	fired := false
 	return func(pl cluster.Placement) {
-		if fired {
-			return
-		}
-		fired = true
 		s.pendingReady--
 		s.running++
 

@@ -349,14 +349,13 @@ func TestQueueBound(t *testing.T) {
 		Duration:      3 * sim.Second,
 		Drain:         sim.Second,
 		SLO:           100 * sim.Millisecond,
-		QueueCap:      32,
 		AdmitDeadline: sim.Hour,
 		Seed:          13,
 	})
 	if res.RefusedQueueFull == 0 {
 		t.Fatalf("bounded queue never refused under 2000 rps overload: %+v", res)
 	}
-	if res.MaxQueue > 32 {
+	if res.MaxQueue > queueCap {
 		t.Fatalf("queue grew past its cap: %d", res.MaxQueue)
 	}
 	if res.Completed == 0 {
@@ -417,9 +416,6 @@ func TestPrewarmFleet(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{SLO: 100 * sim.Millisecond}.withDefaults()
-	if c.QueueCap != 256 {
-		t.Fatalf("defaults wrong: %+v", c)
-	}
 	if c.AdmitDeadline != c.SLO {
 		t.Fatalf("admit deadline default %v, want SLO %v", c.AdmitDeadline, c.SLO)
 	}
