@@ -23,6 +23,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pcie"
 	"repro/internal/place"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/swap"
 	"repro/internal/task"
@@ -250,6 +251,30 @@ func BenchmarkLedgerReserveRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkPlace is one placement decision on a 5000-node ledger, the
+// arena dispatcher's serial cost per task. A third of the nodes carry work,
+// so scores differ across the fleet. Only the warm-pool extender reads the
+// feasible set, so only its policy copies candidates.
+func BenchmarkPlace(b *testing.B) {
+	const nodes = 5000
+	l := place.NewLedger(nodes, 4, 1024, place.DefaultOversubFactor)
+	for i := 0; i < nodes; i += 3 {
+		l.Reserve(i, 1+i%3, 128*(1+i%5))
+	}
+	r := place.Request{Cores: 1, Pages: 256}
+	for _, name := range []string{"worst-fit", "best-fit", "alg1", "oversub:1.25", "best-fit+warm-pool"} {
+		pol := place.Builtin(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if pol.Place(r, l.Candidates()) < 0 {
+					b.Fatal("nothing placed")
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkLRUTouch(b *testing.B) {
 	ps := mem.NewPageSet(4096)
 	for i := int32(0); i < 4096; i++ {
@@ -293,6 +318,42 @@ func BenchmarkSwapPathOp(b *testing.B) {
 		}
 	}
 	eng.Run()
+}
+
+// BenchmarkTaskLifecycle builds, runs and finishes one serving request's
+// task (1024 pages, half of them resident, on an RDMA swap path) per op on
+// a warm engine. "fresh" builds each task's storage anew, as single-node
+// experiments do; "pooled" recycles it through a task.Pool, as arena shards
+// and serving runs do.
+func BenchmarkTaskLifecycle(b *testing.B) {
+	spec := serve.RequestTemplates()[1].Spec
+	for _, pooled := range []bool{false, true} {
+		name := "fresh"
+		if pooled {
+			name = "pooled"
+		}
+		b.Run(name, func(b *testing.B) {
+			eng := sim.NewEngine()
+			h := device.NewHost(eng, pcie.Gen4, 16)
+			be := swap.NewDeviceBackend(eng, h.Attach(device.SpecConnectX5("rdma")))
+			cfg := task.Config{
+				Eng: eng, Name: "req", Spec: spec, LocalRatio: 0.5,
+				SwapPath:         swap.NewPath(eng, be, swap.NewChannel(eng, "ch", 4)),
+				GranularityPages: 32, AdaptiveWindow: true,
+			}
+			var pool *task.Pool
+			if pooled {
+				pool = new(task.Pool)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = int64(i)
+				pool.New(cfg).Start(nil)
+				eng.Run()
+			}
+		})
+	}
 }
 
 func BenchmarkEndToEndTask(b *testing.B) {

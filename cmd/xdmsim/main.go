@@ -309,17 +309,17 @@ func runCapacity(w io.Writer, opts experiments.Options) {
 	reportShardTotals()
 }
 
-// reportShardTotals summarizes sharded-kernel execution on stderr: aggregate
-// events per wall-clock second and the effective shard parallelism (busy
-// time across shard workers over group wall time). Silent when no sharded
-// simulation ran.
+// reportShardTotals summarizes sharded-kernel execution on stderr: events,
+// cross-shard messages, aggregate events per wall-clock second and the
+// effective shard parallelism (busy time across shard workers over group
+// wall time). Silent when no sharded simulation ran.
 func reportShardTotals() {
 	st := sim.ShardRunTotals()
 	if st.Events == 0 || st.Wall <= 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "sharded kernel: %d events in %v (%.0f events/sec, %.2fx effective shard parallelism)\n",
-		st.Events, st.Wall.Round(time.Millisecond),
+	fmt.Fprintf(os.Stderr, "sharded kernel: %d events and %d cross-shard messages in %v (%.0f events/sec, %.2fx effective shard parallelism)\n",
+		st.Events, st.Messages, st.Wall.Round(time.Millisecond),
 		float64(st.Events)/st.Wall.Seconds(), st.Busy.Seconds()/st.Wall.Seconds())
 }
 

@@ -46,6 +46,8 @@ type Arena struct {
 	sched  *arenaSched
 	nodes  []*arenaNode
 	pol    *place.Policy
+	// pools recycle task storage, one per shard engine.
+	pools []task.Pool
 }
 
 // ArenaRPCLatency is the dispatcher↔node network latency floor (one
@@ -200,6 +202,7 @@ func NewArena(cfg ArenaConfig) *Arena {
 		cfg:    cfg,
 		shards: sim.NewShards(cfg.Shards, ArenaRPCLatency),
 		pol:    pol,
+		pools:  make([]task.Pool, cfg.Shards),
 		sched: &arenaSched{
 			ledger: place.NewLedger(cfg.Nodes, cfg.CoresPerNode, cfg.PagesPerNode, pol.Overcommit),
 		},
@@ -371,7 +374,7 @@ func (a *Arena) startTask(n *arenaNode, t arenaTask) {
 		cfg.AlignedReadahead = true
 	}
 
-	task.New(cfg).Start(func(task.Stats) {
+	a.pools[n.shard].New(cfg).Start(func(task.Stats) {
 		n.perBackend[backend]--
 		n.msgSeq++
 		key := uint64(n.id+1)<<32 | n.msgSeq

@@ -60,21 +60,28 @@ type Topology struct {
 	RemoteLatency sim.Duration
 	CXLLatency    sim.Duration
 
-	rr int // interleave cursor
+	rr    int    // interleave cursor
+	order []int8 // Allocate's node-order scratch
 }
 
 // NewTopology builds a two-socket topology with the given per-node capacity
 // in pages, matching the paper's dual-socket Xeon testbed.
 func NewTopology(pagesPerNode int) *Topology {
-	return &Topology{
-		Nodes: []Node{
-			{ID: 0, CapacityPages: pagesPerNode},
-			{ID: 1, CapacityPages: pagesPerNode},
-		},
-		LocalLatency:  80 * sim.Nanosecond,
-		RemoteLatency: 140 * sim.Nanosecond,
-		CXLLatency:    250 * sim.Nanosecond,
-	}
+	t := &Topology{}
+	t.Reset(pagesPerNode)
+	return t
+}
+
+// Reset returns the topology to the state NewTopology(pagesPerNode) builds,
+// reusing its node array.
+func (t *Topology) Reset(pagesPerNode int) {
+	t.Nodes = append(t.Nodes[:0],
+		Node{ID: 0, CapacityPages: pagesPerNode},
+		Node{ID: 1, CapacityPages: pagesPerNode})
+	t.LocalLatency = 80 * sim.Nanosecond
+	t.RemoteLatency = 140 * sim.Nanosecond
+	t.CXLLatency = 250 * sim.Nanosecond
+	t.rr = 0
 }
 
 // AddCXLNode appends a CPU-less memory node (a CXL expander exposed as NUMA).
@@ -102,8 +109,8 @@ func (t *Topology) Allocate(policy NUMAPolicy, cpuNode int8) int8 {
 		}
 		return -1
 	}
-	order := t.order(policy, cpuNode)
-	for _, id := range order {
+	t.order = t.appendOrder(t.order[:0], policy, cpuNode)
+	for _, id := range t.order {
 		if got := pick(id); got >= 0 {
 			return got
 		}
@@ -111,8 +118,8 @@ func (t *Topology) Allocate(policy NUMAPolicy, cpuNode int8) int8 {
 	return -1
 }
 
-func (t *Topology) order(policy NUMAPolicy, cpuNode int8) []int8 {
-	ids := make([]int8, 0, len(t.Nodes))
+// appendOrder appends the nodes to try, in preference order, to ids.
+func (t *Topology) appendOrder(ids []int8, policy NUMAPolicy, cpuNode int8) []int8 {
 	switch policy {
 	case Interleave:
 		n := len(t.Nodes)

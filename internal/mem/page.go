@@ -95,17 +95,28 @@ type lru struct {
 // NewPageSet creates a page set of n pages, all of type Anonymous and
 // non-resident. Callers mark file-backed ranges with SetType.
 func NewPageSet(n int) *PageSet {
+	ps := &PageSet{}
+	ps.Reset(n)
+	return ps
+}
+
+// Reset returns the page set to the state NewPageSet(n) builds, reusing the
+// page table's backing array when it is large enough.
+func (ps *PageSet) Reset(n int) {
 	if n <= 0 {
 		panic("mem: page set must have at least one page")
 	}
-	ps := &PageSet{pages: make([]Page, n)}
+	if cap(ps.pages) < n {
+		ps.pages = make([]Page, n)
+	}
+	ps.pages = ps.pages[:n]
+	for i := range ps.pages {
+		ps.pages[i] = Page{prev: nilPage, next: nilPage}
+	}
 	ps.active = lru{head: nilPage, tail: nilPage}
 	ps.inactive = lru{head: nilPage, tail: nilPage}
-	for i := range ps.pages {
-		ps.pages[i].prev = nilPage
-		ps.pages[i].next = nilPage
-	}
-	return ps
+	ps.resident = 0
+	ps.residentByType = [2]int{}
 }
 
 // Len reports the number of pages.

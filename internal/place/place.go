@@ -156,19 +156,36 @@ func (p *Policy) OneShot() bool {
 	return false
 }
 
+// extends reports whether an extender reads the feasible set.
+func (p *Policy) extends() bool {
+	for _, e := range p.Extenders {
+		if e.Extend != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // Place chooses a candidate ID for r, or -1 when nothing is feasible.
 // Deterministic by construction: candidates are filtered by the predicate
 // chain, scored by the weighted prioritizer sum, and ties break on the
-// lowest ID — so the result is independent of candidate order.
+// lowest ID — so the result is independent of candidate order. The
+// feasible set is collected only when an extender reads it.
 func (p *Policy) Place(r Request, cands []Candidate) int {
 	chosen := -1
 	var best float64
-	feasible := make([]Candidate, 0, len(cands))
+	extend := p.extends()
+	var feasible []Candidate
+	if extend {
+		feasible = make([]Candidate, 0, len(cands))
+	}
 	for _, c := range cands {
 		if !p.Feasible(r, c) {
 			continue
 		}
-		feasible = append(feasible, c)
+		if extend {
+			feasible = append(feasible, c)
+		}
 		s := p.score(r, c)
 		if chosen < 0 || s > best || (s == best && c.ID < chosen) {
 			chosen, best = c.ID, s

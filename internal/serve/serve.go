@@ -161,6 +161,8 @@ type server struct {
 
 	queue []queued
 	res   Result
+	// pool recycles the storage of finished requests' tasks.
+	pool task.Pool
 
 	// Conservation pieces, tracked independently of the queue slice so the
 	// invariant is a structural check, not arithmetic identity.
@@ -512,7 +514,7 @@ func (s *server) readyFn(q queued) func(cluster.Placement) {
 		if b := s.breakers[pl.VM.ActiveBackend()]; b != nil {
 			cfg.SwapPath.Health = b
 		}
-		task.New(cfg).Start(func(task.Stats) {
+		s.pool.New(cfg).Start(func(task.Stats) {
 			s.running--
 			s.res.Completed++
 			if inSLO {

@@ -66,8 +66,8 @@ type Shards struct {
 
 	// snapshot of Stats at the last package-totals accounting, so repeated
 	// Run/RunUntil calls on one group fold only their delta.
-	acctEvents, acctWindows uint64
-	acctBusy, acctWall      int64
+	acctEvents, acctWindows, acctMessages uint64
+	acctBusy, acctWall                    int64
 }
 
 // xmsg is one buffered cross-shard event.
@@ -385,8 +385,8 @@ func (s *Shards) Stats() ShardStats {
 // ("aggregate events/sec", "effective shard parallelism"). Atomic because
 // experiment grids run cells — each with its own group — concurrently.
 var shardTotals struct {
-	events, windows atomic.Uint64
-	busy, wall      atomic.Int64
+	events, windows, messages atomic.Uint64
+	busy, wall                atomic.Int64
 }
 
 // accountTotals folds the delta since this group's last accounting into the
@@ -395,9 +395,10 @@ func (s *Shards) accountTotals() {
 	st := s.Stats()
 	shardTotals.events.Add(st.Events - s.acctEvents)
 	shardTotals.windows.Add(st.Windows - s.acctWindows)
+	shardTotals.messages.Add(st.Messages - s.acctMessages)
 	shardTotals.busy.Add(int64(st.Busy) - s.acctBusy)
 	shardTotals.wall.Add(int64(st.Wall) - s.acctWall)
-	s.acctEvents, s.acctWindows = st.Events, st.Windows
+	s.acctEvents, s.acctWindows, s.acctMessages = st.Events, st.Windows, st.Messages
 	s.acctBusy, s.acctWall = int64(st.Busy), int64(st.Wall)
 }
 
@@ -406,10 +407,11 @@ func (s *Shards) accountTotals() {
 // parallelism; events over wall gives aggregate events/sec.
 func ShardRunTotals() ShardStats {
 	return ShardStats{
-		Events:  shardTotals.events.Load(),
-		Windows: shardTotals.windows.Load(),
-		Busy:    time.Duration(shardTotals.busy.Load()),
-		Wall:    time.Duration(shardTotals.wall.Load()),
+		Events:   shardTotals.events.Load(),
+		Windows:  shardTotals.windows.Load(),
+		Messages: shardTotals.messages.Load(),
+		Busy:     time.Duration(shardTotals.busy.Load()),
+		Wall:     time.Duration(shardTotals.wall.Load()),
 	}
 }
 
@@ -417,6 +419,7 @@ func ShardRunTotals() ShardStats {
 func ResetShardRunTotals() {
 	shardTotals.events.Store(0)
 	shardTotals.windows.Store(0)
+	shardTotals.messages.Store(0)
 	shardTotals.busy.Store(0)
 	shardTotals.wall.Store(0)
 }

@@ -233,6 +233,9 @@ func TestShardsStats(t *testing.T) {
 	if tot.Events != st.Events {
 		t.Fatalf("package totals events = %d, want %d", tot.Events, st.Events)
 	}
+	if tot.Messages != st.Messages {
+		t.Fatalf("package totals messages = %d, want %d", tot.Messages, st.Messages)
+	}
 	// Repeated accounting must fold deltas, not double-count.
 	s.Engine(0).At(s.Engine(0).Now()+1, func() {})
 	s.Run(2)

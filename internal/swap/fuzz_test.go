@@ -38,7 +38,7 @@ func FuzzSlotAllocator(f *testing.F) {
 						}
 					}
 				} else {
-					got := a.Cluster(page, 8, func(id int32) bool { return a.SlotOf(id) >= 0 })
+					got := a.Cluster(nil, page, 8, func(id int32) bool { return a.SlotOf(id) >= 0 })
 					if len(got) == 0 || got[0] != page {
 						t.Fatalf("Cluster(%d) = %v; faulting page must lead", page, got)
 					}

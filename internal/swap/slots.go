@@ -43,11 +43,24 @@ type SlotAllocator struct {
 
 // NewSlotAllocator creates an allocator for an address space of n pages.
 func NewSlotAllocator(n int) *SlotAllocator {
-	a := &SlotAllocator{slotOf: make([]int32, n)}
+	a := &SlotAllocator{}
+	a.Reset(n)
+	return a
+}
+
+// Reset returns the allocator to the state NewSlotAllocator(n) builds,
+// reusing its backing arrays.
+func (a *SlotAllocator) Reset(n int) {
+	if cap(a.slotOf) < n {
+		a.slotOf = make([]int32, n)
+	}
+	a.slotOf = a.slotOf[:n]
 	for i := range a.slotOf {
 		a.slotOf[i] = -1
 	}
-	return a
+	a.seq = a.seq[:0]
+	a.free = a.free[:0]
+	a.live, a.recycled = 0, 0
 }
 
 // Assign gives page its next slot (recycling a freed slot when available),
@@ -186,13 +199,13 @@ func (a *SlotAllocator) Recycled() int { return a.recycled }
 // which fragmentation = 1 - Live/SlotSpan.
 func (a *SlotAllocator) SlotSpan() int { return len(a.seq) }
 
-// Cluster returns up to max pages from the aligned slot cluster around
-// page's slot — kernel swap-readahead semantics. The faulting page is
-// always first. Pages failing the want filter (already resident, not
-// swapped) are skipped. If the page has no slot, only the page itself is
-// returned.
-func (a *SlotAllocator) Cluster(page int32, max int, want func(int32) bool) []int32 {
-	fetch := []int32{page}
+// Cluster appends to dst up to max pages from the aligned slot cluster
+// around page's slot — kernel swap-readahead semantics — and returns the
+// extended slice. The faulting page is always appended first. Pages failing
+// the want filter (already resident, not swapped) are skipped. If the page
+// has no slot, only the page itself is appended.
+func (a *SlotAllocator) Cluster(dst []int32, page int32, max int, want func(int32) bool) []int32 {
+	fetch := append(dst, page)
 	si := a.slotOf[page]
 	if si < 0 || max <= 1 {
 		return fetch
@@ -202,7 +215,7 @@ func (a *SlotAllocator) Cluster(page int32, max int, want func(int32) bool) []in
 	if end > int32(len(a.seq)) {
 		end = int32(len(a.seq))
 	}
-	for s := base; s < end && len(fetch) < max; s++ {
+	for s := base; s < end && len(fetch)-len(dst) < max; s++ {
 		id := a.seq[s]
 		if id >= 0 && id != page && want(id) {
 			fetch = append(fetch, id)

@@ -37,7 +37,7 @@ func TestSlotReassignInvalidatesOld(t *testing.T) {
 	a.Assign(1)
 	a.Assign(2)
 	a.Assign(1) // page 1 re-swapped: new slot, old slot stale
-	cluster := a.Cluster(2, 4, func(int32) bool { return true })
+	cluster := a.Cluster(nil, 2, 4, func(int32) bool { return true })
 	for _, p := range cluster[1:] {
 		if p == 1 && a.SlotOf(1) < 2 {
 			t.Fatal("stale slot entry surfaced in a cluster")
@@ -54,7 +54,7 @@ func TestSlotClusterSequentialEvictor(t *testing.T) {
 	for p := int32(0); p < 32; p++ {
 		a.Assign(p)
 	}
-	got := a.Cluster(8, 8, func(int32) bool { return true })
+	got := a.Cluster(nil, 8, 8, func(int32) bool { return true })
 	if len(got) != 8 {
 		t.Fatalf("cluster size %d, want 8", len(got))
 	}
@@ -76,7 +76,7 @@ func TestSlotClusterInterleavedEvictors(t *testing.T) {
 		a.Assign(i)      // stream A: pages 0..15
 		a.Assign(32 + i) // stream B: pages 32..47
 	}
-	got := a.Cluster(4, 8, func(int32) bool { return true })
+	got := a.Cluster(nil, 4, 8, func(int32) bool { return true })
 	var fromA, fromB int
 	for _, p := range got {
 		if p < 32 {
@@ -92,7 +92,7 @@ func TestSlotClusterInterleavedEvictors(t *testing.T) {
 
 func TestSlotClusterNoSlot(t *testing.T) {
 	a := NewSlotAllocator(8)
-	got := a.Cluster(3, 8, func(int32) bool { return true })
+	got := a.Cluster(nil, 3, 8, func(int32) bool { return true })
 	if len(got) != 1 || got[0] != 3 {
 		t.Fatalf("slotless cluster = %v", got)
 	}

@@ -4,6 +4,12 @@
 // faults through a swap path for far-memory pages, runs cgroup-driven
 // reclaim with asynchronous write-back, and accounts user time and kernel
 // (sys) time separately — the paper evaluates swap performance by sys time.
+//
+// Code that starts many short tasks on one engine builds them through a
+// Pool, which recycles a finished task's storage for the next one. Such a
+// task belongs to the pool once its done callback fires: its owner must not
+// touch it after done. New builds unpooled tasks, which stay readable after
+// done.
 package task
 
 import (
@@ -155,10 +161,15 @@ func (s Stats) BytesSwapped() float64 {
 // sequential-fault detector, sharing the task's address space.
 //
 // A worker has at most one fault outstanding, so the fault's state lives in
-// the worker and its continuations are bound once, in newWorker.
+// the worker and its continuations are bound once, in newWorker. They reach
+// the task through the storage's owner, so a pooled worker serves each task
+// that reuses it.
 type worker struct {
 	stream    workload.AccessSource
 	lastFault int32
+	// own is the spec-derived stream the worker resets for each task that
+	// has no Config.Sources.
+	own *workload.Stream
 
 	// The outstanding fault: the access that faulted and, for a major
 	// fault, the fetched extent's page count, kind and start time.
@@ -167,17 +178,115 @@ type worker struct {
 	anon       bool
 	faultStart sim.Time
 
+	runFn    func()
+	exitFn   func()
 	faultFn  func()
 	minorFn  func()
 	swapInFn func(lat sim.Duration)
 }
 
-func (t *Task) newWorker(src workload.AccessSource) *worker {
-	w := &worker{stream: src, lastFault: -2}
-	w.faultFn = func() { t.fault(w) }
-	w.minorFn = func() { t.minorDone(w) }
-	w.swapInFn = func(sim.Duration) { t.swapInDone(w) }
+func (st *storage) newWorker() *worker {
+	w := &worker{own: new(workload.Stream)}
+	w.runFn = func() { st.owner.run(w) }
+	w.exitFn = func() { st.owner.workerDone() }
+	w.faultFn = func() { st.owner.fault(w) }
+	w.minorFn = func() { st.owner.minorDone(w) }
+	w.swapInFn = func(sim.Duration) { st.owner.swapInDone(w) }
 	return w
+}
+
+// reset starts the worker over on access source src.
+func (w *worker) reset(src workload.AccessSource) {
+	w.stream, w.lastFault = src, -2
+	w.access, w.fetched, w.anon, w.faultStart = workload.Access{}, 0, false, 0
+}
+
+// storage is the part of a task a Pool recycles: everything sized by the
+// footprint or the thread count, the fault and reclaim scratch, and the
+// write-back queue and token pool. Its callbacks are bound once and reach
+// the task it currently serves through owner.
+type storage struct {
+	owner *Task
+
+	ps mem.PageSet
+	// slots is the swap device's slot space. Kernel readahead reads *slot*
+	// neighborhoods, which only coincide with address neighborhoods when
+	// one thread evicts sequentially.
+	slots swap.SlotAllocator
+	// topo is the unconstrained topology of a task without Config.Topo.
+	topo mem.Topology
+
+	// slotValid marks anonymous pages whose far-memory copy is current.
+	slotValid []bool
+	// prefetched marks resident pages brought in by readahead, not demand.
+	prefetched []bool
+	// lost marks pages whose far copy died with a backend; their next
+	// fault pays RefetchPenalty on top of the zero-fill cost.
+	lost []bool
+
+	// workers are the task's threads.
+	workers []*worker
+
+	// fetch is the fault path's extent scratch; swapWB and fileWB are
+	// reclaim's write-back lists.
+	fetch, swapWB, fileWB []int32
+
+	// wbTokens throttles write-back. wbQueue[wbHead:] holds the extents
+	// waiting for a token, in the order the tokens will be granted.
+	wbTokens  *sim.Resource
+	wbQueue   []wbPending
+	wbHead    int
+	wbGrantFn func()
+	wbDoneFn  func(sim.Duration)
+}
+
+// wbPending is a write-back extent waiting for a token.
+type wbPending struct {
+	path  *swap.Path
+	pages int
+}
+
+// clearedBools returns b resized to n and cleared, reusing its array.
+func clearedBools(b []bool, n int) []bool {
+	if cap(b) < n {
+		return make([]bool, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
+// Pool is a free list of task storage, held by code that starts many tasks
+// on one engine (an arena shard, a serving run). A pooled task hands its
+// storage back once it has finished and its last write-back has completed;
+// the next task the pool builds resets and reuses it. A pool serves one
+// engine and is not safe for concurrent use. The zero value is an empty
+// pool.
+type Pool struct {
+	eng  *sim.Engine
+	free []*storage
+}
+
+// get pops recycled storage, or builds fresh storage when the pool is nil
+// or empty.
+func (p *Pool) get(eng *sim.Engine) *storage {
+	if p != nil {
+		if p.eng == nil {
+			p.eng = eng
+		} else if p.eng != eng {
+			panic("task: pool shared across engines")
+		}
+		if n := len(p.free); n > 0 {
+			st := p.free[n-1]
+			p.free[n-1] = nil
+			p.free = p.free[:n-1]
+			return st
+		}
+	}
+	st := &storage{wbTokens: sim.NewResource(eng, maxOutstandingWritebacks)}
+	st.wbGrantFn = func() { st.owner.wbGrant() }
+	st.wbDoneFn = func(sim.Duration) { st.owner.wbDone() }
+	return st
 }
 
 // Task is one running workload instance, possibly multi-threaded
@@ -187,32 +296,20 @@ func (t *Task) newWorker(src workload.AccessSource) *worker {
 type Task struct {
 	cfg     Config
 	eng     *sim.Engine
-	workers []*worker
 	running int
-	ps      *mem.PageSet
 	cg      *mem.Cgroup
 	topo    *mem.Topology
 
 	granularity int
 
-	// slotValid marks anonymous pages whose far-memory copy is current.
-	slotValid []bool
-	// slots is the swap device's slot space. Kernel readahead reads *slot*
-	// neighborhoods, which only coincide with address neighborhoods when
-	// one thread evicts sequentially.
-	slots *swap.SlotAllocator
-	// prefetched marks resident pages brought in by readahead, not demand.
-	prefetched []bool
-	// lost marks pages whose far copy died with a backend; their next
-	// fault pays RefetchPenalty on top of the zero-fill cost.
-	lost []bool
+	// storage holds the memory state; a pooled task hands it back to pool
+	// after finishing, and it is nil from then on.
+	*storage
+	pool *Pool
+
 	// farCopies counts pages with slotValid set, for the O(1) conservation
 	// check against the slot allocator's live count.
 	farCopies int
-
-	wbTokens *sim.Resource
-	// wbFree recycles write-back extent records (see wbExtent).
-	wbFree sim.FreeList[wbExtent]
 
 	sinceEpoch int
 	start      sim.Time
@@ -228,9 +325,17 @@ type Task struct {
 	obsFar      *metrics.BucketTimeline
 }
 
-// New builds a task from cfg. The page set's file-backed range is the first
+// New builds an unpooled task from cfg: (*Pool)(nil).New(cfg).
+func New(cfg Config) *Task { return (*Pool)(nil).New(cfg) }
+
+// New builds a task from cfg, reusing storage a finished task of this pool
+// handed back. The page set's file-backed range is the first
 // (1-AnonFraction) of the footprint, matching the workload generators.
-func New(cfg Config) *Task {
+//
+// The caller must not touch the task after its done callback fires: its
+// storage may by then belong to the next task. A nil pool builds an
+// unpooled task, which keeps its storage and stays readable after done.
+func (p *Pool) New(cfg Config) *Task {
 	if cfg.Eng == nil {
 		panic("task: nil engine")
 	}
@@ -247,15 +352,19 @@ func New(cfg Config) *Task {
 		cfg.FilePath = cfg.SwapPath
 	}
 	n := cfg.Spec.FootprintPages
-	ps := mem.NewPageSet(n)
+	st := p.get(cfg.Eng)
+	st.ps.Reset(n)
 	filePages := int32(float64(n) * (1 - cfg.Spec.AnonFraction))
-	ps.SetType(0, filePages, mem.FileBacked)
-
-	cg := mem.NewCgroupRatio(ps, cfg.LocalRatio)
+	st.ps.SetType(0, filePages, mem.FileBacked)
+	st.slots.Reset(n)
+	st.slotValid = clearedBools(st.slotValid, n)
+	st.prefetched = clearedBools(st.prefetched, n)
+	st.lost = clearedBools(st.lost, n)
 
 	topo := cfg.Topo
 	if topo == nil {
-		topo = mem.NewTopology(n + 1) // unconstrained
+		st.topo.Reset(n + 1) // unconstrained
+		topo = &st.topo
 	}
 
 	threads := cfg.Spec.Threads
@@ -265,16 +374,13 @@ func New(cfg Config) *Task {
 	t := &Task{
 		cfg:         cfg,
 		eng:         cfg.Eng,
-		ps:          ps,
-		cg:          cg,
+		cg:          mem.NewCgroupRatio(&st.ps, cfg.LocalRatio),
 		topo:        topo,
 		granularity: cfg.GranularityPages,
-		slotValid:   make([]bool, n),
-		slots:       swap.NewSlotAllocator(n),
-		prefetched:  make([]bool, n),
-		lost:        make([]bool, n),
-		wbTokens:    sim.NewResource(cfg.Eng, maxOutstandingWritebacks),
+		storage:     st,
+		pool:        p,
 	}
+	st.owner = t
 	if obs.On {
 		if r := obs.Rec(cfg.Eng); r != nil {
 			t.rec = r
@@ -298,8 +404,9 @@ func New(cfg Config) *Task {
 		}
 	}
 	if len(cfg.Sources) > 0 {
-		for _, src := range cfg.Sources {
-			t.workers = append(t.workers, t.newWorker(src))
+		st.setWorkers(len(cfg.Sources))
+		for i, src := range cfg.Sources {
+			st.workers[i].reset(src)
 		}
 		return t
 	}
@@ -307,20 +414,35 @@ func New(cfg Config) *Task {
 	if per < 1 {
 		per = 1
 	}
-	for i := 0; i < threads; i++ {
-		st := workload.NewStream(cfg.Spec, cfg.Seed+int64(i)*7919)
-		st.SetMainAccesses(per)
+	st.setWorkers(threads)
+	for i, w := range st.workers {
+		w.own.Reset(cfg.Spec, cfg.Seed+int64(i)*7919)
+		w.own.SetMainAccesses(per)
 		if i > 0 {
 			// Thread 0 performs the allocation sweep for the shared space.
-			st.SkipInit()
+			w.own.SkipInit()
 		}
-		t.workers = append(t.workers, t.newWorker(st))
+		w.reset(w.own)
 	}
 	return t
 }
 
+// setWorkers sizes the worker list to n, keeping the workers earlier tasks
+// built.
+func (st *storage) setWorkers(n int) {
+	if cap(st.workers) < n {
+		st.workers = append(st.workers[:cap(st.workers)], make([]*worker, n-cap(st.workers))...)
+	}
+	st.workers = st.workers[:n]
+	for i, w := range st.workers {
+		if w == nil {
+			st.workers[i] = st.newWorker()
+		}
+	}
+}
+
 // PageSet exposes the task's page table (read-only use expected).
-func (t *Task) PageSet() *mem.PageSet { return t.ps }
+func (t *Task) PageSet() *mem.PageSet { return &t.ps }
 
 // Cgroup exposes the task's memory limit.
 func (t *Task) Cgroup() *mem.Cgroup { return t.cg }
@@ -419,8 +541,7 @@ func (t *Task) Start(done func(Stats)) {
 	t.start = t.eng.Now()
 	t.running = len(t.workers)
 	for _, w := range t.workers {
-		w := w
-		t.eng.Immediately(func() { t.run(w) })
+		t.eng.Immediately(w.runFn)
 	}
 }
 
@@ -432,7 +553,7 @@ func (t *Task) run(w *worker) {
 	for {
 		a, ok := w.stream.Next()
 		if !ok {
-			t.eng.After(pending, t.workerDone)
+			t.eng.After(pending, w.exitFn)
 			return
 		}
 		t.observe(a)
@@ -543,7 +664,8 @@ func (t *Task) fault(w *worker) {
 		} else {
 			// Kernel swap readahead reads the slot cluster around the
 			// faulting entry, whatever pages those slots hold.
-			fetch = t.slots.Cluster(a.Page, t.granularity, wantAnon)
+			fetch = t.slots.Cluster(t.fetch[:0], a.Page, t.granularity, wantAnon)
+			t.fetch = fetch
 		}
 		path = t.cfg.SwapPath
 	} else {
@@ -606,7 +728,8 @@ func (t *Task) swapInDone(w *worker) {
 
 // planExtent collects up to max pages eligible per want, always including
 // the faulting page first. The window is either aligned around the fault
-// (kernel slot-cluster readahead) or forward-looking (xDM).
+// (kernel slot-cluster readahead) or forward-looking (xDM). The returned
+// slice is the task's fetch scratch, valid until the next fault.
 func (t *Task) planExtent(page int32, max int, aligned bool, want func(int32) bool) []int32 {
 	if max < 1 {
 		max = 1
@@ -623,12 +746,13 @@ func (t *Task) planExtent(page int32, max int, aligned bool, want func(int32) bo
 	if end > int32(t.ps.Len()) {
 		end = int32(t.ps.Len())
 	}
-	fetch := []int32{page}
+	fetch := append(t.fetch[:0], page)
 	for id := base; id < end && len(fetch) < max; id++ {
 		if id != page && want(id) {
 			fetch = append(fetch, id)
 		}
 	}
+	t.fetch = fetch
 	return fetch
 }
 
@@ -677,7 +801,7 @@ func (t *Task) reclaimFor(incoming int) {
 // reclaimPages evicts n coldest pages, submitting asynchronous write-back
 // extents for dirty anonymous (swap) and dirty file (storage) pages.
 func (t *Task) reclaimPages(n int) {
-	var swapWB, fileWB []int32
+	swapWB, fileWB := t.swapWB[:0], t.fileWB[:0]
 	for i := 0; i < n; i++ {
 		id := t.ps.ReclaimCandidate()
 		if id < 0 {
@@ -720,6 +844,7 @@ func (t *Task) reclaimPages(n int) {
 		t.obsFar.Add(now, float64(t.farCopies))
 		t.obsResident.Add(now, float64(t.ps.Resident()))
 	}
+	t.swapWB, t.fileWB = swapWB, fileWB
 	t.writeback(t.cfg.SwapPath, swapWB)
 	t.writeback(t.cfg.FilePath, fileWB)
 }
@@ -737,38 +862,35 @@ func (t *Task) writeback(path *swap.Path, ids []int32) {
 			continue
 		}
 		pages := i - runStart
-		r := t.newWBExtent()
-		r.path, r.ex = path, swap.Extent{Pages: pages, Sequential: pages > 1}
-		t.wbTokens.Acquire(1, r.acquireFn)
+		t.wbQueue = append(t.wbQueue, wbPending{path: path, pages: pages})
+		t.wbTokens.Acquire(1, t.wbGrantFn)
 		t.stats.PagesOut += uint64(pages)
 		runStart = i
 	}
 }
 
-// wbExtent is one write-back extent waiting for a token or in flight. Its
-// callbacks are bound once per record; the record goes back to the free
-// list when its SwapOut completes, before the token is released.
-type wbExtent struct {
-	t         *Task
-	path      *swap.Path
-	ex        swap.Extent
-	acquireFn func()
-	doneFn    func(lat sim.Duration)
+// wbGrant starts the oldest write-back waiting for a token. The token pool
+// grants strictly in request order, so each grant takes the queue head.
+func (t *Task) wbGrant() {
+	w := t.wbQueue[t.wbHead]
+	t.wbQueue[t.wbHead] = wbPending{}
+	t.wbHead++
+	if t.wbHead == len(t.wbQueue) {
+		t.wbQueue, t.wbHead = t.wbQueue[:0], 0
+	} else if t.wbHead > 32 && t.wbHead*2 >= len(t.wbQueue) {
+		n := copy(t.wbQueue, t.wbQueue[t.wbHead:])
+		clear(t.wbQueue[n:])
+		t.wbQueue, t.wbHead = t.wbQueue[:n], 0
+	}
+	w.path.SwapOut(swap.Extent{Pages: w.pages, Sequential: w.pages > 1}, t.wbDoneFn)
 }
 
-func (t *Task) newWBExtent() *wbExtent {
-	if r := t.wbFree.Get(); r != nil {
-		return r
+// wbDone returns a completed write-back's token.
+func (t *Task) wbDone() {
+	t.wbTokens.Release(1)
+	if t.finished {
+		t.recycle()
 	}
-	r := &wbExtent{t: t}
-	r.acquireFn = func() { r.path.SwapOut(r.ex, r.doneFn) }
-	r.doneFn = func(sim.Duration) {
-		t := r.t
-		r.path = nil
-		t.wbFree.Put(r)
-		t.wbTokens.Release(1)
-	}
-	return r
 }
 
 func (t *Task) finish() {
@@ -780,7 +902,20 @@ func (t *Task) finish() {
 	if t.rec != nil {
 		t.rec.Span(t.track, "run", t.start, "")
 	}
+	t.recycle()
 	if t.done != nil {
 		t.done(t.stats)
 	}
+}
+
+// recycle hands a finished pooled task's storage back to its pool once no
+// write-back is waiting for a token or in flight, so no callback can touch
+// the storage any more. A write-back that completes after finish calls it
+// again.
+func (t *Task) recycle() {
+	if t.pool == nil || t.wbTokens.InUse() > 0 || t.wbTokens.Waiting() > 0 {
+		return
+	}
+	t.pool.free = append(t.pool.free, t.storage)
+	t.storage = nil
 }

@@ -44,7 +44,22 @@ type Stream struct {
 
 // NewStream builds the stream for spec with the given seed.
 func NewStream(spec Spec, seed int64) *Stream {
-	s := &Stream{spec: spec, rng: rand.New(rand.NewSource(seed))}
+	s := &Stream{}
+	s.Reset(spec, seed)
+	return s
+}
+
+// Reset returns the stream to the state NewStream(spec, seed) builds. It
+// re-seeds the existing generator, which then yields the same sequence as a
+// fresh one, and reuses the mapping's backing array.
+func (s *Stream) Reset(spec Spec, seed int64) {
+	rng := s.rng
+	if rng == nil {
+		rng = rand.New(rand.NewSource(seed))
+	} else {
+		rng.Seed(seed)
+	}
+	*s = Stream{spec: spec, rng: rng, mapping: s.mapping[:0]}
 	s.buildMapping()
 	s.buildHotSet()
 	// A run of mean length R contributes R-1 sequential accesses out of R;
@@ -62,7 +77,6 @@ func NewStream(spec Spec, seed int64) *Stream {
 	} else if S >= 1 {
 		s.runStartProb = 1
 	}
-	return s
 }
 
 // buildMapping lays out touched segments across the physical footprint.
@@ -81,7 +95,9 @@ func (s *Stream) buildMapping() {
 	if s.spec.Coverage < 1 {
 		gapPer = float64(segLen) * (1 - s.spec.Coverage) / s.spec.Coverage
 	}
-	s.mapping = make([]int32, 0, target)
+	if cap(s.mapping) < target {
+		s.mapping = make([]int32, 0, target)
+	}
 	pos := 0
 	for len(s.mapping) < target && pos < footprint {
 		// Jitter segment length ±25% for irregularity.

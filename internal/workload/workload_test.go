@@ -293,3 +293,32 @@ func TestValidateRemainingBranches(t *testing.T) {
 		}
 	}
 }
+
+// Reset after arbitrary use, onto a smaller and then a larger spec, yields
+// the same first 10,000 accesses as NewStream with that spec and seed.
+func TestStreamResetMatchesFresh(t *testing.T) {
+	big := ByName("lg-bfs")
+	small := big
+	small.FootprintPages /= 16
+	small.SegmentLen = 8
+	s := NewStream(big, 3)
+	for i, spec := range []Spec{small, big, ByName("chat-int"), small} {
+		for j := 0; j < 5000+i*997; j++ {
+			s.Next()
+		}
+		seed := int64(100 + i)
+		s.Reset(spec, seed)
+		fresh := NewStream(spec, seed)
+		if s.MappedPages() != fresh.MappedPages() || s.TotalAccesses() != fresh.TotalAccesses() {
+			t.Fatalf("reset %d: %d mapped / %d total, fresh %d / %d", i,
+				s.MappedPages(), s.TotalAccesses(), fresh.MappedPages(), fresh.TotalAccesses())
+		}
+		for j := 0; j < 10000; j++ {
+			got, gok := s.Next()
+			want, wok := fresh.Next()
+			if got != want || gok != wok {
+				t.Fatalf("reset %d: access %d = %+v/%v, fresh %+v/%v", i, j, got, gok, want, wok)
+			}
+		}
+	}
+}
