@@ -282,7 +282,7 @@ func BenchmarkLRUTouch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ps.Touch(int32(i%4096), sim.Time(i), i%3 == 0)
+		ps.Touch(int32(i%4096), i%3 == 0)
 	}
 }
 

@@ -23,8 +23,6 @@ import (
 
 // Run is one recorder's worth of parsed metrics.
 type Run struct {
-	Run       int
-	Label     string
 	Counters  map[string]float64
 	Gauges    map[string]float64
 	Hists     map[string]*metrics.Histogram
@@ -35,7 +33,6 @@ type Run struct {
 // so the aggregate accessors (Mean/Peak/Integrate) apply directly. The
 // exported values are already bucket levels (sum or mean, as recorded).
 type Timeline struct {
-	Name    string
 	WidthNs int64
 	TL      *metrics.BucketTimeline
 	// Len is one past the last populated bucket, for idle-fraction math.
@@ -47,9 +44,8 @@ type Metrics struct {
 	Runs []*Run
 }
 
-func newRun(id int) *Run {
+func newRun() *Run {
 	return &Run{
-		Run:       id,
 		Counters:  map[string]float64{},
 		Gauges:    map[string]float64{},
 		Hists:     map[string]*metrics.Histogram{},
@@ -101,17 +97,16 @@ func ParseMetrics(data []byte) (*Metrics, error) {
 		}
 		r := runs[id]
 		if r == nil {
-			r = newRun(id)
+			r = newRun()
 			runs[id] = r
 			accums[id] = map[string]*histAccum{}
 			m.Runs = append(m.Runs, r)
 		}
 		typ, name, key, val := parts[1], parts[2], parts[3], parts[4]
 		switch typ {
-		case "label":
-			r.Label = name
-		case "recorder":
-			// events/dropped bookkeeping rows; not needed for analysis.
+		case "label", "recorder":
+			// Run label and events/dropped bookkeeping rows; not needed
+			// for analysis.
 		case "counter":
 			v, err := strconv.ParseFloat(val, 64)
 			if err != nil {
@@ -141,7 +136,7 @@ func ParseMetrics(data []byte) (*Metrics, error) {
 					return nil, fmt.Errorf("analyze: metrics CSV line %d: width %q", ln, val)
 				}
 				if t == nil {
-					t = &Timeline{Name: name, WidthNs: w, TL: metrics.NewBucketTimeline(sim.Duration(w))}
+					t = &Timeline{WidthNs: w, TL: metrics.NewBucketTimeline(sim.Duration(w))}
 					// The export already coarsened; reconstruction must keep
 					// the width, so lift the cap past any bucket count.
 					t.TL.SetMaxBuckets(1 << 30)

@@ -8,8 +8,6 @@
 //	TMO       — same path shape on SSD/NVMe; its contribution is the
 //	            offloading policy, modeled in the experiments layer.
 //	XMemPod   — hierarchical hybrid: host DRAM tier overflowing to RDMA.
-//	Canvas    — host-native isolated swap: bypass path with a per-task
-//	            channel, untuned transfer parameters.
 //	xDM       — VM bypass path, per-VM isolated channel, offline page-trace
 //	            profiling, MEI backend selection, tuned granularity/width/
 //	            local-ratio/NUMA (the full console).
@@ -37,7 +35,6 @@ const (
 	Fastswap  System = "fastswap"
 	TMO       System = "tmo"
 	XMemPod   System = "xmempod"
-	Canvas    System = "canvas"
 	XDM       System = "xdm"
 )
 
@@ -71,8 +68,6 @@ func Prepare(sys System, env Env, backend swap.Backend, spec workload.Spec, loca
 		Seed:       seed,
 		LocalRatio: localRatio,
 		FilePath:   env.filePath(),
-		// Kernel swap readahead is slot-cluster aligned, not forward.
-		AlignedReadahead: true,
 	}
 	// All traditional stacks use the kernel's fixed swap readahead window
 	// (vm.page_cluster=3 → 8 pages), regardless of access pattern — exactly
@@ -94,12 +89,6 @@ func Prepare(sys System, env Env, backend swap.Backend, spec workload.Spec, loca
 		// Hierarchical hybrid path; callers pass an AggregateBackend of
 		// DRAM + RDMA to model its tiering.
 		cfg.SwapPath = swap.NewHierarchicalPath(eng, backend, env.Machine.SharedChannel(), env.Machine.HostStage())
-		cfg.GranularityPages = kernelReadahead
-	case Canvas:
-		// Isolated swap: per-application channel, host-native (bypass),
-		// untuned transfer parameters.
-		ch := swap.NewChannel(eng, "canvas-"+spec.Name, 4)
-		cfg.SwapPath = swap.NewPath(eng, backend, ch)
 		cfg.GranularityPages = kernelReadahead
 	default:
 		panic(fmt.Sprintf("baseline: Prepare called for %q", sys))
@@ -205,7 +194,6 @@ func OptionFor(b swap.Backend) core.BackendOption {
 type XDMSetup struct {
 	Config   task.Config
 	Decision core.Decision
-	Features trace.Features
 }
 
 // PrepareXDM builds an xDM run on a *fixed* backend (as Table VI does,
@@ -281,9 +269,8 @@ func PrepareXDM(env Env, backend swap.Backend, spec workload.Spec, localRatio fl
 		Width:            w,
 		LocalRatio:       localRatio,
 		NUMA:             cfg.NUMAPolicy,
-		UseTHP:           g >= 64,
 	}
-	return XDMSetup{Config: cfg, Decision: d, Features: f}
+	return XDMSetup{Config: cfg, Decision: d}
 }
 
 // SystemsForBackend reports which baseline system the paper runs on each

@@ -30,12 +30,25 @@ func tinySpec() workload.Spec {
 	}
 }
 
+// viaHost reports whether p routes ops through the host swap stage: on an
+// idle engine, a one-page swap-in then takes at least HostHopOverhead longer
+// than on a bypass path to the same backend.
+func viaHost(eng *sim.Engine, p *swap.Path) bool {
+	var lat, bypass sim.Duration
+	p.SwapIn(swap.Extent{Pages: 1}, func(l sim.Duration) { lat = l })
+	eng.Run()
+	swap.NewPath(eng, p.Backend(), swap.NewChannel(eng, "probe", 1)).
+		SwapIn(swap.Extent{Pages: 1}, func(l sim.Duration) { bypass = l })
+	eng.Run()
+	return lat >= bypass+swap.HostHopOverhead
+}
+
 func TestPrepareBaselineShapes(t *testing.T) {
 	eng := sim.NewEngine()
 	env := testEnv(eng)
 	for _, sys := range []System{LinuxSwap, Fastswap, TMO, XMemPod} {
 		cfg := Prepare(sys, env, env.Machine.Backend("ssd0"), tinySpec(), 0.5, 1)
-		if !cfg.SwapPath.Hierarchical() {
+		if !viaHost(eng, cfg.SwapPath) {
 			t.Errorf("%s: path not hierarchical", sys)
 		}
 		if cfg.SwapPath.Channel() != env.Machine.SharedChannel() {
@@ -44,19 +57,9 @@ func TestPrepareBaselineShapes(t *testing.T) {
 		if cfg.GranularityPages != 8 {
 			t.Errorf("%s: granularity %d, want 8 (kernel readahead)", sys, cfg.GranularityPages)
 		}
-		if !cfg.AlignedReadahead || cfg.AdaptiveWindow {
-			t.Errorf("%s: kernel readahead must be aligned and non-adaptive", sys)
+		if cfg.AdaptiveWindow {
+			t.Errorf("%s: kernel readahead must be non-adaptive", sys)
 		}
-	}
-	cfg := Prepare(Canvas, env, env.Machine.Backend("rdma0"), tinySpec(), 0.5, 1)
-	if cfg.SwapPath.Hierarchical() {
-		t.Error("canvas: path should bypass the host")
-	}
-	if cfg.GranularityPages != 8 {
-		t.Errorf("canvas: granularity %d, want 8", cfg.GranularityPages)
-	}
-	if cfg.SwapPath.Channel() == env.Machine.SharedChannel() {
-		t.Error("canvas: channel should be isolated")
 	}
 }
 
@@ -89,7 +92,7 @@ func TestPrepareXDMShape(t *testing.T) {
 	env := testEnv(eng)
 	setup := PrepareXDM(env, env.Machine.Backend("rdma0"), tinySpec(), 0.5, 1.3, 1)
 	cfg := setup.Config
-	if cfg.SwapPath.Hierarchical() {
+	if viaHost(eng, cfg.SwapPath) {
 		t.Fatal("xDM path must bypass the host")
 	}
 	if cfg.SwapPath.Channel() == env.Machine.SharedChannel() {
@@ -110,8 +113,12 @@ func TestPrepareXDMConsoleSizesLocalRatio(t *testing.T) {
 	eng := sim.NewEngine()
 	env := testEnv(eng)
 	setup := PrepareXDM(env, env.Machine.Backend("rdma0"), tinySpec(), -1, 1.5, 1)
-	if setup.Config.LocalRatio <= 0 || setup.Config.LocalRatio > 1 {
-		t.Fatalf("console local ratio %v out of range", setup.Config.LocalRatio)
+	d := setup.Decision
+	if setup.Config.LocalRatio < 0.1 || setup.Config.LocalRatio > 1 || d.LocalRatio != setup.Config.LocalRatio {
+		t.Fatalf("console local ratio %v (decision %v) out of range", setup.Config.LocalRatio, d.LocalRatio)
+	}
+	if d.Backend != "rdma0" || d.GranularityPages < 1 || d.Width < 1 {
+		t.Fatalf("decision incomplete: %+v", d)
 	}
 }
 

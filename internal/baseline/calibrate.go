@@ -73,24 +73,6 @@ func calibScan(slo float64, run func(ratio float64) int64) float64 {
 	return best
 }
 
-// ReferenceRuntime measures (and caches) spec's unconstrained staging
-// runtime on backendSpec — the denominator for SLO-compliance accounting.
-func ReferenceRuntime(backendSpec device.Spec, spec workload.Spec, seed int64) int64 {
-	key := fmt.Sprintf("ref/%s/%d/%d/%s/%d", spec.Name, spec.FootprintPages, spec.MainAccesses,
-		backendSpec.Name, seed)
-	calibMu.Lock()
-	if v, ok := calibCache[key]; ok {
-		calibMu.Unlock()
-		return int64(v)
-	}
-	calibMu.Unlock()
-	rt := calibRun(backendSpec, spec, 1.0, seed)
-	calibMu.Lock()
-	calibCache[key] = float64(rt)
-	calibMu.Unlock()
-	return rt
-}
-
 // CalibratedBaselineRatio performs the same staging measurement for a
 // traditional system (Linux swap / Fastswap / TMO): same SLO target, but
 // the untuned hierarchical stack degrades faster, so it sustains less

@@ -27,7 +27,6 @@ type SwitchRecord struct {
 // dynamic one").
 type DynamicRun struct {
 	Config   task.Config
-	VM       *vm.VM
 	Switches []SwitchRecord
 }
 
@@ -91,7 +90,7 @@ func PrepareXDMDynamic(env Env, v *vm.VM, phases []workload.Spec, localRatio flo
 		sources = append(sources, ps)
 	}
 
-	run := &DynamicRun{VM: v}
+	run := &DynamicRun{}
 	budget := int(localRatio * float64(base.FootprintPages))
 	opt := optionByName(opts, initial)
 	g, w := core.TuneTransferBudget(opt, f, budget)

@@ -18,13 +18,6 @@ import (
 // not the data.
 const DefaultRefetchPenalty = 150 * sim.Microsecond
 
-// Demotion logs one health-driven backend demotion (the detection instant,
-// before the switch completes).
-type Demotion struct {
-	At      sim.Time
-	Backend string
-}
-
 // FailoverRun extends MEI-based selection into failure-aware switching
 // (the recovery half of the paper's <5 s warm-switch capability): every
 // swap op runs under a per-kind timeout/retry policy feeding a
@@ -38,8 +31,7 @@ type FailoverRun struct {
 	VM      *vm.VM
 	Initial string // backend chosen at prep time
 
-	Switches  []SwitchRecord
-	Demotions []Demotion
+	Switches []SwitchRecord
 
 	env       Env
 	priority  []string
@@ -117,22 +109,11 @@ func PrepareXDMFailover(env Env, v *vm.VM, spec workload.Spec, localRatio float6
 // right after task.New(run.Config).
 func (r *FailoverRun) Bind(t *task.Task) { r.task = t }
 
-// Unhealthy lists backends demoted so far.
-func (r *FailoverRun) Unhealthy() []string {
-	var out []string
-	for _, name := range r.priority {
-		if r.unhealthy[name] {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 // arm puts path under the timeout/retry policy for its medium and wires a
 // fresh health monitor that demotes the backend when tripped.
 func (r *FailoverRun) arm(path *swap.Path, backend string) {
 	path.Retry = swap.DefaultRetryPolicy(path.Backend().Kind())
-	m := faults.NewMonitor(backend)
+	m := faults.NewMonitor()
 	m.OnUnhealthy = func() { r.demote(backend) }
 	path.Health = m
 }
@@ -147,7 +128,6 @@ func (r *FailoverRun) demote(backend string) {
 	}
 	eng := r.env.Machine.Eng
 	r.unhealthy[backend] = true
-	r.Demotions = append(r.Demotions, Demotion{At: eng.Now(), Backend: backend})
 
 	target, ok := core.FailoverTarget(r.priority, backend, func(name string) bool {
 		return !r.unhealthy[name] && r.VM.HasWarmBackend(name)

@@ -57,8 +57,8 @@ func TestFailoverSwitchesOffDeadBackend(t *testing.T) {
 	if !finished {
 		t.Fatal("task never finished after backend death")
 	}
-	if len(run.Demotions) != 1 || run.Demotions[0].Backend != run.Initial {
-		t.Fatalf("demotions %+v, want exactly the initial backend", run.Demotions)
+	if len(run.unhealthy) != 1 || !run.unhealthy[run.Initial] {
+		t.Fatalf("demoted %v, want exactly the initial backend", run.unhealthy)
 	}
 	if len(run.Switches) != 1 {
 		t.Fatalf("switches %+v, want exactly one", run.Switches)
@@ -69,9 +69,6 @@ func TestFailoverSwitchesOffDeadBackend(t *testing.T) {
 	}
 	if v.ActiveBackend() != sw.To {
 		t.Fatalf("VM active %q, switched to %q", v.ActiveBackend(), sw.To)
-	}
-	if got := run.Unhealthy(); len(got) != 1 || got[0] != run.Initial {
-		t.Fatalf("Unhealthy=%v", got)
 	}
 	if out.LostPages == 0 {
 		t.Fatal("failover dropped no far copies")
@@ -110,7 +107,7 @@ func TestFailoverWithNoAlternativeLimpsOn(t *testing.T) {
 	if len(run.Switches) != 0 {
 		t.Fatalf("switched with no alternative: %+v", run.Switches)
 	}
-	if len(run.Demotions) != 1 {
-		t.Fatalf("demotions %+v, want 1", run.Demotions)
+	if len(run.unhealthy) != 1 {
+		t.Fatalf("demoted %v, want 1", run.unhealthy)
 	}
 }

@@ -47,10 +47,6 @@ type ArrivalSimResult struct {
 	MeanPlacementDelay sim.Duration
 	// DelaySamples is the number of apps measured into MeanPlacementDelay.
 	DelaySamples int
-	// Makespan is submission of the first app → last completion.
-	Makespan sim.Duration
-	// FleetSize is the number of VMs alive at the end.
-	FleetSize int
 }
 
 // RunArrivalSim executes the arrival stream against env's machine. The
@@ -105,8 +101,6 @@ func RunArrivalSim(env baseline.Env, cfg ArrivalSimConfig) ArrivalSimResult {
 	if delayed > 0 {
 		res.MeanPlacementDelay = delaySum / sim.Duration(delayed)
 	}
-	res.Makespan = sim.Duration(eng.Now())
-	res.FleetSize = len(env.Machine.VMs())
 	for _, v := range env.Machine.VMs() {
 		res.Switches += v.Switches
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/baseline"
@@ -122,9 +123,6 @@ func TestArrivalSimCompletesEverything(t *testing.T) {
 	if res.Completed < 10 {
 		t.Fatalf("only %d completed", res.Completed)
 	}
-	if res.Makespan <= 0 {
-		t.Fatal("no time elapsed")
-	}
 	total := res.Rejected
 	for _, n := range res.Placed {
 		total += n
@@ -169,32 +167,7 @@ func TestArrivalSimDeterministic(t *testing.T) {
 		})
 	}
 	a, b := run(), run()
-	if a.Completed != b.Completed || a.Makespan != b.Makespan || a.MeanPlacementDelay != b.MeanPlacementDelay {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("arrival sim nondeterministic:\n%+v\n%+v", a, b)
-	}
-}
-
-func TestThroughputQoSCompliance(t *testing.T) {
-	eng := sim.NewEngine()
-	env := clusterEnv(eng)
-	jobs := make([]App, 8)
-	for i := range jobs {
-		jobs[i] = App{Spec: friendlySpec(), SLO: 1.8, Seed: int64(i), Cores: 1}
-	}
-	res := RunThroughput(env, jobs, FarMemorySLO, 4096, 16)
-	if res.SLOCompliance < 0 || res.SLOCompliance > 1 {
-		t.Fatalf("compliance %v out of range", res.SLOCompliance)
-	}
-	// The console's safety margin should keep the vast majority of jobs
-	// within their SLO even under co-location.
-	if res.SLOCompliance < 0.7 {
-		t.Fatalf("SLO compliance %.2f too low", res.SLOCompliance)
-	}
-	// Full-memory runs have no far-memory jobs: compliance is trivially 1.
-	eng2 := sim.NewEngine()
-	env2 := clusterEnv(eng2)
-	full := RunThroughput(env2, jobs, FullMemory, 4096, 16)
-	if full.SLOCompliance != 1 {
-		t.Fatalf("full-memory compliance %v, want 1", full.SLOCompliance)
 	}
 }

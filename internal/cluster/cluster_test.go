@@ -271,9 +271,6 @@ func TestRunThroughputFarMemoryBeatsFullMemory(t *testing.T) {
 		t.Fatalf("far-memory throughput %.1f/h not above baseline %.1f/h",
 			far.Throughput, full.Throughput)
 	}
-	if far.MeanLocalRatio >= 1.0 {
-		t.Fatal("far-memory policy did not offload")
-	}
 }
 
 func TestPlacementKindStrings(t *testing.T) {
@@ -350,10 +347,5 @@ func TestDispatcherAvoidsSaturatedBackend(t *testing.T) {
 	}
 	if second.Decision.Backend == preferred {
 		t.Fatalf("dispatcher placed on the saturated backend %s", preferred)
-	}
-	for _, name := range second.Decision.Priority {
-		if name == preferred {
-			t.Fatalf("saturated backend %s still in priority list %v", preferred, second.Decision.Priority)
-		}
 	}
 }

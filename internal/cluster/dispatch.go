@@ -147,7 +147,7 @@ func (d *Dispatcher) Dispatch(app App, ready func(Placement)) Placement {
 	// Lines 2-4: feature extraction, backend selection, parameter
 	// optimization.
 	f := baseline.Profile(app.Spec, app.Seed)
-	priority, mei := core.SelectBackend(d.systemPressure(), f, app.Spec.ComputePerAccess, 0.5)
+	priority, _ := core.SelectBackend(d.systemPressure(), f, app.Spec.ComputePerAccess, 0.5)
 	if len(priority) == 0 {
 		d.Rejected++
 		return Placement{Via: ViaNone}
@@ -163,9 +163,8 @@ func (d *Dispatcher) Dispatch(app App, ready func(Placement)) Placement {
 	localRatio := core.MinLocalRatio(opt, f, app.Spec.ComputePerAccess, app.SLO)
 	g, w := core.TuneTransferBudget(opt, f, int(localRatio*float64(app.Spec.FootprintPages)))
 	decision := core.Decision{
-		Backend: backend, Priority: priority, MEI: mei,
-		GranularityPages: g, Width: w, LocalRatio: localRatio,
-		NUMA: core.ChooseNUMA(f, app.Spec.ComputePerAccess), UseTHP: g >= 64,
+		Backend: backend, GranularityPages: g, Width: w, LocalRatio: localRatio,
+		NUMA: core.ChooseNUMA(f, app.Spec.ComputePerAccess),
 	}
 
 	finish := func(v *vm.VM, via PlacementKind) Placement {

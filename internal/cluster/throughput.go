@@ -29,12 +29,6 @@ type ThroughputResult struct {
 	Throughput float64
 	// PeakParallel is the maximum concurrently running jobs.
 	PeakParallel int
-	// MeanLocalRatio is the average admitted local-memory share.
-	MeanLocalRatio float64
-	// SLOCompliance is the fraction of far-memory jobs whose measured
-	// runtime stayed within SLO × the staging reference (QoS guarantee
-	// accounting); 1.0 when no far-memory jobs ran.
-	SLOCompliance float64
 }
 
 // RunThroughput feeds jobs through a single server with serverPages of
@@ -44,18 +38,16 @@ type ThroughputResult struct {
 func RunThroughput(env baseline.Env, jobs []App, policy AdmissionPolicy, serverPages, serverCores int) ThroughputResult {
 	eng := env.Machine.Eng
 	type pending struct {
-		app      App
 		required int
 		cores    int
 		cfg      task.Config
 		ratio    float64
-		refRT    int64
 	}
 
 	assigned := map[string]int{}
 	queue := make([]*pending, 0, len(jobs))
 	for _, app := range jobs {
-		p := &pending{app: app, cores: app.Cores}
+		p := &pending{cores: app.Cores}
 		if p.cores < 1 {
 			p.cores = 1
 		}
@@ -74,15 +66,12 @@ func RunThroughput(env baseline.Env, jobs []App, policy AdmissionPolicy, serverP
 			p.ratio = setup.Config.LocalRatio
 			p.required = int(p.ratio * float64(app.Spec.FootprintPages))
 			p.cfg = setup.Config
-			p.refRT = baseline.ReferenceRuntime(be.Device().Spec(), app.Spec, app.Seed)
 		}
 		queue = append(queue, p)
 	}
 
 	freePages, freeCores := serverPages, serverCores
 	running, completed, peak := 0, 0, 0
-	var ratioSum float64
-	compliant, judged := 0, 0
 	start := eng.Now()
 
 	var admit func()
@@ -105,19 +94,12 @@ func RunThroughput(env baseline.Env, jobs []App, policy AdmissionPolicy, serverP
 			if running > peak {
 				peak = running
 			}
-			ratioSum += head.ratio
 			h := head
-			task.New(h.cfg).Start(func(st task.Stats) {
+			task.New(h.cfg).Start(func(task.Stats) {
 				freePages += h.required
 				freeCores += h.cores
 				running--
 				completed++
-				if h.refRT > 0 {
-					judged++
-					if float64(st.Runtime) <= h.app.SLO*1.1*float64(h.refRT) {
-						compliant++
-					}
-				}
 				admit()
 			})
 		}
@@ -129,13 +111,6 @@ func RunThroughput(env baseline.Env, jobs []App, policy AdmissionPolicy, serverP
 		Completed:    completed,
 		Makespan:     eng.Now().Sub(start),
 		PeakParallel: peak,
-	}
-	if completed > 0 {
-		res.MeanLocalRatio = ratioSum / float64(completed)
-	}
-	res.SLOCompliance = 1
-	if judged > 0 {
-		res.SLOCompliance = float64(compliant) / float64(judged)
 	}
 	if res.Makespan > 0 {
 		res.Throughput = float64(completed) / (res.Makespan.Seconds() / 3600)

@@ -52,12 +52,8 @@ func OptionFromSpec(s device.Spec) BackendOption {
 
 // Decision is the console's full output for one application.
 type Decision struct {
-	// Backend is the selected option's name; Priority is the full
-	// MEI-ordered preference list (highest first).
-	Backend  string
-	Priority []string
-	// MEI records each option's memory effectiveness improvement score.
-	MEI map[string]float64
+	// Backend is the selected option's name.
+	Backend string
 
 	// GranularityPages is the tuned swap transfer unit (1..512 pages,
 	// i.e. 4 KiB .. 2 MiB average page size via THP).
@@ -69,9 +65,6 @@ type Decision struct {
 	LocalRatio float64
 	// NUMA is the local placement policy.
 	NUMA mem.NUMAPolicy
-	// UseTHP reports whether transparent huge pages are enabled
-	// (granularity >= 512 pages of aggregation benefit).
-	UseTHP bool
 }
 
 // Granularity candidates: power-of-two page counts from 4 KiB to 2 MiB.
@@ -361,28 +354,4 @@ func ChooseNUMA(f trace.Features, computePerAccess sim.Duration) mem.NUMAPolicy 
 		return mem.Interleave
 	}
 	return mem.BindLocal
-}
-
-// Decide runs the full console pipeline: backend selection, transfer
-// tuning on the winner, local-ratio sizing against the SLO, and NUMA
-// policy.
-func Decide(opts []BackendOption, f trace.Features, computePerAccess sim.Duration, slo float64) Decision {
-	priority, mei := SelectBackend(opts, f, computePerAccess, 0.5)
-	d := Decision{Priority: priority, MEI: mei, NUMA: ChooseNUMA(f, computePerAccess)}
-	if len(priority) == 0 {
-		d.GranularityPages, d.Width, d.LocalRatio = 1, 1, 1
-		return d
-	}
-	d.Backend = priority[0]
-	var chosen BackendOption
-	for _, o := range opts {
-		if o.Name == d.Backend {
-			chosen = o
-			break
-		}
-	}
-	d.GranularityPages, d.Width = TuneTransfer(chosen, f)
-	d.UseTHP = d.GranularityPages >= 64
-	d.LocalRatio = MinLocalRatio(chosen, f, computePerAccess, slo)
-	return d
 }

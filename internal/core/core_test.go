@@ -20,7 +20,7 @@ func options() []BackendOption {
 
 func seqFeatures() trace.Features {
 	return trace.Features{
-		FootprintPages: 16384, TouchedPages: 16384, AnonRatio: 0.95,
+		TouchedPages: 16384, AnonRatio: 0.95,
 		LoadRatio: 0.8, SeqRatio: 0.9, MaxSeqRunPages: 300,
 		FragmentRatio: 0.001, HotRatio: 0.3,
 	}
@@ -28,7 +28,7 @@ func seqFeatures() trace.Features {
 
 func randFeatures() trace.Features {
 	return trace.Features{
-		FootprintPages: 16384, TouchedPages: 14000, AnonRatio: 0.5,
+		TouchedPages: 14000, AnonRatio: 0.5,
 		LoadRatio: 0.85, SeqRatio: 0.2, MaxSeqRunPages: 8,
 		FragmentRatio: 0.2, HotRatio: 0.15,
 	}
@@ -129,26 +129,30 @@ func TestChooseNUMA(t *testing.T) {
 	}
 }
 
+// The console's decision pipeline step by step: rank the backends by MEI,
+// then tune the transfer and size local memory for the winner.
 func TestDecideFullPipeline(t *testing.T) {
-	d := Decide(options(), seqFeatures(), 100*sim.Nanosecond, 1.3)
-	if d.Backend == "" || len(d.Priority) != 3 {
-		t.Fatalf("decision incomplete: %+v", d)
+	opts := options()
+	f := seqFeatures()
+	priority, mei := SelectBackend(opts, f, 100*sim.Nanosecond, 0.5)
+	if len(priority) != 3 || priority[0] == "" {
+		t.Fatalf("ranking incomplete: %v", priority)
 	}
-	if d.GranularityPages < 1 || d.Width < 1 {
-		t.Fatalf("untuned transfer: %+v", d)
-	}
-	if d.LocalRatio < 0.1 || d.LocalRatio > 1 {
-		t.Fatalf("local ratio out of range: %v", d.LocalRatio)
-	}
-	if d.MEI[d.Backend] < d.MEI[d.Priority[len(d.Priority)-1]] {
+	if mei[priority[0]] < mei[priority[len(priority)-1]] {
 		t.Fatal("selected backend does not have top MEI")
 	}
-}
-
-func TestDecideNoBackends(t *testing.T) {
-	d := Decide(nil, seqFeatures(), 100*sim.Nanosecond, 1.3)
-	if d.Backend != "" || d.GranularityPages != 1 || d.LocalRatio != 1 {
-		t.Fatalf("empty-catalog decision wrong: %+v", d)
+	var chosen BackendOption
+	for _, o := range opts {
+		if o.Name == priority[0] {
+			chosen = o
+		}
+	}
+	g, w := TuneTransfer(chosen, f)
+	if g < 1 || w < 1 {
+		t.Fatalf("untuned transfer: g=%d w=%d", g, w)
+	}
+	if r := MinLocalRatio(chosen, f, 100*sim.Nanosecond, 1.3); r < 0.1 || r > 1 {
+		t.Fatalf("local ratio out of range: %v", r)
 	}
 }
 
@@ -172,13 +176,12 @@ func TestUsefulPagesBounds(t *testing.T) {
 func TestSelectBackendProperty(t *testing.T) {
 	f := func(seqSeed, anonSeed, fragSeed, hotSeed uint8) bool {
 		ft := trace.Features{
-			FootprintPages: 8192,
-			TouchedPages:   8192,
-			AnonRatio:      float64(anonSeed) / 255,
-			SeqRatio:       float64(seqSeed) / 255,
-			FragmentRatio:  float64(fragSeed) / 255,
-			HotRatio:       float64(hotSeed) / 255 * 0.9,
-			LoadRatio:      0.8,
+			TouchedPages:  8192,
+			AnonRatio:     float64(anonSeed) / 255,
+			SeqRatio:      float64(seqSeed) / 255,
+			FragmentRatio: float64(fragSeed) / 255,
+			HotRatio:      float64(hotSeed) / 255 * 0.9,
+			LoadRatio:     0.8,
 		}
 		pri, mei := SelectBackend(options(), ft, 100*sim.Nanosecond, 0.5)
 		if len(pri) != 3 {

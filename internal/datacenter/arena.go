@@ -139,8 +139,6 @@ type ArenaResult struct {
 	// Events is the total event count across all sub-engines — a
 	// deterministic proxy for simulation size.
 	Events uint64
-
-	Stats sim.ShardStats
 }
 
 // arenaNode is one server: a machine on its shard's engine plus its
@@ -150,7 +148,6 @@ type arenaNode struct {
 	id      int
 	shard   int
 	machine *vm.Machine
-	ssdName string
 
 	perBackend map[string]int // running tasks per backend (XDM spreading)
 	filePath   *swap.Path
@@ -224,7 +221,6 @@ func NewArena(cfg ArenaConfig) *Arena {
 			id:         i,
 			shard:      shard,
 			machine:    m,
-			ssdName:    ssd,
 			perBackend: make(map[string]int),
 		}
 		n.filePath = swap.NewPath(eng, m.Backend(ssd), swap.NewChannel(eng, ssd+".file", 8))
@@ -371,7 +367,6 @@ func (a *Arena) startTask(n *arenaNode, t arenaTask) {
 		// kernel readahead.
 		cfg.SwapPath = n.machine.SharedPath(backend)
 		cfg.GranularityPages = 8
-		cfg.AlignedReadahead = true
 	}
 
 	a.pools[n.shard].New(cfg).Start(func(task.Stats) {
@@ -427,7 +422,6 @@ func (a *Arena) result() ArenaResult {
 		MaxQueue:  s.maxQueue,
 		MBE:       cluster.MBE(s.ledger.PeakUtilizations(), 0.3, 0.7),
 		Events:    a.shards.Stats().Events,
-		Stats:     a.shards.Stats(),
 	}
 	if total := s.ledger.TotalPages(); total > 0 {
 		res.StrandedFrac = float64(s.peakStranded) / float64(total)
@@ -455,6 +449,3 @@ func pick(d []sim.Duration, q float64) sim.Duration {
 	i := int(q * float64(len(d)-1))
 	return d[i]
 }
-
-// Shards exposes the underlying shard group (stats, tests).
-func (a *Arena) Shards() *sim.Shards { return a.shards }

@@ -43,13 +43,6 @@ func arenaTestConfig(shards, workers int) ArenaConfig {
 	}
 }
 
-// comparable strips the wall-clock stats, which legitimately vary run to
-// run; everything else must be byte-identical.
-func comparable(r ArenaResult) ArenaResult {
-	r.Stats = sim.ShardStats{}
-	return r
-}
-
 func TestArenaClosedLoopCompletes(t *testing.T) {
 	res := NewArena(arenaTestConfig(2, 1)).Run()
 	if res.Completed != 48 || res.Offered != 48 {
@@ -70,11 +63,11 @@ func TestArenaClosedLoopCompletes(t *testing.T) {
 }
 
 func TestArenaDeterministicAcrossShardsAndWorkers(t *testing.T) {
-	ref := comparable(NewArena(arenaTestConfig(1, 1)).Run())
+	ref := NewArena(arenaTestConfig(1, 1)).Run()
 	for _, tc := range []struct{ shards, workers int }{
 		{2, 1}, {2, 2}, {4, 4}, {8, 8},
 	} {
-		got := comparable(NewArena(arenaTestConfig(tc.shards, tc.workers)).Run())
+		got := NewArena(arenaTestConfig(tc.shards, tc.workers)).Run()
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("shards=%d workers=%d diverged from serial reference:\nref %+v\ngot %+v",
 				tc.shards, tc.workers, ref, got)
@@ -117,11 +110,11 @@ func TestArenaOpenLoop(t *testing.T) {
 	}
 
 	// Open-loop runs must be deterministic across layouts too.
-	ref := comparable(res)
+	ref := res
 	for _, tc := range []struct{ shards, workers int }{{1, 1}, {8, 4}} {
 		c := cfg
 		c.Shards, c.ShardWorkers = tc.shards, tc.workers
-		if got := comparable(NewArena(c).Run()); !reflect.DeepEqual(ref, got) {
+		if got := NewArena(c).Run(); !reflect.DeepEqual(ref, got) {
 			t.Fatalf("open-loop shards=%d workers=%d diverged:\nref %+v\ngot %+v",
 				tc.shards, tc.workers, ref, got)
 		}

@@ -27,15 +27,8 @@ type Node struct {
 	Machine *vm.Machine
 	nic     *pcie.Link
 
-	// DonatedPages is memory this node has lent to peers; BorrowedPages is
-	// memory this node uses on peers.
-	DonatedPages  int
-	BorrowedPages int
-
-	// crashed marks a dead node: it can neither lend nor serve leases, and
-	// remote-memory ops against it are silently lost (the borrower's path
-	// timeout notices, not the network).
-	crashed bool
+	// DonatedPages is memory this node has lent to peers.
+	DonatedPages int
 }
 
 // MemUtilization reports the node's local memory utilization including
@@ -56,10 +49,6 @@ type Cluster struct {
 	fabric *pcie.Fabric
 	sw     *pcie.Link
 	nodes  []*Node
-	leases []*RemoteMemory
-
-	// Leases records active remote-memory leases for reporting.
-	Leases int
 }
 
 // Config sizes a cluster.
@@ -103,48 +92,8 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	return c
 }
 
-// Nodes lists the cluster's nodes.
-func (c *Cluster) Nodes() []*Node { return c.nodes }
-
 // Node returns node i.
 func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
-
-// CrashNode kills node i: in-flight and future remote-memory ops against
-// its donated DRAM are silently lost (borrowers recover via their path
-// timeouts and re-fetch accounting), it stops being a lend candidate, and
-// its borrowed leases stay pinned until returned by the failover logic.
-// It returns the number of active leases whose donor just died.
-func (c *Cluster) CrashNode(i int) int {
-	n := c.nodes[i]
-	if n.crashed {
-		return 0
-	}
-	n.crashed = true
-	affected := 0
-	for _, l := range c.leases {
-		if l.donor == n && l.pages > 0 {
-			affected++
-		}
-	}
-	return affected
-}
-
-// RecoverNode brings node i back (a reboot or repaired partition). Leases
-// that were active when it crashed resume serving — borrowers that failed
-// over in the meantime simply no longer use them.
-func (c *Cluster) RecoverNode(i int) { c.nodes[i].crashed = false }
-
-// DeadNodes lists the indices of crashed nodes, for excluding them from
-// MBE balancing (BalanceSimConfig.Dead).
-func (c *Cluster) DeadNodes() []int {
-	var dead []int
-	for i, n := range c.nodes {
-		if n.crashed {
-			dead = append(dead, i)
-		}
-	}
-	return dead
-}
 
 // RemoteMemory is a swap backend reaching a donor node's DRAM across the
 // cluster network: borrower NIC → switch → donor NIC, plus the donor's
@@ -153,17 +102,10 @@ type RemoteMemory struct {
 	cluster  *Cluster
 	borrower *Node
 	donor    *Node
-	pages    int
 	width    int
 	inflight *sim.Resource
 	name     string
-
-	// DroppedOps counts ops lost to a crashed donor.
-	DroppedOps uint64
 }
-
-// Donor exposes the lease's donor node (health checks).
-func (r *RemoteMemory) Donor() *Node { return r.donor }
 
 // remoteLatency is the one-sided RDMA read/write latency across the rack
 // (NIC + switch hops), before payload streaming.
@@ -175,45 +117,20 @@ func (c *Cluster) Lend(donor, borrower *Node, pages int) (*RemoteMemory, error) 
 	if donor == borrower {
 		return nil, fmt.Errorf("datacenter: node %s cannot lend to itself", donor.Name)
 	}
-	if donor.crashed {
-		return nil, fmt.Errorf("datacenter: donor %s is down", donor.Name)
-	}
-	if borrower.crashed {
-		return nil, fmt.Errorf("datacenter: borrower %s is down", borrower.Name)
-	}
 	if donor.FreeForDonation() < pages {
 		return nil, fmt.Errorf("datacenter: %s has only %d pages to lend, %d requested",
 			donor.Name, donor.FreeForDonation(), pages)
 	}
 	donor.DonatedPages += pages
-	borrower.BorrowedPages += pages
-	c.Leases++
-	r := &RemoteMemory{
+	return &RemoteMemory{
 		cluster:  c,
 		borrower: borrower,
 		donor:    donor,
-		pages:    pages,
 		width:    4,
 		inflight: sim.NewResource(c.Eng, 4),
 		name:     fmt.Sprintf("remote-dram(%s->%s)", borrower.Name, donor.Name),
-	}
-	c.leases = append(c.leases, r)
-	return r, nil
+	}, nil
 }
-
-// Return releases the lease.
-func (r *RemoteMemory) Return() {
-	if r.pages == 0 {
-		return
-	}
-	r.donor.DonatedPages -= r.pages
-	r.borrower.BorrowedPages -= r.pages
-	r.cluster.Leases--
-	r.pages = 0
-}
-
-// Pages reports the leased capacity.
-func (r *RemoteMemory) Pages() int { return r.pages }
 
 // Name implements swap.Backend.
 func (r *RemoteMemory) Name() string { return r.name }
@@ -245,24 +162,13 @@ func (r *RemoteMemory) SetWidth(w int) {
 func (r *RemoteMemory) OpLatency() sim.Duration { return remoteLatency }
 
 // Submit implements swap.Backend: the extent streams across borrower NIC,
-// switch, and donor NIC at fair share. Ops against a crashed donor are
-// silently lost — one-sided RDMA gets no NAK from a dead host, so only the
-// borrower's path timeout (swap.RetryPolicy) notices.
+// switch, and donor NIC at fair share.
 func (r *RemoteMemory) Submit(ex swap.Extent, done func(lat sim.Duration)) {
 	if ex.Pages <= 0 {
 		panic("datacenter: extent with no pages")
 	}
-	if r.donor.crashed {
-		r.DroppedOps++
-		return
-	}
 	start := r.cluster.Eng.Now()
 	r.inflight.Acquire(1, func() {
-		if r.donor.crashed {
-			r.inflight.Release(1)
-			r.DroppedOps++
-			return
-		}
 		r.cluster.Eng.After(remoteLatency, func() {
 			path := []*pcie.Link{r.borrower.nic, r.cluster.sw, r.donor.nic}
 			r.cluster.fabric.Transfer(ex.Bytes(), path, func(at sim.Time) {

@@ -35,11 +35,12 @@ func TestArenaThroughputFloor(t *testing.T) {
 		SLO:          50 * sim.Millisecond,
 		Seed:         1,
 	}
+	sim.ResetShardRunTotals()
 	res := NewArena(cfg).Run()
 	if res.Completed != cfg.Tasks {
 		t.Fatalf("cell incomplete: %d of %d tasks", res.Completed, cfg.Tasks)
 	}
-	st := res.Stats
+	st := sim.ShardRunTotals()
 	if st.Wall <= 0 {
 		t.Fatalf("no wall time recorded: %+v", st)
 	}

@@ -145,9 +145,8 @@ type Device struct {
 	fabric   *pcie.Fabric
 	internal *pcie.Link
 	slot     *pcie.Link
-	extra    []*pcie.Link // e.g. host root-complex budget
-	// path is every transfer's link path (media, slot, then extra), built
-	// once: the fabric only reads it.
+	// path is every transfer's link path (media, slot, then extra links),
+	// built once: the fabric only reads it.
 	path []*pcie.Link
 
 	// free recycles op records (see opRecord).
@@ -198,17 +197,11 @@ func New(eng *sim.Engine, fabric *pcie.Fabric, spec Spec, extraLinks ...*pcie.Li
 		fabric:   fabric,
 		internal: fabric.NewLink(spec.Name+"/media", spec.Bandwidth),
 		slot:     fabric.NewLink(spec.Name+"/slot", spec.SlotBandwidth()),
-		extra:    extraLinks,
 		readCh:   sim.NewResource(eng, spec.Channels),
 		writeCh:  sim.NewResource(eng, spec.Channels),
 	}
 	d.path = append([]*pcie.Link{d.internal, d.slot}, extraLinks...)
 	d.latFactor = 1
-	d.Ops.Name = spec.Name + ".ops"
-	d.ReadOps.Name = spec.Name + ".reads"
-	d.WriteOps.Name = spec.Name + ".writes"
-	d.Failed.Name = spec.Name + ".failed"
-	d.Dropped.Name = spec.Name + ".dropped"
 	if obs.On {
 		if r := obs.Rec(eng); r != nil {
 			d.rec = r
@@ -253,14 +246,8 @@ func (d *Device) QueueDepth() int { return d.readCh.Waiting() + d.writeCh.Waitin
 // channel. Placement treats a saturated backend as unavailable.
 func (d *Device) Saturated() bool { return d.QueueDepth() > 4*d.Channels() }
 
-// InFlight reports operations currently holding a channel.
-func (d *Device) InFlight() int { return d.readCh.InUse() + d.writeCh.InUse() }
-
 // SlotLink exposes the device's PCIe slot link for utilization reporting.
 func (d *Device) SlotLink() *pcie.Link { return d.slot }
-
-// MediaLink exposes the device's internal-bandwidth link.
-func (d *Device) MediaLink() *pcie.Link { return d.internal }
 
 // --- fault state (the faults.Target interface) ---
 
@@ -288,7 +275,8 @@ func (d *Device) Stall() {
 
 // Degrade multiplies base op latency by lat (clamped to >= 1) and scales
 // the media-link bandwidth by bw (clamped to (0, 1]); the fluid-flow
-// arbiter rebalances all in-flight transfers immediately.
+// arbiter rebalances all in-flight transfers immediately. No fault schedule
+// degrades a device: tests use it to slow one past its path timeout.
 func (d *Device) Degrade(lat, bw float64) {
 	if d.down {
 		return
@@ -327,13 +315,6 @@ func (d *Device) Down() bool { return d.down }
 
 // Stalled reports whether the device is in a transient outage window.
 func (d *Device) Stalled() bool { return d.stalled }
-
-// Healthy reports whether the device is fully operational (not down, not
-// stalled, not latency- or bandwidth-degraded).
-func (d *Device) Healthy() bool {
-	return !d.down && !d.stalled && d.latFactor == 1 &&
-		d.internal.Capacity() == d.spec.Bandwidth
-}
 
 // Submit enqueues an operation; done (if non-nil) fires at completion with
 // the end-to-end latency including channel queueing. Under faults, done

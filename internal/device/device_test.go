@@ -232,10 +232,10 @@ func TestDeviceAccessors(t *testing.T) {
 	if d.Kind() != HDD || d.Name() != "disk0" {
 		t.Fatal("metadata accessors wrong")
 	}
-	if d.SlotLink() == nil || d.MediaLink() == nil {
+	if d.SlotLink() == nil || d.internal == nil {
 		t.Fatal("link accessors nil")
 	}
-	if d.QueueDepth() != 0 || d.InFlight() != 0 {
+	if d.QueueDepth() != 0 || d.readCh.InUse()+d.writeCh.InUse() != 0 {
 		t.Fatal("fresh device should be idle")
 	}
 	d.Submit(Op{Size: units.PageSize, Sequential: true}, nil)

@@ -33,9 +33,15 @@ func TestFailedDeviceFailsFast(t *testing.T) {
 	if d.Failed.Value != 1 || d.Ops.Value != 0 {
 		t.Fatalf("counters: failed=%d ops=%d", d.Failed.Value, d.Ops.Value)
 	}
-	if d.Healthy() || !d.Down() {
+	if healthy(d) || !d.Down() {
 		t.Fatal("failed device reports healthy")
 	}
+}
+
+// healthy reports whether d is fully operational: not down, not stalled,
+// not latency- or bandwidth-degraded.
+func healthy(d *Device) bool {
+	return !d.down && !d.stalled && d.latFactor == 1 && d.internal.Capacity() == d.spec.Bandwidth
 }
 
 func TestStalledDeviceDropsSilently(t *testing.T) {
@@ -73,7 +79,7 @@ func TestStallRecovery(t *testing.T) {
 	if !ok || err != nil {
 		t.Fatalf("recovered device failed: ok=%v err=%v", ok, err)
 	}
-	if !d.Healthy() {
+	if !healthy(d) {
 		t.Fatal("recovered device not healthy")
 	}
 }
@@ -122,16 +128,16 @@ func TestDegradeScalesLatency(t *testing.T) {
 
 func TestDegradeScalesBandwidth(t *testing.T) {
 	eng, d := faultTestDevice(t)
-	full := d.MediaLink().Capacity()
+	full := d.internal.Capacity()
 	d.Degrade(1, 0.25)
-	if got := d.MediaLink().Capacity(); float64(got) != float64(full)*0.25 {
+	if got := d.internal.Capacity(); float64(got) != float64(full)*0.25 {
 		t.Fatalf("degraded media capacity %v, want quarter of %v", got, full)
 	}
-	if d.Healthy() {
+	if healthy(d) {
 		t.Fatal("degraded device reports healthy")
 	}
 	d.Recover()
-	if d.MediaLink().Capacity() != full || !d.Healthy() {
+	if d.internal.Capacity() != full || !healthy(d) {
 		t.Fatal("recover did not restore bandwidth")
 	}
 	_ = eng

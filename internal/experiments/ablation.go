@@ -113,7 +113,6 @@ func AblationKnob(o Options, knob string) float64 {
 			cfg.OnEpoch = nil
 		case "adaptive":
 			cfg.AdaptiveWindow = false
-			cfg.AlignedReadahead = true
 		}
 		return runTask(eng, cfg).SysTime
 	}

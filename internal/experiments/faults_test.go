@@ -84,17 +84,15 @@ func TestFaultRecoveryDeterministic(t *testing.T) {
 }
 
 func TestFaultScheduleDeterministicAcrossInjectors(t *testing.T) {
-	// Applying the same mixed crash/flap/degrade schedule twice injects the
-	// same events in the same order, overlapping windows and a recovery
-	// that a crash overrides included.
+	// Applying the same mixed crash/flap schedule twice injects the same
+	// events in the same order, overlapping windows and a recovery that a
+	// crash overrides included.
 	s := faults.Schedule{Events: []faults.Event{
 		{At: 2 * sim.Second, Target: "rdma", Kind: faults.Flap, Duration: 5 * sim.Second},
-		{At: 3 * sim.Second, Target: "ssd", Kind: faults.Degrade, Duration: 10 * sim.Second,
-			LatencyFactor: 4, BandwidthFactor: 0.5},
+		{At: 3 * sim.Second, Target: "ssd", Kind: faults.Flap, Duration: 10 * sim.Second},
 		{At: 4 * sim.Second, Target: "rdma", Kind: faults.Crash},
 		{At: 6 * sim.Second, Target: "dram", Kind: faults.Flap, Duration: 2 * sim.Second},
 		{At: 8 * sim.Second, Target: "ssd", Kind: faults.Flap, Duration: sim.Second},
-		{At: 20 * sim.Second, Target: "dram", Kind: faults.Degrade, LatencyFactor: 2, BandwidthFactor: 0.8},
 	}}
 	runOnce := func() []faults.Event {
 		eng := sim.NewEngine()

@@ -32,8 +32,6 @@ type fig14System struct {
 	name    string
 	sys     baseline.System
 	devices []device.Spec
-	// aggregate wires all devices into one xDM scale-out backend.
-	aggregate bool
 }
 
 func fig14Systems() []fig14System {
@@ -46,12 +44,12 @@ func fig14Systems() []fig14System {
 			devices: []device.Spec{device.SpecConnectX5("rdma")}},
 		{name: "xmempod", sys: baseline.XMemPod,
 			devices: []device.Spec{device.SpecRemoteDRAM("dram"), device.SpecConnectX5("rdma")}},
-		{name: "xdm-ssd", sys: baseline.XDM, aggregate: true,
+		{name: "xdm-ssd", sys: baseline.XDM,
 			devices: []device.Spec{device.SpecNVMeSSD("nvme0"), device.SpecNVMeSSD("nvme1"),
 				device.SpecNVMeSSD("nvme2"), device.SpecNVMeSSD("nvme3")}},
-		{name: "xdm-rdma", sys: baseline.XDM, aggregate: true,
+		{name: "xdm-rdma", sys: baseline.XDM,
 			devices: []device.Spec{rdma8G("rdma0"), rdma8G("rdma1"), rdma8G("rdma2"), rdma8G("rdma3")}},
-		{name: "xdm-hetero", sys: baseline.XDM, aggregate: true,
+		{name: "xdm-hetero", sys: baseline.XDM,
 			devices: []device.Spec{device.SpecNVMeSSD("nvme0"), device.SpecNVMeSSD("nvme1"),
 				rdma8G("rdma0"), rdma8G("rdma1")}},
 	}

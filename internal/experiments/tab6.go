@@ -23,7 +23,6 @@ var table6Backends = []string{"dram", "ssd", "rdma"}
 type Table6Cell struct {
 	Workload string
 	Backend  string
-	Baseline baseline.System
 	BaseSys  sim.Duration
 	XDMSys   sim.Duration
 }
@@ -60,7 +59,7 @@ func Table6Data(o Options) []Table6Cell {
 		statsX := runTask(engX, setup.Config)
 
 		return Table6Cell{
-			Workload: s.Name, Backend: backend, Baseline: sys,
+			Workload: s.Name, Backend: backend,
 			BaseSys: statsB.SysTime, XDMSys: statsX.SysTime,
 		}
 	})

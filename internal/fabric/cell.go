@@ -68,22 +68,19 @@ type Result struct {
 	// StrandedFrac is the peak fraction of total far capacity that was free
 	// but unreachable for the request at a placement failure.
 	StrandedFrac float64
-	// PoolGrants / PoolReclaims count slabs moved through the DCD ledger.
-	PoolGrants   uint64
-	PoolReclaims uint64
+	// PoolGrants counts slabs granted through the DCD ledger.
+	PoolGrants uint64
 	// WriterEpochs and CoherenceCost summarize back-invalidation traffic on
 	// the pool's shared ledger region.
 	WriterEpochs  uint64
 	CoherenceCost sim.Duration
-	// Demotions counts fabric-failover backend switches; LostPages the far
-	// copies dropped with them.
-	Demotions int
+	// LostPages counts the far copies dropped with fabric-failover
+	// backend switches.
 	LostPages uint64
 }
 
 // host is one machine's view in the cell.
 type host struct {
-	m    *vm.Machine
 	port *swap.DeviceBackend
 	ssd  *swap.DeviceBackend
 
@@ -176,7 +173,7 @@ func NewCell(cfg Config) *Cell {
 		m.AttachDevice(device.SpecTestbedSSD(name + ".ssd"))
 		_, port := c.sw.AttachPort(m, name+".far")
 		c.hosts = append(c.hosts, &host{
-			m: m, port: port, ssd: m.Backend(name + ".ssd"),
+			port: port, ssd: m.Backend(name + ".ssd"),
 			freeCores: cfg.CoresPerHost, freePages: cfg.DRAMPagesPerHost, farFree: privateFar,
 		})
 	}
@@ -212,9 +209,6 @@ func NewCell(cfg Config) *Cell {
 
 // Switch exposes the cell's switch for fault injection.
 func (c *Cell) Switch() *Switch { return c.sw }
-
-// Pool exposes the cell's DCD ledger.
-func (c *Cell) Pool() *Pool { return c.pool }
 
 // template returns task i's workload template.
 func (c *Cell) template(i int) cluster.App { return c.cfg.Templates[i%len(c.cfg.Templates)] }
@@ -384,7 +378,7 @@ func (c *Cell) start(i int, rt *runningTask, spec workload.Spec) {
 	}
 	rt.t = task.New(cfg)
 	if c.cfg.Pooled {
-		m := faults.NewMonitor(hs.port.Device().Name())
+		m := faults.NewMonitor()
 		m.OnUnhealthy = func() { c.demote(rt) }
 		path.Health = m
 	}
@@ -504,10 +498,8 @@ func (c *Cell) Result() Result {
 		Makespan:      sim.Duration(c.lastDone),
 		StrandedFrac:  c.stranded,
 		PoolGrants:    c.pool.Grants,
-		PoolReclaims:  c.pool.Reclaims,
 		WriterEpochs:  c.coh.TotalEpochs(),
 		CoherenceCost: c.coh.TotalCost(),
-		Demotions:     c.demotions,
 		LostPages:     lost,
 	}
 }

@@ -68,12 +68,6 @@ func (c *Coherence) Charge(id, host int, write bool) sim.Duration {
 	return cost
 }
 
-// Epochs reports region id's writer-epoch count.
-func (c *Coherence) Epochs(id int) uint64 { return c.regions[id].epochs }
-
-// Cost reports region id's accumulated back-invalidation cost.
-func (c *Coherence) Cost(id int) sim.Duration { return c.regions[id].cost }
-
 // TotalEpochs sums writer epochs across all regions.
 func (c *Coherence) TotalEpochs() uint64 {
 	var n uint64

@@ -24,7 +24,7 @@ import (
 // never move it.
 func PoolExtender(p *Pool) place.Extender {
 	slabPages := p.SlabPages()
-	return place.Extender{Name: "fabric-pool", Extend: func(r place.Request, feasible []place.Candidate, chosen int) int {
+	return place.Extender{Extend: func(r place.Request, feasible []place.Candidate, chosen int) int {
 		if r.FarPages <= 0 || chosen < 0 {
 			return chosen
 		}

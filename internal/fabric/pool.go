@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/invariant"
 	"repro/internal/metrics"
@@ -26,8 +25,7 @@ const poolFree = -1
 // Pool is the switch's DCD slab ledger: a fixed array of slabs, each owned
 // by at most one host port. Grants hand out the lowest-indexed free slabs
 // and reclaims free the lowest-indexed owned ones, so every ledger state is
-// a pure function of the operation history — concurrent requesters arriving
-// at one instant go through GrantBatch, which orders them canonically.
+// a pure function of the operation history.
 type Pool struct {
 	name      string
 	slabPages int
@@ -155,50 +153,6 @@ func (p *Pool) Reclaim(h, n int) int {
 		p.obsGranted.Add(p.rec.Now(), float64(len(p.owner)-p.free))
 	}
 	return reclaimed
-}
-
-// ReclaimAll returns every slab host h holds — the failover path when a
-// host's pooled residency dies with the switch.
-func (p *Pool) ReclaimAll(h int) int {
-	p.checkHost(h)
-	return p.Reclaim(h, p.perHost[h])
-}
-
-// GrantRequest is one host's ask in a same-instant grant batch. Seq is the
-// requester's deterministic arrival key (e.g. a task sequence number); the
-// batch is served in (Seq, Host, Slabs) order, so permuting the request
-// slice can never change which slabs any request receives.
-type GrantRequest struct {
-	Host  int
-	Seq   uint64
-	Slabs int
-}
-
-// GrantBatch serves a set of grant requests that arrive at the same
-// simulated instant. Returns the granted slab count per request, in the
-// input slice's order. Requests are processed in canonical (Seq, Host,
-// Slabs) order — the barrier that makes concurrent grant arrival
-// permutation-invariant.
-func (p *Pool) GrantBatch(reqs []GrantRequest) []int {
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := reqs[order[a]], reqs[order[b]]
-		if ra.Seq != rb.Seq {
-			return ra.Seq < rb.Seq
-		}
-		if ra.Host != rb.Host {
-			return ra.Host < rb.Host
-		}
-		return ra.Slabs < rb.Slabs
-	})
-	out := make([]int, len(reqs))
-	for _, i := range order {
-		out[i] = p.Grant(reqs[i].Host, reqs[i].Slabs)
-	}
-	return out
 }
 
 // Audit recounts the ownership table against the O(1) counters — the

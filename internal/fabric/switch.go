@@ -56,12 +56,6 @@ func NewSwitch(eng *sim.Engine, name string, hops int) *Switch {
 // Name reports the switch's name (the faults.Target identity).
 func (s *Switch) Name() string { return s.name }
 
-// Hops reports the switch-hop count on the pooled path.
-func (s *Switch) Hops() int { return s.hopN }
-
-// Fabric exposes the switch's shared pcie fabric.
-func (s *Switch) Fabric() *pcie.Fabric { return s.fb }
-
 // AttachPort gives machine m a pooled-memory port through this switch: a
 // PooledCXL device whose every transfer crosses the shared hop links, and a
 // backend registration on m so tasks can swap against it. The port device
@@ -74,9 +68,6 @@ func (s *Switch) AttachPort(m *vm.Machine, name string) (*device.Device, *swap.D
 	s.ports = append(s.ports, d)
 	return d, be
 }
-
-// Ports lists the attached pooled port devices in attach order.
-func (s *Switch) Ports() []*device.Device { return s.ports }
 
 // --- fault state (the faults.Target interface) ---
 
@@ -106,21 +97,7 @@ func (s *Switch) Stall() {
 	}
 }
 
-// Degrade multiplies pooled op latency by lat and scales port bandwidth by
-// bw on every attached port (congested or misbehaving crossbar).
-func (s *Switch) Degrade(lat, bw float64) {
-	if s.down {
-		return
-	}
-	for _, d := range s.ports {
-		d.Degrade(lat, bw)
-	}
-	if s.rec != nil {
-		s.rec.Instant("fabric/"+s.name, "degrade", fmt.Sprintf("lat=%g bw=%g", lat, bw))
-	}
-}
-
-// Recover ends a Stall or Degrade window. A Failed switch stays down.
+// Recover ends a Stall window. A Failed switch stays down.
 func (s *Switch) Recover() {
 	if s.down {
 		return
@@ -132,6 +109,3 @@ func (s *Switch) Recover() {
 		s.rec.Instant("fabric/"+s.name, "recover", "")
 	}
 }
-
-// Down reports whether the switch has failed permanently.
-func (s *Switch) Down() bool { return s.down }

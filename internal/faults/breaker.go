@@ -53,18 +53,6 @@ func (s BreakerState) String() string {
 // exists so the *model* includes de-synchronized retry storms, not so runs
 // differ).
 type Breaker struct {
-	// Backend labels the guarded backend.
-	Backend string
-
-	// OpenBase is the first open interval; each consecutive re-open doubles
-	// it up to OpenMax. Defaults: 500ms base, 8s max.
-	OpenBase sim.Duration
-	OpenMax  sim.Duration
-	// HalfOpenProbes is how many probe ops half-open admits (default 4);
-	// all of them must succeed to close the circuit — any failure re-opens
-	// with doubled backoff.
-	HalfOpenProbes int
-
 	// OnTransition, when set, observes every state change (for timelines).
 	OnTransition func(from, to BreakerState, at sim.Time)
 
@@ -81,17 +69,23 @@ type Breaker struct {
 	opens, closes uint64
 }
 
-// NewBreaker builds a closed breaker for backend on eng, with jitter drawn
-// from seed.
-func NewBreaker(eng *sim.Engine, backend string, seed int64) *Breaker {
+const (
+	// breakerOpenBase is the first open interval; each consecutive re-open
+	// doubles it up to breakerOpenMax.
+	breakerOpenBase = 500 * sim.Millisecond
+	breakerOpenMax  = 8 * sim.Second
+	// halfOpenProbes is how many probe ops half-open admits; all of them
+	// must succeed to close the circuit — any failure re-opens with
+	// doubled backoff.
+	halfOpenProbes = 4
+)
+
+// NewBreaker builds a closed breaker on eng, with jitter drawn from seed.
+func NewBreaker(eng *sim.Engine, seed int64) *Breaker {
 	b := &Breaker{
-		Backend:        backend,
-		OpenBase:       500 * sim.Millisecond,
-		OpenMax:        8 * sim.Second,
-		HalfOpenProbes: 4,
-		eng:            eng,
-		rng:            rand.New(rand.NewSource(seed)),
-		monitor:        NewMonitor(backend),
+		eng:     eng,
+		rng:     rand.New(rand.NewSource(seed)),
+		monitor: NewMonitor(),
 	}
 	// Serving ops are plentiful; trip on a short hard run so an outage is
 	// cut off within a few ops rather than a whole window.
@@ -99,16 +93,13 @@ func NewBreaker(eng *sim.Engine, backend string, seed int64) *Breaker {
 	return b
 }
 
-// Monitor exposes the embedded failure detector (for threshold tuning).
-func (b *Breaker) Monitor() *Monitor { return b.monitor }
-
 // State reports the breaker position, resolving an expired open interval to
 // half-open first (the transition happens on observation — there is no
 // timer event, so an idle backend parks at open until someone asks).
 func (b *Breaker) State() BreakerState {
 	if b.state == BreakerOpen && b.eng.Now() >= b.openUntil {
 		b.transition(BreakerHalfOpen)
-		b.probesLeft = b.halfOpenProbes()
+		b.probesLeft = halfOpenProbes
 		b.probesOK = 0
 		b.monitor.Reset()
 	}
@@ -165,7 +156,7 @@ func (b *Breaker) Record(succeeded bool) {
 			return
 		}
 		b.probesOK++
-		if b.probesOK >= b.halfOpenProbes() {
+		if b.probesOK >= halfOpenProbes {
 			b.openStreak = 0
 			b.closes++
 			b.monitor.Reset()
@@ -178,19 +169,11 @@ func (b *Breaker) Record(succeeded bool) {
 }
 
 // open condemns the backend: exponential backoff with ±25% deterministic
-// jitter, doubled per consecutive open, capped at OpenMax.
+// jitter, doubled per consecutive open, capped at breakerOpenMax.
 func (b *Breaker) open() {
-	base := b.OpenBase
-	if base <= 0 {
-		base = 500 * sim.Millisecond
-	}
-	max := b.OpenMax
-	if max <= 0 {
-		max = 8 * sim.Second
-	}
-	d := base << b.openStreak
-	if d > max || d <= 0 {
-		d = max
+	d := breakerOpenBase << b.openStreak
+	if d > breakerOpenMax || d <= 0 {
+		d = breakerOpenMax
 	}
 	// Jitter in [0.75, 1.25): de-synchronizes half-open probes across
 	// backends that tripped together.
@@ -218,10 +201,3 @@ func (b *Breaker) Opens() uint64 { return b.opens }
 
 // Closes reports how many times the circuit closed after recovery probing.
 func (b *Breaker) Closes() uint64 { return b.closes }
-
-func (b *Breaker) halfOpenProbes() int {
-	if b.HalfOpenProbes <= 0 {
-		return 4
-	}
-	return b.HalfOpenProbes
-}

@@ -6,38 +6,23 @@ import (
 	"repro/internal/sim"
 )
 
-func TestMonitorSnapshotConsistent(t *testing.T) {
-	m := NewMonitor("ssd")
+func TestMonitorCountsWindow(t *testing.T) {
+	m := NewMonitor()
 	for i := 0; i < 10; i++ {
 		m.Record(true)
 	}
 	m.Record(false)
 	m.Record(false)
-	s := m.Snapshot()
-	if s.Backend != "ssd" {
-		t.Fatalf("backend %q", s.Backend)
+	if m.ok != 10 || m.fail != 2 || m.consecFail != 2 {
+		t.Fatalf("window %d/%d consec %d, want 10/2/2", m.ok, m.fail, m.consecFail)
 	}
-	if s.WindowOK != 10 || s.WindowFail != 2 || s.ConsecFail != 2 {
-		t.Fatalf("window %d/%d consec %d, want 10/2/2", s.WindowOK, s.WindowFail, s.ConsecFail)
-	}
-	if s.Successes != 10 || s.Failures != 2 {
-		t.Fatalf("totals %d/%d", s.Successes, s.Failures)
-	}
-	if s.Unhealthy {
+	if m.Unhealthy() {
 		t.Fatal("latched early")
-	}
-	if want := 2.0 / 12.0; s.ErrorRate != want {
-		t.Fatalf("error rate %v, want %v", s.ErrorRate, want)
-	}
-	// Snapshot is a copy: further records do not mutate it.
-	m.Record(false)
-	if s.WindowFail != 2 {
-		t.Fatal("snapshot aliased live state")
 	}
 }
 
-func TestMonitorResetKeepsLifetimeTotals(t *testing.T) {
-	m := NewMonitor("rdma")
+func TestMonitorResetClearsWindow(t *testing.T) {
+	m := NewMonitor()
 	for i := 0; i < 6; i++ {
 		m.Record(false)
 	}
@@ -45,12 +30,8 @@ func TestMonitorResetKeepsLifetimeTotals(t *testing.T) {
 		t.Fatal("did not latch on consecutive failures")
 	}
 	m.Reset()
-	s := m.Snapshot()
-	if s.Unhealthy || s.WindowOK != 0 || s.WindowFail != 0 || s.ConsecFail != 0 {
-		t.Fatalf("reset left window state: %+v", s)
-	}
-	if s.Failures != 6 {
-		t.Fatalf("lifetime failures %d, want 6 after reset", s.Failures)
+	if m.Unhealthy() || m.ok != 0 || m.fail != 0 || m.consecFail != 0 {
+		t.Fatalf("reset left window state: %+v", m)
 	}
 }
 
@@ -67,7 +48,7 @@ func tripBreaker(t *testing.T, b *Breaker) {
 
 func TestBreakerOpensAndRefuses(t *testing.T) {
 	eng := sim.NewEngine()
-	b := NewBreaker(eng, "ssd", 1)
+	b := NewBreaker(eng, 1)
 	if !b.Allow() {
 		t.Fatal("closed breaker refused traffic")
 	}
@@ -87,7 +68,7 @@ func advance(eng *sim.Engine, d sim.Duration) {
 
 func TestBreakerHalfOpenRecovery(t *testing.T) {
 	eng := sim.NewEngine()
-	b := NewBreaker(eng, "ssd", 1)
+	b := NewBreaker(eng, 1)
 	var transitions []BreakerState
 	b.OnTransition = func(_, to BreakerState, _ sim.Time) { transitions = append(transitions, to) }
 	tripBreaker(t, b)
@@ -107,7 +88,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 			t.Fatal("Permits consumed probe slots")
 		}
 	}
-	// Exactly HalfOpenProbes probes are admitted.
+	// Exactly halfOpenProbes probes are admitted.
 	admitted := 0
 	for i := 0; i < 10; i++ {
 		if b.Allow() {
@@ -117,11 +98,11 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	if b.Permits() {
 		t.Fatal("Permits true with no probe slots left")
 	}
-	if admitted != b.HalfOpenProbes {
-		t.Fatalf("half-open admitted %d, want %d", admitted, b.HalfOpenProbes)
+	if admitted != halfOpenProbes {
+		t.Fatalf("half-open admitted %d, want %d", admitted, halfOpenProbes)
 	}
 	// All probes succeed → closed.
-	for i := 0; i < b.HalfOpenProbes; i++ {
+	for i := 0; i < halfOpenProbes; i++ {
 		b.Record(true)
 	}
 	if b.State() != BreakerClosed {
@@ -143,7 +124,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 
 func TestBreakerHalfOpenFailureReopensLonger(t *testing.T) {
 	eng := sim.NewEngine()
-	b := NewBreaker(eng, "ssd", 1)
+	b := NewBreaker(eng, 1)
 	tripBreaker(t, b)
 	first := b.openUntil.Sub(eng.Now())
 
@@ -169,16 +150,15 @@ func TestBreakerHalfOpenFailureReopensLonger(t *testing.T) {
 
 func TestBreakerBackoffCapped(t *testing.T) {
 	eng := sim.NewEngine()
-	b := NewBreaker(eng, "ssd", 1)
-	b.OpenBase = 100 * sim.Millisecond
-	b.OpenMax = 400 * sim.Millisecond
+	b := NewBreaker(eng, 1)
+	limit := sim.Duration(float64(breakerOpenMax) * 1.25)
 	for round := 0; round < 8; round++ {
 		tripBreaker(t, b)
 		d := b.openUntil.Sub(eng.Now())
-		if limit := sim.Duration(float64(400*sim.Millisecond) * 1.25); d > limit {
+		if d > limit {
 			t.Fatalf("round %d: backoff %v exceeds jittered cap %v", round, d, limit)
 		}
-		advance(eng, 600*sim.Millisecond)
+		advance(eng, limit+sim.Millisecond)
 		if b.State() != BreakerHalfOpen {
 			t.Fatalf("round %d: state %v", round, b.State())
 		}
@@ -189,7 +169,7 @@ func TestBreakerBackoffCapped(t *testing.T) {
 			if b.State() != BreakerOpen {
 				t.Fatalf("round %d: did not reopen", round)
 			}
-			advance(eng, 600*sim.Millisecond)
+			advance(eng, limit+sim.Millisecond)
 			b.State() // half-open
 		}
 	}
@@ -198,7 +178,7 @@ func TestBreakerBackoffCapped(t *testing.T) {
 func TestBreakerDeterministicJitter(t *testing.T) {
 	run := func() []sim.Duration {
 		eng := sim.NewEngine()
-		b := NewBreaker(eng, "ssd", 7)
+		b := NewBreaker(eng, 7)
 		var out []sim.Duration
 		for i := 0; i < 4; i++ {
 			tripBreaker(t, b)
@@ -210,7 +190,7 @@ func TestBreakerDeterministicJitter(t *testing.T) {
 			if b.State() != BreakerHalfOpen {
 				t.Fatalf("iteration %d: state %v", i, b.State())
 			}
-			for j := 0; j < b.HalfOpenProbes; j++ {
+			for j := 0; j < halfOpenProbes; j++ {
 				b.Allow()
 				b.Record(true)
 			}
@@ -240,7 +220,7 @@ func TestBreakerDeterministicJitter(t *testing.T) {
 
 func TestBreakerIgnoresLateOutcomesWhileOpen(t *testing.T) {
 	eng := sim.NewEngine()
-	b := NewBreaker(eng, "ssd", 1)
+	b := NewBreaker(eng, 1)
 	tripBreaker(t, b)
 	// In-flight ops completing after the trip must not disturb the open
 	// state or the backoff deadline.

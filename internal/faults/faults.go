@@ -1,9 +1,8 @@
 // Package faults injects deterministic failures into the simulated
 // far-memory substrate: permanent device death, transient unavailability
-// windows (RDMA link flaps, NVMe controller resets), latency/bandwidth
-// degradation (SSD wear, congested NICs), and CXL switch crashes. Fault
-// schedules are literal event lists driven entirely by the virtual clock,
-// so every failure scenario replays byte-identically.
+// windows (RDMA link flaps, NVMe controller resets) and CXL switch crashes.
+// Fault schedules are literal event lists driven entirely by the virtual
+// clock, so every failure scenario replays byte-identically.
 //
 // The package deliberately depends only on internal/sim (plus the
 // observability layer, which itself sits directly on sim): anything that can
@@ -35,10 +34,6 @@ const (
 	// dropped — only the initiator's timeout notices. The device recovers
 	// after Duration with data intact.
 	Flap
-	// Degrade multiplies op latency and scales device bandwidth for
-	// Duration (0 = until the end of the run): a worn SSD or congested
-	// NIC that is slow but not dead.
-	Degrade
 )
 
 // String names the kind for tables and logs.
@@ -48,8 +43,6 @@ func (k Kind) String() string {
 		return "crash"
 	case Flap:
 		return "flap"
-	case Degrade:
-		return "degrade"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -61,11 +54,7 @@ type Event struct {
 	At       sim.Duration // offset from Apply time
 	Target   string       // device name (Injector.Register)
 	Kind     Kind
-	Duration sim.Duration // Flap/Degrade window; ignored for Crash
-	// Degrade parameters: op latency is multiplied by LatencyFactor
-	// (>= 1), device bandwidth by BandwidthFactor (0 < f <= 1).
-	LatencyFactor   float64
-	BandwidthFactor float64
+	Duration sim.Duration // Flap window; ignored for Crash
 }
 
 // Schedule is an ordered list of fault events.
@@ -91,10 +80,7 @@ type Target interface {
 	Fail()
 	// Stall makes the target silently drop ops (transient outage).
 	Stall()
-	// Degrade multiplies op latency by lat (>= 1) and scales bandwidth
-	// by bw (0 < bw <= 1).
-	Degrade(lat, bw float64)
-	// Recover restores full health (ends a Stall or Degrade window).
+	// Recover restores full health (ends a Stall window).
 	Recover()
 }
 
@@ -107,8 +93,6 @@ type Injector struct {
 	crashed map[string]bool
 	// Injected logs every event actually applied, in application order.
 	Injected []Event
-	// OnFault, when set, observes each applied event (telemetry hook).
-	OnFault func(Event)
 
 	// Observability handle, resolved once at construction (nil when off).
 	rec *obs.Recorder
@@ -159,18 +143,6 @@ func (in *Injector) fire(t Target, ev Event) {
 	case Flap:
 		t.Stall()
 		in.eng.After(ev.Duration, func() { in.recover(t, ev.Target) })
-	case Degrade:
-		lat, bw := ev.LatencyFactor, ev.BandwidthFactor
-		if lat < 1 {
-			lat = 1
-		}
-		if bw <= 0 || bw > 1 {
-			bw = 1
-		}
-		t.Degrade(lat, bw)
-		if ev.Duration > 0 {
-			in.eng.After(ev.Duration, func() { in.recover(t, ev.Target) })
-		}
 	}
 	in.Injected = append(in.Injected, ev)
 	if in.rec != nil {
@@ -179,9 +151,6 @@ func (in *Injector) fire(t Target, ev Event) {
 			detail = fmt.Sprintf("%s dur=%v", ev.Target, ev.Duration)
 		}
 		in.rec.Instant("faults", ev.Kind.String(), detail)
-	}
-	if in.OnFault != nil {
-		in.OnFault(ev)
 	}
 }
 

@@ -16,10 +16,16 @@ type fakeTarget struct {
 func (f *fakeTarget) Name() string { return f.name }
 func (f *fakeTarget) Fail()        { f.events = append(f.events, "fail") }
 func (f *fakeTarget) Stall()       { f.events = append(f.events, "stall") }
-func (f *fakeTarget) Degrade(lat, bw float64) {
-	f.events = append(f.events, "degrade")
+func (f *fakeTarget) Recover()     { f.events = append(f.events, "recover") }
+
+// timedTarget records when it was failed.
+type timedTarget struct {
+	fakeTarget
+	eng      *sim.Engine
+	failedAt sim.Time
 }
-func (f *fakeTarget) Recover() { f.events = append(f.events, "recover") }
+
+func (f *timedTarget) Fail() { f.failedAt = f.eng.Now() }
 
 func TestScheduleSortStable(t *testing.T) {
 	s := Schedule{Events: []Event{
@@ -62,12 +68,11 @@ func TestInjectorCrashWinsOverRecovery(t *testing.T) {
 	ft := &fakeTarget{name: "dev"}
 	in.Register(ft)
 	// Flap window ends at t=3s, but the device crashes at t=2s: the
-	// recovery must be skipped and the later degrade must not apply.
+	// recovery must be skipped and the later flap must not apply.
 	in.Apply(Schedule{Events: []Event{
 		{At: sim.Second, Target: "dev", Kind: Flap, Duration: 2 * sim.Second},
 		{At: 2 * sim.Second, Target: "dev", Kind: Crash},
-		{At: 4 * sim.Second, Target: "dev", Kind: Degrade, Duration: sim.Second,
-			LatencyFactor: 2, BandwidthFactor: 0.5},
+		{At: 4 * sim.Second, Target: "dev", Kind: Flap, Duration: sim.Second},
 	}})
 	eng.Run()
 	if !reflect.DeepEqual(ft.events, []string{"stall", "fail"}) {
@@ -78,22 +83,20 @@ func TestInjectorCrashWinsOverRecovery(t *testing.T) {
 func TestInjectorOffsetsRelativeToApply(t *testing.T) {
 	eng := sim.NewEngine()
 	in := NewInjector(eng)
-	ft := &fakeTarget{name: "dev"}
+	ft := &timedTarget{fakeTarget: fakeTarget{name: "dev"}, eng: eng}
 	in.Register(ft)
-	var firedAt sim.Time
-	in.OnFault = func(Event) { firedAt = eng.Now() }
 	// Warm up the clock, then apply: the event must land at now+offset.
 	eng.After(10*sim.Second, func() {
 		in.Apply(Schedule{Events: []Event{{At: 3 * sim.Second, Target: "dev", Kind: Crash}}})
 	})
 	eng.Run()
-	if want := sim.Time(0).Add(13 * sim.Second); firedAt != want {
-		t.Fatalf("fault fired at %v, want %v", firedAt, want)
+	if want := sim.Time(0).Add(13 * sim.Second); ft.failedAt != want {
+		t.Fatalf("fault fired at %v, want %v", ft.failedAt, want)
 	}
 }
 
 func TestMonitorTripsAndLatches(t *testing.T) {
-	m := NewMonitor("be")
+	m := NewMonitor()
 	trips := 0
 	m.OnUnhealthy = func() { trips++ }
 	for i := 0; i < 4; i++ {
@@ -106,7 +109,7 @@ func TestMonitorTripsAndLatches(t *testing.T) {
 		m.Record(false)
 	}
 	if !m.Unhealthy() {
-		t.Fatalf("monitor did not trip (error rate %.2f)", m.ErrorRate())
+		t.Fatalf("monitor did not trip (window %d ok, %d failed)", m.ok, m.fail)
 	}
 	if trips != 1 {
 		t.Fatalf("OnUnhealthy fired %d times, want exactly 1 (latched)", trips)
@@ -129,18 +132,18 @@ func TestMonitorTripsAndLatches(t *testing.T) {
 }
 
 func TestMonitorNeedsMinSamples(t *testing.T) {
-	m := NewMonitor("be")
-	// Fewer than MinSamples failures: too little evidence to demote.
+	m := NewMonitor()
+	// Fewer than monitorMinSamples failures: too little evidence to demote.
 	for i := 0; i < 4; i++ {
 		m.Record(false)
 	}
 	if m.Unhealthy() {
-		t.Fatal("monitor tripped below MinSamples")
+		t.Fatal("monitor tripped below monitorMinSamples")
 	}
 }
 
 func TestMonitorRecoversOnSuccesses(t *testing.T) {
-	m := NewMonitor("be")
+	m := NewMonitor()
 	// Stay below both trip conditions: a short error burst, not an outage.
 	for i := 0; i < 3; i++ {
 		m.Record(false)
@@ -153,7 +156,7 @@ func TestMonitorRecoversOnSuccesses(t *testing.T) {
 	if m.Unhealthy() {
 		t.Fatal("monitor tripped despite recovery")
 	}
-	if m.ErrorRate() > 0.2 {
-		t.Fatalf("error rate %.2f did not decay", m.ErrorRate())
+	if rate := float64(m.fail) / float64(m.ok+m.fail); rate > 0.2 {
+		t.Fatalf("error rate %.2f did not decay", rate)
 	}
 }

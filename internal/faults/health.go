@@ -2,7 +2,7 @@ package faults
 
 // Monitor is a per-backend health detector fed by the swap path: every op
 // outcome (success, timeout, error) is Recorded, and when the failure share
-// over a sliding window crosses Threshold — or TripConsecutive failures
+// over a sliding window crosses monitorThreshold — or TripConsecutive failures
 // arrive back to back — the monitor latches unhealthy and fires OnUnhealthy
 // exactly once. The failure-aware switching controller uses that signal to
 // demote the backend and live-switch the VM (DESIGN.md "Failure model").
@@ -12,23 +12,11 @@ package faults
 // condemned by ancient errors if the monitor is Reset and reused.
 //
 // Concurrency contract: a Monitor is single-goroutine, like everything else
-// that runs inside one sim.Engine — Record, Reset, and the accessors must
-// all be called from engine context (event callbacks of the engine that owns
-// the swap path feeding it). The counters are plain ints on purpose; there
-// is no interior locking. Control loops that sample health (the serving
-// loop's circuit breakers) must read through Snapshot, which captures every
-// counter in one engine-context call, rather than making a sequence of
-// accessor calls interleaved with Records.
+// that runs inside one sim.Engine — Record, Reset and Unhealthy must all be
+// called from engine context (event callbacks of the engine that owns the
+// swap path feeding it). The counters are plain ints on purpose; there is
+// no interior locking.
 type Monitor struct {
-	// Backend labels the monitored backend in logs and tables.
-	Backend string
-	// Window is the op count per evaluation window (default 64).
-	Window int
-	// Threshold is the failure share that trips unhealthy (default 0.5).
-	Threshold float64
-	// MinSamples gates the threshold test (default 8): a single early
-	// failure must not condemn a backend.
-	MinSamples int
 	// TripConsecutive failures in a row trip immediately regardless of
 	// the window share (default 6): fast detection of hard outages.
 	TripConsecutive int
@@ -40,33 +28,33 @@ type Monitor struct {
 	ok, fail   int // current window
 	consecFail int
 	unhealthy  bool
-	successes  uint64
-	failures   uint64
 }
 
-// NewMonitor returns a monitor with default thresholds for backend.
-func NewMonitor(backend string) *Monitor {
-	return &Monitor{
-		Backend:         backend,
-		Window:          64,
-		Threshold:       0.5,
-		MinSamples:      8,
-		TripConsecutive: 6,
-	}
+const (
+	// monitorWindow is the op count per evaluation window.
+	monitorWindow = 64
+	// monitorThreshold is the window failure share that trips unhealthy.
+	monitorThreshold = 0.5
+	// monitorMinSamples gates the threshold test: a single early failure
+	// must not condemn a backend.
+	monitorMinSamples = 8
+)
+
+// NewMonitor returns a monitor with the default trip conditions.
+func NewMonitor() *Monitor {
+	return &Monitor{TripConsecutive: 6}
 }
 
 // Record feeds one op outcome.
 func (m *Monitor) Record(succeeded bool) {
 	if succeeded {
-		m.successes++
 		m.ok++
 		m.consecFail = 0
 	} else {
-		m.failures++
 		m.fail++
 		m.consecFail++
 	}
-	if m.ok+m.fail >= m.window() {
+	if m.ok+m.fail >= monitorWindow {
 		// Decay: keep the trend, forget the bulk.
 		m.ok /= 2
 		m.fail /= 2
@@ -75,8 +63,8 @@ func (m *Monitor) Record(succeeded bool) {
 		return
 	}
 	tripped := m.consecFail >= m.tripConsecutive()
-	if n := m.ok + m.fail; !tripped && n >= m.minSamples() {
-		tripped = float64(m.fail)/float64(n) >= m.threshold()
+	if n := m.ok + m.fail; !tripped && n >= monitorMinSamples {
+		tripped = float64(m.fail)/float64(n) >= monitorThreshold
 	}
 	if tripped {
 		m.unhealthy = true
@@ -89,85 +77,13 @@ func (m *Monitor) Record(succeeded bool) {
 // Unhealthy reports whether the monitor has latched.
 func (m *Monitor) Unhealthy() bool { return m.unhealthy }
 
-// ErrorRate reports the failure share of the current window (0 with no
-// samples).
-func (m *Monitor) ErrorRate() float64 {
-	if n := m.ok + m.fail; n > 0 {
-		return float64(m.fail) / float64(n)
-	}
-	return 0
-}
-
-// Successes reports total ops recorded as succeeded.
-func (m *Monitor) Successes() uint64 { return m.successes }
-
-// Failures reports total ops recorded as failed.
-func (m *Monitor) Failures() uint64 { return m.failures }
-
-// Snapshot is a consistent copy of a Monitor's counters, taken in one
-// engine-context call (see the concurrency contract on Monitor).
-type Snapshot struct {
-	Backend string
-	// WindowOK / WindowFail are the decaying current-window counts.
-	WindowOK, WindowFail int
-	// ConsecFail is the current run of back-to-back failures.
-	ConsecFail int
-	// Unhealthy reports whether the monitor has latched.
-	Unhealthy bool
-	// Successes / Failures are the lifetime totals (not cleared by Reset).
-	Successes, Failures uint64
-	// ErrorRate is the failure share of the current window (0 with no
-	// samples).
-	ErrorRate float64
-}
-
-// Snapshot captures every counter at once. Control loops (circuit breakers,
-// shedders) should sample health through this rather than a sequence of
-// accessor calls, so a Record landing between reads can never produce a
-// torn view (e.g. a window share computed from mismatched ok/fail).
-func (m *Monitor) Snapshot() Snapshot {
-	return Snapshot{
-		Backend:    m.Backend,
-		WindowOK:   m.ok,
-		WindowFail: m.fail,
-		ConsecFail: m.consecFail,
-		Unhealthy:  m.unhealthy,
-		Successes:  m.successes,
-		Failures:   m.failures,
-		ErrorRate:  m.ErrorRate(),
-	}
-}
-
 // Reset clears window state, the consecutive-failure run, and the unhealthy
 // latch so the monitor can be re-armed (e.g. after the faulted backend was
 // repaired and re-admitted, or when a circuit breaker transitions to
-// half-open and wants a fresh verdict from the probe ops). The lifetime
-// Successes/Failures totals survive Reset deliberately — they are audit
-// counters, not detection state.
+// half-open and wants a fresh verdict from the probe ops).
 func (m *Monitor) Reset() {
 	m.ok, m.fail, m.consecFail = 0, 0, 0
 	m.unhealthy = false
-}
-
-func (m *Monitor) window() int {
-	if m.Window <= 0 {
-		return 64
-	}
-	return m.Window
-}
-
-func (m *Monitor) threshold() float64 {
-	if m.Threshold <= 0 {
-		return 0.5
-	}
-	return m.Threshold
-}
-
-func (m *Monitor) minSamples() int {
-	if m.MinSamples <= 0 {
-		return 8
-	}
-	return m.MinSamples
 }
 
 func (m *Monitor) tripConsecutive() int {

@@ -24,36 +24,3 @@ func NewCgroupRatio(ps *PageSet, localRatio float64) *Cgroup {
 	}
 	return &Cgroup{LimitPages: limit}
 }
-
-// OverLimit reports how many pages must be reclaimed from ps to get back
-// under the limit (0 if within the limit).
-func (c *Cgroup) OverLimit(ps *PageSet) int {
-	over := ps.Resident() - c.LimitPages
-	if over < 0 {
-		return 0
-	}
-	return over
-}
-
-// NeedsReclaimBeforeFault reports how many pages must be evicted before one
-// more page can become resident.
-func (c *Cgroup) NeedsReclaimBeforeFault(ps *PageSet) int {
-	over := ps.Resident() + 1 - c.LimitPages
-	if over < 0 {
-		return 0
-	}
-	return over
-}
-
-// FarRatio reports the fraction of the page set that cannot be resident —
-// the paper's "far memory ratio" for this task.
-func (c *Cgroup) FarRatio(ps *PageSet) float64 {
-	if ps.Len() == 0 {
-		return 0
-	}
-	far := ps.Len() - c.LimitPages
-	if far < 0 {
-		return 0
-	}
-	return float64(far) / float64(ps.Len())
-}

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/sim"
 )
 
 func TestPageSetLifecycle(t *testing.T) {
@@ -17,11 +15,11 @@ func TestPageSetLifecycle(t *testing.T) {
 	if ps.Resident() != 1 || !ps.Page(3).Resident {
 		t.Fatal("MakeResident failed")
 	}
-	if ps.InactiveLen() != 1 || ps.ActiveLen() != 0 {
+	if ps.inactive.size != 1 || ps.active.size != 0 {
 		t.Fatal("new page should land on inactive list")
 	}
-	ps.Touch(3, 100, false)
-	if ps.ActiveLen() != 1 || ps.InactiveLen() != 0 {
+	ps.Touch(3, false)
+	if ps.active.size != 1 || ps.inactive.size != 0 {
 		t.Fatal("touch should promote to active")
 	}
 	if dirty := ps.Evict(3); dirty {
@@ -35,7 +33,7 @@ func TestPageSetLifecycle(t *testing.T) {
 func TestDirtyTracking(t *testing.T) {
 	ps := NewPageSet(4)
 	ps.MakeResident(0, 0)
-	ps.Touch(0, 1, true)
+	ps.Touch(0, true)
 	if !ps.Page(0).Dirty {
 		t.Fatal("write did not dirty page")
 	}
@@ -55,8 +53,8 @@ func TestReclaimOrderIsLRU(t *testing.T) {
 		ps.MakeResident(i, 0)
 	}
 	// Touch 0 and 1 so they're active; 2 and 3 stay inactive with 2 older.
-	ps.Touch(0, 10, false)
-	ps.Touch(1, 11, false)
+	ps.Touch(0, false)
+	ps.Touch(1, false)
 	got := ps.ReclaimCandidate()
 	if got != 2 {
 		t.Fatalf("reclaim candidate = %d, want 2 (coldest inactive)", got)
@@ -71,9 +69,9 @@ func TestReclaimRefillsFromActive(t *testing.T) {
 	ps := NewPageSet(4)
 	for i := int32(0); i < 4; i++ {
 		ps.MakeResident(i, 0)
-		ps.Touch(i, sim.Time(i), false) // all active
+		ps.Touch(i, false) // all active
 	}
-	if ps.InactiveLen() != 0 {
+	if ps.inactive.size != 0 {
 		t.Fatal("setup: want empty inactive list")
 	}
 	got := ps.ReclaimCandidate()
@@ -97,13 +95,20 @@ func TestReclaimCandidateEmpty(t *testing.T) {
 func TestTypeCountsAndSetType(t *testing.T) {
 	ps := NewPageSet(10)
 	ps.SetType(0, 4, FileBacked)
-	anon, file := ps.TypeCounts()
+	anon, file := 0, 0
+	for i := int32(0); i < 10; i++ {
+		if ps.Page(i).Type == Anonymous {
+			anon++
+		} else {
+			file++
+		}
+	}
 	if anon != 6 || file != 4 {
 		t.Fatalf("anon=%d file=%d", anon, file)
 	}
 	ps.MakeResident(0, 0)
-	if ps.ResidentByType(FileBacked) != 1 || ps.ResidentByType(Anonymous) != 0 {
-		t.Fatal("ResidentByType wrong after fault")
+	if ps.residentByType[FileBacked] != 1 || ps.residentByType[Anonymous] != 0 {
+		t.Fatal("resident count by type wrong after fault")
 	}
 	defer func() {
 		if recover() == nil {
@@ -119,13 +124,13 @@ func TestColdestResidentOrder(t *testing.T) {
 		ps.MakeResident(i, 0)
 	}
 	// Touch 5,4 making them active; 0..3 inactive (0 coldest).
-	ps.Touch(5, 1, false)
-	ps.Touch(4, 2, false)
+	ps.Touch(5, false)
+	ps.Touch(4, false)
 	var order []int32
-	ps.ColdestResident(func(id int32) bool {
+	for id := ps.ReclaimCandidate(); id >= 0; id = ps.ReclaimCandidate() {
 		order = append(order, id)
-		return true
-	})
+		ps.Evict(id)
+	}
 	if len(order) != 6 {
 		t.Fatalf("visited %d pages, want 6", len(order))
 	}
@@ -145,10 +150,8 @@ func TestLRUConsistencyProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const n = 32
 		ps := NewPageSet(n)
-		now := sim.Time(0)
 		for _, op := range ops {
 			id := int32(op % n)
-			now++
 			switch (op / n) % 3 {
 			case 0:
 				if !ps.Page(id).Resident {
@@ -156,21 +159,19 @@ func TestLRUConsistencyProperty(t *testing.T) {
 				}
 			case 1:
 				if ps.Page(id).Resident {
-					ps.Touch(id, now, op%2 == 0)
+					ps.Touch(id, op%2 == 0)
 				}
 			case 2:
 				if ps.Page(id).Resident {
 					ps.Evict(id)
 				}
 			}
-			if ps.ActiveLen()+ps.InactiveLen() != ps.Resident() {
+			if ps.active.size+ps.inactive.size != ps.Resident() {
 				return false
 			}
 		}
 		// Walk both lists and verify counts.
-		visited := 0
-		ps.ColdestResident(func(int32) bool { visited++; return true })
-		return visited == ps.Resident()
+		return ps.Audit() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(31))}); err != nil {
 		t.Fatal(err)
@@ -221,9 +222,17 @@ func TestNUMAExhaustion(t *testing.T) {
 	if n := topo.Allocate(BindLocal, 0); n != -1 {
 		t.Fatalf("allocation on full topology returned %d", n)
 	}
-	if topo.TotalFree() != 0 {
-		t.Fatal("TotalFree wrong")
+	if totalFree(topo) != 0 {
+		t.Fatal("total free pages wrong")
 	}
+}
+
+func totalFree(topo *Topology) int {
+	free := 0
+	for i := range topo.Nodes {
+		free += topo.Nodes[i].Free()
+	}
+	return free
 }
 
 func TestNUMAAccessLatency(t *testing.T) {
@@ -257,7 +266,7 @@ func TestNUMAConservationProperty(t *testing.T) {
 		for _, n := range held {
 			topo.Release(n)
 		}
-		return topo.TotalFree() == 32
+		return totalFree(topo) == 32
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(32))}); err != nil {
 		t.Fatal(err)
@@ -269,18 +278,6 @@ func TestCgroupRatio(t *testing.T) {
 	cg := NewCgroupRatio(ps, 0.3)
 	if cg.LimitPages != 30 {
 		t.Fatalf("limit=%d, want 30", cg.LimitPages)
-	}
-	if fr := cg.FarRatio(ps); fr != 0.7 {
-		t.Fatalf("far ratio=%v, want 0.7", fr)
-	}
-	for i := int32(0); i < 30; i++ {
-		ps.MakeResident(i, 0)
-	}
-	if cg.OverLimit(ps) != 0 {
-		t.Fatal("at-limit set should not be over")
-	}
-	if cg.NeedsReclaimBeforeFault(ps) != 1 {
-		t.Fatal("fault at limit should need one reclaim")
 	}
 }
 

@@ -38,7 +38,6 @@ func (p NUMAPolicy) String() string {
 
 // Node is one NUMA memory node.
 type Node struct {
-	ID            int8
 	CapacityPages int
 	UsedPages     int
 	// CPUless marks a node with memory but no cores — how recent work (and
@@ -49,16 +48,17 @@ type Node struct {
 // Free reports the node's free page count.
 func (n *Node) Free() int { return n.CapacityPages - n.UsedPages }
 
-// Topology is the host's NUMA layout plus access latencies.
+// Extra memory latency of a same-node access, a cross-socket access and an
+// access to a CPU-less (CXL) node.
+const (
+	localLatency  = 80 * sim.Nanosecond
+	remoteLatency = 140 * sim.Nanosecond
+	cxlLatency    = 250 * sim.Nanosecond
+)
+
+// Topology is the host's NUMA layout.
 type Topology struct {
 	Nodes []Node
-
-	// LocalLatency is the extra memory latency for a same-node access;
-	// RemoteLatency for a cross-socket access; CXLLatency for a CPU-less
-	// (CXL) node access.
-	LocalLatency  sim.Duration
-	RemoteLatency sim.Duration
-	CXLLatency    sim.Duration
 
 	rr    int    // interleave cursor
 	order []int8 // Allocate's node-order scratch
@@ -76,26 +76,14 @@ func NewTopology(pagesPerNode int) *Topology {
 // reusing its node array.
 func (t *Topology) Reset(pagesPerNode int) {
 	t.Nodes = append(t.Nodes[:0],
-		Node{ID: 0, CapacityPages: pagesPerNode},
-		Node{ID: 1, CapacityPages: pagesPerNode})
-	t.LocalLatency = 80 * sim.Nanosecond
-	t.RemoteLatency = 140 * sim.Nanosecond
-	t.CXLLatency = 250 * sim.Nanosecond
+		Node{CapacityPages: pagesPerNode},
+		Node{CapacityPages: pagesPerNode})
 	t.rr = 0
 }
 
 // AddCXLNode appends a CPU-less memory node (a CXL expander exposed as NUMA).
 func (t *Topology) AddCXLNode(pages int) {
-	t.Nodes = append(t.Nodes, Node{ID: int8(len(t.Nodes)), CapacityPages: pages, CPUless: true})
-}
-
-// TotalFree reports free pages across all nodes.
-func (t *Topology) TotalFree() int {
-	free := 0
-	for i := range t.Nodes {
-		free += t.Nodes[i].Free()
-	}
-	return free
+	t.Nodes = append(t.Nodes, Node{CapacityPages: pages, CPUless: true})
 }
 
 // Allocate picks a node for one page under the given policy, for a CPU on
@@ -162,10 +150,10 @@ func (t *Topology) Release(id int8) {
 // page on memNode.
 func (t *Topology) AccessLatency(cpuNode, memNode int8) sim.Duration {
 	if int(memNode) < len(t.Nodes) && t.Nodes[memNode].CPUless {
-		return t.CXLLatency
+		return cxlLatency
 	}
 	if cpuNode == memNode {
-		return t.LocalLatency
+		return localLatency
 	}
-	return t.RemoteLatency
+	return remoteLatency
 }

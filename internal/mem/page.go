@@ -8,8 +8,6 @@ import (
 	"fmt"
 
 	"repro/internal/invariant"
-	"repro/internal/sim"
-	"repro/internal/units"
 )
 
 // Registered invariants for the LRU machinery. Exclusivity is the kernel's
@@ -64,13 +62,10 @@ const nilPage int32 = -1
 
 // Page is one base (4 KiB) page of a process's address space.
 type Page struct {
-	Type       PageType
-	Resident   bool
-	Dirty      bool
-	Huge       bool // part of a THP-backed extent
-	Node       int8 // NUMA node holding the page while resident
-	Accesses   uint32
-	LastAccess sim.Time
+	Type     PageType
+	Resident bool
+	Dirty    bool
+	Node     int8 // NUMA node holding the page while resident
 
 	prev, next int32
 	list       listID
@@ -122,22 +117,12 @@ func (ps *PageSet) Reset(n int) {
 // Len reports the number of pages.
 func (ps *PageSet) Len() int { return len(ps.pages) }
 
-// Bytes reports the footprint in bytes.
-func (ps *PageSet) Bytes() int64 { return int64(len(ps.pages)) * units.PageSize }
-
 // Page returns a pointer to page id for inspection. The LRU must be mutated
 // only through PageSet methods.
 func (ps *PageSet) Page(id int32) *Page { return &ps.pages[id] }
 
 // Resident reports how many pages are currently in local memory.
 func (ps *PageSet) Resident() int { return ps.resident }
-
-// ResidentByType reports resident page counts for the given type.
-func (ps *PageSet) ResidentByType(t PageType) int { return ps.residentByType[t] }
-
-// ActiveLen and InactiveLen report LRU list sizes.
-func (ps *PageSet) ActiveLen() int   { return ps.active.size }
-func (ps *PageSet) InactiveLen() int { return ps.inactive.size }
 
 // SetType marks pages [from, to) as the given type. Only valid before the
 // pages become resident.
@@ -148,19 +133,6 @@ func (ps *PageSet) SetType(from, to int32, t PageType) {
 		}
 		ps.pages[i].Type = t
 	}
-}
-
-// TypeCounts reports the number of anonymous and file-backed pages, the
-// ratio the paper's implicit switching strategy reads from the trace table.
-func (ps *PageSet) TypeCounts() (anon, file int) {
-	for i := range ps.pages {
-		if ps.pages[i].Type == Anonymous {
-			anon++
-		} else {
-			file++
-		}
-	}
-	return
 }
 
 func (ps *PageSet) list(id listID) *lru {
@@ -241,16 +213,14 @@ func (ps *PageSet) Evict(id int32) (dirty bool) {
 	return dirty
 }
 
-// Touch records an access to a resident page at the given time. Writes mark
-// the page dirty. Pages on the inactive list are promoted to the active
-// list; active pages move to the list head (LRU order).
-func (ps *PageSet) Touch(id int32, now sim.Time, write bool) {
+// Touch records an access to a resident page. Writes mark the page dirty.
+// Pages on the inactive list are promoted to the active list; active pages
+// move to the list head (LRU order).
+func (ps *PageSet) Touch(id int32, write bool) {
 	p := &ps.pages[id]
 	if !p.Resident {
 		panic(fmt.Sprintf("mem: touching non-resident page %d", id))
 	}
-	p.Accesses++
-	p.LastAccess = now
 	if write {
 		p.Dirty = true
 	}
@@ -365,20 +335,4 @@ func (ps *PageSet) Audit() error {
 		return fmt.Errorf("mem audit: residentByType %v, recount %v", ps.residentByType, byType)
 	}
 	return nil
-}
-
-// ColdestResident iterates reclaim order without mutating state: it calls
-// fn on pages from coldest to hottest until fn returns false. Used by
-// policies that size hot sets.
-func (ps *PageSet) ColdestResident(fn func(id int32) bool) {
-	for id := ps.inactive.tail; id != nilPage; id = ps.pages[id].prev {
-		if !fn(id) {
-			return
-		}
-	}
-	for id := ps.active.tail; id != nilPage; id = ps.pages[id].prev {
-		if !fn(id) {
-			return
-		}
-	}
 }

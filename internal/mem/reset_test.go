@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // churn drives ps through a random mix of faults, touches, evictions and
@@ -22,7 +20,7 @@ func churn(ps *PageSet, rng *rand.Rand, ops int) {
 			}
 		case 1:
 			if p.Resident {
-				ps.Touch(id, sim.Time(i), rng.Intn(2) == 0)
+				ps.Touch(id, rng.Intn(2) == 0)
 			}
 		case 2:
 			if p.Resident {
@@ -69,9 +67,7 @@ func TestTopologyResetMatchesFresh(t *testing.T) {
 	}
 	topo.Reset(3)
 	fresh := NewTopology(3)
-	if !reflect.DeepEqual(topo.Nodes, fresh.Nodes) || topo.rr != 0 ||
-		topo.LocalLatency != fresh.LocalLatency || topo.RemoteLatency != fresh.RemoteLatency ||
-		topo.CXLLatency != fresh.CXLLatency {
+	if !reflect.DeepEqual(topo.Nodes, fresh.Nodes) || topo.rr != 0 {
 		t.Fatalf("reset topology %+v differs from NewTopology %+v", topo, fresh)
 	}
 	for _, policy := range []NUMAPolicy{Interleave, PreferRemote, BindLocal} {

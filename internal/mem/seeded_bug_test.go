@@ -66,7 +66,7 @@ func TestSeededBugTypeCounterDriftCaught(t *testing.T) {
 	defer restore()
 	invariant.Enable()
 	defer invariant.Disable()
-	ps.Touch(0, 1, false)
+	ps.Touch(0, false)
 	found := false
 	for _, v := range violations {
 		if v.Check == "mem.lru.resident-counts" {

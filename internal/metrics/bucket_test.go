@@ -52,13 +52,12 @@ func TestBucketTimelineOutOfOrderAdds(t *testing.T) {
 		shuffled.Add(samples[i].at, samples[i].v)
 	}
 
-	om, sm := ordered.Means(), shuffled.Means()
-	if len(om) != len(sm) {
-		t.Fatalf("lengths differ: %d vs %d", len(om), len(sm))
+	if ordered.Len() != shuffled.Len() {
+		t.Fatalf("lengths differ: %d vs %d", ordered.Len(), shuffled.Len())
 	}
-	for i := range om {
-		if om[i] != sm[i] {
-			t.Errorf("bucket %d: ordered %g, shuffled %g", i, om[i], sm[i])
+	for i := 0; i < ordered.Len(); i++ {
+		if om, sm := ordered.BucketMean(i), shuffled.BucketMean(i); om != sm {
+			t.Errorf("bucket %d: ordered %g, shuffled %g", i, om, sm)
 		}
 	}
 	if ordered.BucketMean(0) != 2 { // (1+3)/2
@@ -71,11 +70,8 @@ func TestBucketTimelineEmptyExport(t *testing.T) {
 	if b.Len() != 0 {
 		t.Errorf("empty Len = %d", b.Len())
 	}
-	if got := b.Means(); got != nil {
-		t.Errorf("empty Means = %v, want nil", got)
-	}
-	if got := b.Spark(10); got != "" {
-		t.Errorf("empty Spark = %q, want \"\"", got)
+	if got := b.Mean(); got != 0 {
+		t.Errorf("empty Mean = %v, want 0", got)
 	}
 }
 

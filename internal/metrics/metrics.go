@@ -47,9 +47,6 @@ func (s *Summary) Min() float64 { return s.min }
 // Max reports the largest observation, or 0 with none.
 func (s *Summary) Max() float64 { return s.max }
 
-// Sum reports the total of all observations.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
-
 // Variance reports the sample variance (n-1 denominator), or 0 for n < 2.
 func (s *Summary) Variance() float64 {
 	if s.n < 2 {
@@ -64,29 +61,6 @@ func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3g min=%.3g max=%.3g sd=%.3g",
 		s.n, s.Mean(), s.Min(), s.Max(), s.Stddev())
-}
-
-// Merge folds other into s, as if all of other's observations had been
-// Added to s.
-func (s *Summary) Merge(other *Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	n := s.n + other.n
-	delta := other.mean - s.mean
-	mean := s.mean + delta*float64(other.n)/float64(n)
-	m2 := s.m2 + other.m2 + delta*delta*float64(s.n)*float64(other.n)/float64(n)
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
 }
 
 // histSubBuckets is the number of linear sub-buckets per power-of-two value
@@ -290,21 +264,11 @@ func (h *Histogram) SetStats(count uint64, sum, min, max float64) {
 	h.min, h.max = min, max
 }
 
-// Reset discards all observations.
-func (h *Histogram) Reset() {
-	h.counts = h.counts[:0]
-	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
-}
-
-// Counter is a simple monotonically increasing event count with a name,
-// mirroring kernel counters such as pgmajfault.
+// Counter is a simple monotonically increasing event count, mirroring
+// kernel counters such as pgmajfault.
 type Counter struct {
-	Name  string
 	Value uint64
 }
 
 // Inc adds one to the counter.
 func (c *Counter) Inc() { c.Value++ }
-
-// Addn adds n to the counter.
-func (c *Counter) Addn(n uint64) { c.Value += n }

@@ -28,52 +28,12 @@ func TestSummaryBasics(t *testing.T) {
 	if math.Abs(s.Variance()-2.5) > 1e-12 {
 		t.Fatalf("variance=%v, want 2.5", s.Variance())
 	}
-	if math.Abs(s.Sum()-15) > 1e-9 {
-		t.Fatalf("sum=%v", s.Sum())
-	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
 	if s.Mean() != 0 || s.Variance() != 0 || s.Stddev() != 0 {
 		t.Fatal("empty summary should report zeros")
-	}
-}
-
-// Property: merging two summaries equals adding all observations to one.
-func TestSummaryMergeProperty(t *testing.T) {
-	f := func(a, b []float64) bool {
-		clean := func(xs []float64) []float64 {
-			out := xs[:0]
-			for _, x := range xs {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e9 {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		a, b = clean(a), clean(b)
-		var sa, sb, all Summary
-		for _, x := range a {
-			sa.Add(x)
-			all.Add(x)
-		}
-		for _, x := range b {
-			sb.Add(x)
-			all.Add(x)
-		}
-		sa.Merge(&sb)
-		if sa.Count() != all.Count() {
-			return false
-		}
-		close := func(x, y float64) bool {
-			return math.Abs(x-y) <= 1e-6*(1+math.Abs(x)+math.Abs(y))
-		}
-		return close(sa.Mean(), all.Mean()) && close(sa.Variance(), all.Variance()) &&
-			sa.Min() == all.Min() && sa.Max() == all.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(7))}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -226,15 +186,10 @@ func TestHistogramQuantileErrorBoundProperty(t *testing.T) {
 	}
 }
 
-func TestHistogramEmptyAndReset(t *testing.T) {
+func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
+	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Count() != 0 {
 		t.Fatal("empty histogram should report zeros")
-	}
-	h.Add(3)
-	h.Reset()
-	if h.Count() != 0 {
-		t.Fatal("reset did not clear")
 	}
 }
 
@@ -268,10 +223,10 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 }
 
 func TestCounter(t *testing.T) {
-	c := Counter{Name: "pgmajfault"}
+	var c Counter
 	c.Inc()
-	c.Addn(4)
-	if c.Value != 5 {
+	c.Inc()
+	if c.Value != 2 {
 		t.Fatalf("value=%d", c.Value)
 	}
 }
@@ -285,20 +240,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestSummaryMergeEdgeCases(t *testing.T) {
-	var a, b Summary
-	b.Add(5)
-	a.Merge(&b) // empty += nonempty
-	if a.Count() != 1 || a.Mean() != 5 {
-		t.Fatalf("merge into empty: %+v", a)
-	}
-	var c Summary
-	a.Merge(&c) // nonempty += empty
-	if a.Count() != 1 {
-		t.Fatal("merge of empty changed state")
-	}
-}
-
 func TestTimelineSampling(t *testing.T) {
 	eng := sim.NewEngine()
 	v := 0.0
@@ -309,7 +250,7 @@ func TestTimelineSampling(t *testing.T) {
 	if n := len(tl.Samples()); n != 10 {
 		t.Fatalf("samples=%d, want 10", n)
 	}
-	if tl.Interval() != sim.Duration(10*sim.Microsecond) {
+	if tl.interval != sim.Duration(10*sim.Microsecond) {
 		t.Fatal("interval wrong")
 	}
 	// Stop halts sampling even if the engine keeps running.

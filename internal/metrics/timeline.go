@@ -42,17 +42,8 @@ func (t *Timeline) Stop() { t.stopped = true }
 // Samples returns the collected values.
 func (t *Timeline) Samples() []float64 { return t.samples }
 
-// Interval reports the sampling period.
-func (t *Timeline) Interval() sim.Duration { return t.interval }
-
 // sparkRunes are the eight sparkline levels.
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// Spark renders the samples as a unicode sparkline, downsampling (by
-// bucket-mean) to at most width characters. Empty timelines render "".
-func (t *Timeline) Spark(width int) string {
-	return Sparkline(t.samples, width)
-}
 
 // Sparkline renders any series as a sparkline of at most width characters.
 func Sparkline(samples []float64, width int) string {
@@ -211,19 +202,6 @@ func (b *BucketTimeline) BucketMean(i int) float64 {
 	return b.sum[i] / float64(b.cnt[i])
 }
 
-// Means exports every bucket's mean (empty buckets as 0). Empty timelines
-// export nil.
-func (b *BucketTimeline) Means() []float64 {
-	if len(b.sum) == 0 {
-		return nil
-	}
-	out := make([]float64, len(b.sum))
-	for i := range out {
-		out[i] = b.BucketMean(i)
-	}
-	return out
-}
-
 // Mean reports the mean of all samples across all buckets, or 0 when empty —
 // for a level-style series (utilization, queue depth) this is the run-average
 // level. Aggregate accessors live here so the analysis tier never reimplements
@@ -269,11 +247,6 @@ func (b *BucketTimeline) Peak() float64 {
 		}
 	}
 	return peak
-}
-
-// Spark renders the bucket means as a sparkline of at most width characters.
-func (b *BucketTimeline) Spark(width int) string {
-	return Sparkline(b.Means(), width)
 }
 
 // Delta converts a monotonically increasing counter series into per-sample

@@ -160,7 +160,6 @@ const (
 )
 
 type timelineEntry struct {
-	name string
 	mode TimelineMode
 	tl   *metrics.BucketTimeline
 }
@@ -172,10 +171,9 @@ type spanKey struct {
 	track, name string
 }
 
-// Counter is a named cumulative value owned by one recorder. Not atomic:
+// Counter is a cumulative value owned by one recorder. Not atomic:
 // recorders belong to single-threaded engines.
 type Counter struct {
-	Name  string
 	Value float64
 }
 
@@ -185,9 +183,8 @@ func (c *Counter) Inc() { c.Value++ }
 // Add accumulates v.
 func (c *Counter) Add(v float64) { c.Value += v }
 
-// Gauge is a named point-in-time value, typically set once at Seal.
+// Gauge is a point-in-time value, typically set once at Seal.
 type Gauge struct {
-	Name  string
 	Value float64
 }
 
@@ -210,9 +207,6 @@ type Recorder struct {
 	sealFns   []func()
 	sealed    bool
 }
-
-// Engine returns the engine this recorder observes.
-func (r *Recorder) Engine() *sim.Engine { return r.eng }
 
 // SetLabel names the run in exports (the trace process name). Unlabelled
 // runs export as "run<N>" in canonical order.
@@ -256,18 +250,12 @@ func (r *Recorder) record(ev Event) {
 	r.events = append(r.events, ev)
 }
 
-// Dropped reports how many events the per-recorder cap discarded.
-func (r *Recorder) Dropped() uint64 { return r.dropped }
-
-// Events returns the recorded spans and instants in recording order.
-func (r *Recorder) Events() []Event { return r.events }
-
 // Counter returns (creating on first use) the named counter.
 func (r *Recorder) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{Name: name}
+	c := &Counter{}
 	r.counters[name] = c
 	return c
 }
@@ -277,7 +265,7 @@ func (r *Recorder) Gauge(name string) *Gauge {
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
-	g := &Gauge{Name: name}
+	g := &Gauge{}
 	r.gauges[name] = g
 	return g
 }
@@ -288,7 +276,7 @@ func (r *Recorder) Timeline(name string, width sim.Duration, mode TimelineMode) 
 	if e, ok := r.timelines[name]; ok {
 		return e.tl
 	}
-	e := &timelineEntry{name: name, mode: mode, tl: metrics.NewBucketTimeline(width)}
+	e := &timelineEntry{mode: mode, tl: metrics.NewBucketTimeline(width)}
 	r.timelines[name] = e
 	return e.tl
 }

@@ -60,9 +60,6 @@ func (l *Link) SetCapacity(c units.BytesPerSec) {
 	}
 }
 
-// BytesMoved reports the payload bytes carried so far.
-func (l *Link) BytesMoved() float64 { return l.bytesMoved }
-
 // Utilization reports mean utilization over [0, now].
 func (l *Link) Utilization(now sim.Time) float64 {
 	secs := now.Seconds()
@@ -145,9 +142,6 @@ func (fb *Fabric) NewLink(name string, capacity units.BytesPerSec) *Link {
 	}
 	return l
 }
-
-// ActiveFlows reports the number of in-flight transfers.
-func (fb *Fabric) ActiveFlows() int { return len(fb.flows) }
 
 // Transfer starts moving size bytes across path and calls done (if non-nil)
 // when the last byte lands. A zero/negative size completes immediately. An

@@ -175,7 +175,7 @@ func TestFabricConservationProperty(t *testing.T) {
 	f := func(sizes []uint32) bool {
 		eng := sim.NewEngine()
 		fb := NewFabric(eng)
-		link := fb.NewLink("l", units.MBps(100))
+		link := fb.NewLink("l", units.BytesPerSec(100e6))
 		total := 0.0
 		completions := 0
 		for _, s := range sizes {
@@ -187,7 +187,7 @@ func TestFabricConservationProperty(t *testing.T) {
 		if completions != len(sizes) {
 			return false
 		}
-		if math.Abs(link.BytesMoved()-total) > 1+1e-6*total {
+		if math.Abs(link.bytesMoved-total) > 1+1e-6*total {
 			return false
 		}
 		// Completion cannot beat the capacity bound.
@@ -207,7 +207,7 @@ func TestFairnessProperty(t *testing.T) {
 		size := int64(sizeSeed%1_000_000) + 1000
 		eng := sim.NewEngine()
 		fb := NewFabric(eng)
-		link := fb.NewLink("l", units.MBps(10))
+		link := fb.NewLink("l", units.BytesPerSec(10e6))
 		var finishes []sim.Time
 		for i := 0; i < n; i++ {
 			fb.Transfer(size, []*Link{link}, func(at sim.Time) { finishes = append(finishes, at) })
@@ -258,7 +258,7 @@ func TestRandomTopologyProperty(t *testing.T) {
 		if done != len(devSeeds) {
 			return false
 		}
-		if math.Abs(trunk.BytesMoved()-total) > 1+1e-6*total {
+		if math.Abs(trunk.bytesMoved-total) > 1+1e-6*total {
 			return false
 		}
 		elapsed := eng.Now().Seconds()

@@ -28,7 +28,6 @@
 package place
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -77,14 +76,12 @@ type Request struct {
 // Predicate is a hard feasibility filter: a candidate failing any predicate
 // is never a placement target, whatever its score.
 type Predicate struct {
-	Name string
-	Fit  func(Request, Candidate) bool
+	Fit func(Request, Candidate) bool
 }
 
 // Prioritizer scores feasible candidates; the policy combines prioritizers
 // as a weighted sum and the highest total wins.
 type Prioritizer struct {
-	Name   string
 	Weight float64
 	Score  func(Request, Candidate) float64
 }
@@ -92,7 +89,6 @@ type Prioritizer struct {
 // Extender post-processes the scored choice: it may override the winner
 // (warm-pool preference) or mark the policy one-shot (no-retry).
 type Extender struct {
-	Name string
 	// Extend receives the feasible candidates and the scored winner's ID
 	// (-1 when none) and returns the final choice, which must be feasible
 	// or -1. Nil for marker extenders.
@@ -202,29 +198,25 @@ func (p *Policy) Place(r Request, cands []Candidate) int {
 // --- built-in predicates ---
 
 func predHealthy() Predicate {
-	return Predicate{Name: "healthy", Fit: func(_ Request, c Candidate) bool { return c.Healthy }}
+	return Predicate{Fit: func(_ Request, c Candidate) bool { return c.Healthy }}
 }
 
 func predAccepts() Predicate {
-	return Predicate{Name: "accepts", Fit: func(_ Request, c Candidate) bool { return c.Accepts }}
+	return Predicate{Fit: func(_ Request, c Candidate) bool { return c.Accepts }}
 }
 
 func predCompatible() Predicate {
-	return Predicate{Name: "compatible", Fit: func(_ Request, c Candidate) bool { return c.Tier > 0 }}
+	return Predicate{Fit: func(_ Request, c Candidate) bool { return c.Tier > 0 }}
 }
 
 func predCores() Predicate {
-	return Predicate{Name: "cores", Fit: func(r Request, c Candidate) bool { return r.Cores <= c.FreeCores }}
+	return Predicate{Fit: func(r Request, c Candidate) bool { return r.Cores <= c.FreeCores }}
 }
 
 // predMemory admits a request whose pages fit in free memory plus the
 // oversubscription slack (factor-1 of total pages; factor 1 = no slack).
 func predMemory(factor float64) Predicate {
-	name := "memory"
-	if factor > 1 {
-		name = fmt.Sprintf("memory(x%g)", factor)
-	}
-	return Predicate{Name: name, Fit: func(r Request, c Candidate) bool {
+	return Predicate{Fit: func(r Request, c Candidate) bool {
 		slack := OvercommitSlack(factor, c.TotalPages)
 		return r.Pages <= c.FreePages+slack
 	}}
@@ -247,7 +239,7 @@ func OvercommitSlack(factor float64, totalPages int) int {
 // placement decision — so far-aware frontends (internal/fabric) append it
 // to their policy's Predicates themselves.
 func FarCapacityPredicate() Predicate {
-	return Predicate{Name: "far-capacity", Fit: func(r Request, c Candidate) bool {
+	return Predicate{Fit: func(r Request, c Candidate) bool {
 		if r.FarPages <= 0 {
 			return true
 		}
@@ -313,20 +305,20 @@ func prioritizer(name string, weight float64) Prioritizer {
 	if !ok {
 		panic("place: unknown prioritizer " + name)
 	}
-	return Prioritizer{Name: name, Weight: weight, Score: fn}
+	return Prioritizer{Weight: weight, Score: fn}
 }
 
 // --- built-in extenders ---
 
 // extOneShot is the no-retry marker: a request that fails to place is
 // refused, never queued.
-func extOneShot() Extender { return Extender{Name: "one-shot", OneShot: true} }
+func extOneShot() Extender { return Extender{OneShot: true} }
 
 // extWarmPool prefers warm targets: if any feasible candidate is already
 // running work, the best-scored warm one wins; otherwise the scored choice
 // stands. Ties break on the lowest ID, like the main scoring stage.
 func extWarmPool(p *Policy) Extender {
-	return Extender{Name: "warm-pool", Extend: func(r Request, feasible []Candidate, chosen int) int {
+	return Extender{Extend: func(r Request, feasible []Candidate, chosen int) int {
 		warm := -1
 		var best float64
 		for _, c := range feasible {

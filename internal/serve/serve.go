@@ -138,9 +138,6 @@ type Result struct {
 	BreakerCloses int
 	Retiers       int
 	MaxQueue      int
-	// ShedderRate is the shedder's admit-rate limit at the end of the run
-	// (req/s; 0 when shedding is off).
-	ShedderRate float64
 }
 
 // queued is one admitted request waiting for dispatch.
@@ -247,7 +244,7 @@ func Run(env baseline.Env, cfg Config) Result {
 	if cfg.Breakers {
 		s.breakers = make(map[string]*faults.Breaker)
 		for i, name := range s.backendOrder {
-			s.breakers[name] = faults.NewBreaker(s.eng, name, cfg.Seed+int64(i)+1)
+			s.breakers[name] = faults.NewBreaker(s.eng, cfg.Seed+int64(i)+1)
 		}
 		s.d.Gate = func(backend string) bool {
 			b := s.breakers[backend]
@@ -358,9 +355,6 @@ func Run(env baseline.Env, cfg Config) Result {
 			s.res.BreakerOpens += int(b.Opens())
 			s.res.BreakerCloses += int(b.Closes())
 		}
-	}
-	if s.shed.enabled {
-		s.res.ShedderRate = s.shed.rate
 	}
 	return s.res
 }

@@ -26,8 +26,8 @@ func TestEngineCompactOnCancelHeavyHeap(t *testing.T) {
 	if len(eng.heap) > n/2 {
 		t.Fatalf("heap holds %d entries after cancelling all %d (compaction never fired)", len(eng.heap), n)
 	}
-	if eng.Pending() != 0 {
-		t.Fatalf("Pending = %d after cancelling everything", eng.Pending())
+	if eng.live != 0 {
+		t.Fatalf("live = %d after cancelling everything", eng.live)
 	}
 	eng.Run()
 	if eng.Now() != 0 {

@@ -57,7 +57,6 @@ type Engine struct {
 	// match a slot of the new one.
 	genBase uint64
 	live    int // pending events not yet cancelled
-	stopped bool
 	// processed counts events executed, exposed for tests and runaway guards.
 	processed uint64
 	// stepHook, when set, observes every fired event (see SetStepHook).
@@ -318,9 +317,6 @@ func (e *Engine) peekLive() (event, bool) {
 // Step executes the next pending event, advancing the clock to its timestamp.
 // It reports false when no events remain.
 func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
-	}
 	ev, ok := e.peekLive()
 	if !ok {
 		return false
@@ -352,7 +348,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // exactly t (even if the queue drained earlier).
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped {
+	for {
 		ev, ok := e.peekLive()
 		if !ok || ev.at > t {
 			break
@@ -401,7 +397,7 @@ func (e *Engine) nextLiveEvent() (at Time, ok bool) {
 // edge, so the next window start is still derived from real event times.
 func (e *Engine) runWindow(limit Time) int {
 	n := 0
-	for !e.stopped {
+	for {
 		ev, ok := e.peekLive()
 		if !ok || ev.at >= limit {
 			break
@@ -411,13 +407,3 @@ func (e *Engine) runWindow(limit Time) int {
 	}
 	return n
 }
-
-// Stop halts Run/RunUntil after the current event returns. Pending events
-// stay queued; a subsequent Run resumes them.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Resume clears a previous Stop.
-func (e *Engine) Resume() { e.stopped = false }
-
-// Pending reports how many uncancelled events are queued.
-func (e *Engine) Pending() int { return e.live }

@@ -139,8 +139,8 @@ func TestEngineDoubleCancel(t *testing.T) {
 			t.Fatal("double-cancel must be a no-op returning false")
 		}
 	}
-	if eng.Pending() != 0 {
-		t.Fatalf("Pending() = %d after cancel, want 0", eng.Pending())
+	if eng.live != 0 {
+		t.Fatalf("live = %d after cancel, want 0", eng.live)
 	}
 	eng.Run()
 	if h.Cancel(eng) {
@@ -174,8 +174,8 @@ func TestEngineCancelThenRun(t *testing.T) {
 	if eng.Now() != 20 {
 		t.Fatalf("clock advanced to %v; cancelled tail event must not move it past 20", eng.Now())
 	}
-	if eng.Pending() != 0 {
-		t.Fatalf("Pending() = %d after drain, want 0", eng.Pending())
+	if eng.live != 0 {
+		t.Fatalf("live = %d after drain, want 0", eng.live)
 	}
 }
 
@@ -217,28 +217,6 @@ func TestEngineRunUntilAdvancesEmptyClock(t *testing.T) {
 	eng.RunUntil(100)
 	if eng.Now() != 100 {
 		t.Fatalf("clock = %v, want 100", eng.Now())
-	}
-}
-
-func TestEngineStopResume(t *testing.T) {
-	eng := NewEngine()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		eng.At(Time(i), func() {
-			count++
-			if count == 2 {
-				eng.Stop()
-			}
-		})
-	}
-	eng.Run()
-	if count != 2 {
-		t.Fatalf("Stop did not halt run: count=%d", count)
-	}
-	eng.Resume()
-	eng.Run()
-	if count != 5 {
-		t.Fatalf("Resume did not continue: count=%d", count)
 	}
 }
 

@@ -54,9 +54,6 @@ func NewStation(eng *Engine, servers int) *Station {
 	return &Station{res: NewResource(eng, servers), eng: eng}
 }
 
-// SetServers changes the parallelism; in-flight requests are unaffected.
-func (s *Station) SetServers(n int) { s.res.Resize(n) }
-
 // newReq pops a recycled request or builds a fresh one with its closures.
 func (s *Station) newReq() *submitReq {
 	if r := s.free.Get(); r != nil {

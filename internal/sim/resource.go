@@ -25,8 +25,6 @@ type Resource struct {
 	// (which would reallocate steadily under churn).
 	waiters []waiter
 	head    int
-	// maxQueue tracks the high-water mark of the wait queue for reporting.
-	maxQueue int
 }
 
 type waiter struct {
@@ -51,9 +49,6 @@ func (r *Resource) InUse() int { return r.inUse }
 
 // Waiting reports how many acquisitions are queued.
 func (r *Resource) Waiting() int { return len(r.waiters) - r.head }
-
-// MaxQueue reports the largest wait-queue length observed.
-func (r *Resource) MaxQueue() int { return r.maxQueue }
 
 // popWaiter dequeues the head waiter, compacting the backing array once it
 // is fully drained (or mostly dead space) so it can be reused.
@@ -97,22 +92,6 @@ func (r *Resource) Acquire(units int, fn func()) {
 		return
 	}
 	r.waiters = append(r.waiters, waiter{units: units, fn: fn})
-	if r.Waiting() > r.maxQueue {
-		r.maxQueue = r.Waiting()
-	}
-}
-
-// TryAcquire grabs units immediately if available, bypassing the queue, and
-// reports whether it succeeded.
-func (r *Resource) TryAcquire(units int) bool {
-	if units <= 0 || units > r.capacity {
-		return false
-	}
-	if r.Waiting() == 0 && r.inUse+units <= r.capacity {
-		r.inUse += units
-		return true
-	}
-	return false
 }
 
 // Release returns units to the resource and admits as many queued waiters as

@@ -64,21 +64,6 @@ func TestResourceLargeRequestBlocksSmall(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	eng := NewEngine()
-	r := NewResource(eng, 2)
-	if !r.TryAcquire(2) {
-		t.Fatal("TryAcquire(2) on empty resource failed")
-	}
-	if r.TryAcquire(1) {
-		t.Fatal("TryAcquire(1) on full resource succeeded")
-	}
-	r.Release(1)
-	if !r.TryAcquire(1) {
-		t.Fatal("TryAcquire(1) after release failed")
-	}
-}
-
 func TestResourceResizeAdmitsWaiters(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, 1)
@@ -203,22 +188,5 @@ func TestStationUtilization(t *testing.T) {
 	eng.RunUntil(100)
 	if u := st.Utilization(); u < 0.49 || u > 0.51 {
 		t.Fatalf("utilization=%v, want ~0.5", u)
-	}
-}
-
-func TestStationSetServers(t *testing.T) {
-	eng := NewEngine()
-	st := NewStation(eng, 1)
-	var finish []Time
-	for i := 0; i < 3; i++ {
-		st.Submit(10, func(Duration) { finish = append(finish, eng.Now()) })
-	}
-	st.SetServers(3)
-	eng.Run()
-	// With 3 servers all finish at t=10.
-	for _, f := range finish {
-		if f != 10 {
-			t.Fatalf("finish times %v, want all 10", finish)
-		}
 	}
 }

@@ -104,9 +104,6 @@ func NewShards(n int, lookahead Duration) *Shards {
 	return s
 }
 
-// N reports the number of shards.
-func (s *Shards) N() int { return len(s.engines) }
-
 // Engine returns shard i's engine, on which domain-local events are
 // scheduled directly (At/After/Immediately as usual).
 func (s *Shards) Engine(i int) *Engine { return s.engines[i] }
@@ -361,7 +358,6 @@ func (p *windowPool) stop() { close(p.start) }
 // WallNanos are wall-clock measurements (reporting only — nothing feeds
 // them back into the simulation).
 type ShardStats struct {
-	Shards   int
 	Events   uint64 // events fired across all sub-engines
 	Windows  uint64 // lookahead windows executed
 	Messages uint64 // cross-shard messages delivered
@@ -371,7 +367,7 @@ type ShardStats struct {
 
 // Stats reports the group's cumulative execution statistics.
 func (s *Shards) Stats() ShardStats {
-	st := ShardStats{Shards: len(s.engines), Windows: s.windows, Messages: s.messages, Wall: time.Duration(s.wall)}
+	st := ShardStats{Windows: s.windows, Messages: s.messages, Wall: time.Duration(s.wall)}
 	for _, e := range s.engines {
 		st.Events += e.Processed()
 	}

@@ -152,7 +152,7 @@ func TestShardsRunUntilAdvancesAllClocks(t *testing.T) {
 	s := NewShards(3, Duration(10))
 	s.Engine(0).At(5, func() {})
 	s.RunUntil(1000, 2)
-	for i := 0; i < s.N(); i++ {
+	for i := 0; i < len(s.engines); i++ {
 		if now := s.Engine(i).Now(); now != 1000 {
 			t.Fatalf("shard %d clock at %v, want 1000", i, now)
 		}
@@ -217,9 +217,6 @@ func TestShardsStats(t *testing.T) {
 	})
 	s.Run(2)
 	st := s.Stats()
-	if st.Shards != 2 {
-		t.Fatalf("Shards = %d", st.Shards)
-	}
 	if st.Events != 12 { // 10 + trigger + delivered message
 		t.Fatalf("Events = %d, want 12", st.Events)
 	}

@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// FuzzSlotAllocator: an arbitrary operation stream (assign / release /
-// drop-all / cluster, driven by fuzzed bytes) keeps the allocator's
+// FuzzSlotAllocator: an arbitrary operation stream (assign / drop-all /
+// cluster, driven by fuzzed bytes) keeps the allocator's
 // structural state sound — seq↔slotOf stay a bijection, the live count
 // matches a recount, the free pool never double-holds a slot, and Cluster
 // only returns pages that pass its filter. Mirrors the op-stream style of
@@ -22,35 +22,26 @@ func FuzzSlotAllocator(f *testing.F) {
 			switch b >> 6 {         // high bits pick the operation
 			case 0, 1:
 				slot := a.Assign(page)
-				if a.SlotOf(page) != slot || slot < 0 {
-					t.Fatalf("Assign(%d) = %d but SlotOf = %d", page, slot, a.SlotOf(page))
+				if a.slotOf[page] != slot || slot < 0 {
+					t.Fatalf("Assign(%d) = %d but slotOf = %d", page, slot, a.slotOf[page])
 				}
 			case 2:
-				a.Release(page)
-				if a.SlotOf(page) != -1 {
-					t.Fatalf("Release(%d) left slot %d", page, a.SlotOf(page))
+				if a.DropAll(); a.Live() != 0 {
+					t.Fatalf("DropAll left %d live slots", a.Live())
 				}
 			case 3:
-				if b&0x20 != 0 {
-					if n := a.DropAll(); n != 0 || a.Live() != 0 {
-						if a.Live() != 0 {
-							t.Fatalf("DropAll left %d live slots", a.Live())
-						}
-					}
-				} else {
-					got := a.Cluster(nil, page, 8, func(id int32) bool { return a.SlotOf(id) >= 0 })
-					if len(got) == 0 || got[0] != page {
-						t.Fatalf("Cluster(%d) = %v; faulting page must lead", page, got)
-					}
-					for _, id := range got[1:] {
-						if a.SlotOf(id) < 0 {
-							t.Fatalf("Cluster(%d) returned filtered-out page %d", page, id)
-						}
+				got := a.Cluster(nil, page, 8, func(id int32) bool { return a.slotOf[id] >= 0 })
+				if len(got) == 0 || got[0] != page {
+					t.Fatalf("Cluster(%d) = %v; faulting page must lead", page, got)
+				}
+				for _, id := range got[1:] {
+					if a.slotOf[id] < 0 {
+						t.Fatalf("Cluster(%d) returned filtered-out page %d", page, id)
 					}
 				}
 			}
-			if a.Live() < 0 || a.Live() > a.SlotSpan() {
-				t.Fatalf("live %d outside [0, %d]", a.Live(), a.SlotSpan())
+			if a.Live() < 0 || a.Live() > len(a.seq) {
+				t.Fatalf("live %d outside [0, %d]", a.Live(), len(a.seq))
 			}
 		}
 		if err := a.Audit(); err != nil {

@@ -181,9 +181,6 @@ func (p *Path) Backend() Backend { return p.backend }
 // Channel reports the path's admission channel.
 func (p *Path) Channel() *Channel { return p.channel }
 
-// Hierarchical reports whether the path routes through the host.
-func (p *Path) Hierarchical() bool { return p.hierarchical }
-
 // SwapIn fetches an extent from far memory; done fires with the operation's
 // end-to-end latency (admission wait included).
 func (p *Path) SwapIn(ex Extent, done func(lat sim.Duration)) {

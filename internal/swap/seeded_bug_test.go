@@ -20,8 +20,8 @@ func TestSeededBugDoubleFreeCaught(t *testing.T) {
 	for p := int32(0); p < 4; p++ {
 		a.Assign(p)
 	}
-	a.Release(2)
-	// The seeded bug: a second free of slot 2's entry.
+	a.DropAll()
+	// The seeded bug: a second free of the last dropped slot.
 	a.free = append(a.free, a.free[len(a.free)-1])
 	if err := a.Audit(); err == nil {
 		t.Fatal("audit missed a double-freed slot")
@@ -57,30 +57,5 @@ func TestSeededBugSkippedFreeCaught(t *testing.T) {
 	a.slotOf[1] = -1
 	if err := a.Audit(); err == nil {
 		t.Fatal("audit missed a skipped slot free")
-	}
-}
-
-// Releasing a slot out from under a different page (cross-page free) must
-// trip the no-double-free check inline.
-func TestSeededBugForeignFreeCaught(t *testing.T) {
-	a := NewSlotAllocator(8)
-	a.Assign(0)
-	a.Assign(1)
-	// The seeded bug: page 1's bookkeeping points at page 0's slot.
-	a.slotOf[1] = a.slotOf[0]
-	var violations []invariant.Violation
-	restore := invariant.SetHandler(func(v invariant.Violation) { violations = append(violations, v) })
-	defer restore()
-	invariant.Enable()
-	defer invariant.Disable()
-	a.Release(1)
-	found := false
-	for _, v := range violations {
-		if v.Check == "swap.slots.no-double-free" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no-double-free check missed a foreign free; violations: %+v", violations)
 	}
 }

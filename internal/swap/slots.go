@@ -7,13 +7,11 @@ import (
 )
 
 // Registered invariants for the slot allocator: a slot recycled from the
-// free pool must be stale (no double-alloc handing one slot to two pages), a
-// released slot must map back to the page releasing it (no double-free, no
-// freeing another page's slot), and the live count can never go negative or
-// exceed the slot span. Audit() proves the full bijection.
+// free pool must be stale (no double-alloc handing one slot to two pages),
+// and the live count can never go negative or exceed the slot span. Audit()
+// proves the full bijection.
 var (
 	ckSlotAlloc = invariant.Register("swap.slots.no-double-alloc")
-	ckSlotFree  = invariant.Register("swap.slots.no-double-free")
 	ckSlotLive  = invariant.Register("swap.slots.live-in-range")
 )
 
@@ -35,8 +33,6 @@ type SlotAllocator struct {
 	slotOf []int32
 	// live counts non-stale slots, for occupancy reporting.
 	live int
-	// recycled counts slots reused from the free pool.
-	recycled int
 	// free holds recycled slot indices awaiting reuse.
 	free []int32
 }
@@ -60,7 +56,7 @@ func (a *SlotAllocator) Reset(n int) {
 	}
 	a.seq = a.seq[:0]
 	a.free = a.free[:0]
-	a.live, a.recycled = 0, 0
+	a.live = 0
 }
 
 // Assign gives page its next slot (recycling a freed slot when available),
@@ -79,7 +75,6 @@ func (a *SlotAllocator) Assign(page int32) int32 {
 				"recycling slot %d still held by page %d", slot, a.seq[slot])
 		}
 		a.seq[slot] = page
-		a.recycled++
 	} else {
 		slot = int32(len(a.seq))
 		a.seq = append(a.seq, page)
@@ -91,26 +86,6 @@ func (a *SlotAllocator) Assign(page int32) int32 {
 			"live %d outside [0, %d]", a.live, len(a.seq))
 	}
 	return slot
-}
-
-// Release frees page's slot (after a swap-in invalidates it, or at exit).
-// Releasing a page without a slot is a no-op.
-func (a *SlotAllocator) Release(page int32) {
-	slot := a.slotOf[page]
-	if slot < 0 {
-		return
-	}
-	if invariant.On {
-		ckSlotFree.Assert(a.seq[slot] == page,
-			"releasing slot %d mapped to page %d, not releaser %d", slot, a.seq[slot], page)
-	}
-	a.seq[slot] = -1
-	a.slotOf[page] = -1
-	a.free = append(a.free, slot)
-	a.live--
-	if invariant.On {
-		ckSlotLive.Assert(a.live >= 0, "live %d after release", a.live)
-	}
 }
 
 // DropAll reclaims every occupied slot exactly once — the backend-loss
@@ -186,18 +161,8 @@ func (a *SlotAllocator) Audit() error {
 	return nil
 }
 
-// SlotOf reports page's current slot, or -1.
-func (a *SlotAllocator) SlotOf(page int32) int32 { return a.slotOf[page] }
-
 // Live reports the number of occupied slots.
 func (a *SlotAllocator) Live() int { return a.live }
-
-// Recycled reports how many allocations reused a freed slot.
-func (a *SlotAllocator) Recycled() int { return a.recycled }
-
-// SlotSpan reports the total slot-space extent (high-water mark), from
-// which fragmentation = 1 - Live/SlotSpan.
-func (a *SlotAllocator) SlotSpan() int { return len(a.seq) }
 
 // Cluster appends to dst up to max pages from the aligned slot cluster
 // around page's slot — kernel swap-readahead semantics — and returns the

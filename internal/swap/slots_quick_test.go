@@ -14,10 +14,10 @@ func checkSlotInvariants(t *testing.T, a *SlotAllocator, pages int32) {
 	t.Helper()
 	occupied := 0
 	for p := int32(0); p < pages; p++ {
-		if s := a.SlotOf(p); s >= 0 {
+		if s := a.slotOf[p]; s >= 0 {
 			occupied++
-			if s >= int32(a.SlotSpan()) {
-				t.Fatalf("page %d maps to slot %d beyond span %d", p, s, a.SlotSpan())
+			if s >= int32(len(a.seq)) {
+				t.Fatalf("page %d maps to slot %d beyond span %d", p, s, len(a.seq))
 			}
 		}
 	}
@@ -27,7 +27,7 @@ func checkSlotInvariants(t *testing.T, a *SlotAllocator, pages int32) {
 	// Two pages must never share a slot.
 	seen := make(map[int32]int32)
 	for p := int32(0); p < pages; p++ {
-		if s := a.SlotOf(p); s >= 0 {
+		if s := a.slotOf[p]; s >= 0 {
 			if prev, dup := seen[s]; dup {
 				t.Fatalf("slot %d held by pages %d and %d", s, prev, p)
 			}
@@ -36,32 +36,28 @@ func checkSlotInvariants(t *testing.T, a *SlotAllocator, pages int32) {
 	}
 }
 
-// Property (backend loss): whatever assign/release history precedes it,
+// Property (backend loss): whatever assign history precedes it,
 // DropAll reclaims every occupied slot exactly once, never double-frees, and
 // leaves the allocator fully consistent and reusable.
 func TestSlotAllocatorDropAllProperty(t *testing.T) {
 	const pages = 64
 	f := func(ops []uint16, dropAt uint8) bool {
 		a := NewSlotAllocator(pages)
-		// Replay a random workload: assign on even codes, release on odd.
-		// Reassigning a mapped page leaves its old slot stale (fragmentation,
-		// not reusable) rather than free — track those separately.
+		// Replay a random workload. Reassigning a mapped page leaves its old
+		// slot stale (fragmentation, not reusable) rather than free — track
+		// those separately.
 		stale := 0
 		for _, op := range ops {
 			page := int32(op) % pages
-			if op%2 == 0 {
-				if a.SlotOf(page) >= 0 {
-					stale++
-				}
-				a.Assign(page)
-			} else {
-				a.Release(page)
+			if a.slotOf[page] >= 0 {
+				stale++
 			}
+			a.Assign(page)
 		}
 		checkSlotInvariants(t, a, pages)
 
 		liveBefore := a.Live()
-		spanBefore := a.SlotSpan()
+		spanBefore := len(a.seq)
 		if n := a.DropAll(); n != liveBefore {
 			t.Fatalf("DropAll reclaimed %d slots, %d were live", n, liveBefore)
 		}
@@ -69,7 +65,7 @@ func TestSlotAllocatorDropAllProperty(t *testing.T) {
 			t.Fatalf("Live=%d after DropAll", a.Live())
 		}
 		for p := int32(0); p < pages; p++ {
-			if a.SlotOf(p) >= 0 {
+			if a.slotOf[p] >= 0 {
 				t.Fatalf("page %d still mapped after DropAll", p)
 			}
 		}
@@ -82,7 +78,6 @@ func TestSlotAllocatorDropAllProperty(t *testing.T) {
 		// Survivor consistency: the allocator keeps working after the loss,
 		// recycling the freed (non-stale) slots instead of growing the slot
 		// space.
-		recycledBefore := a.Recycled()
 		freeAvail := spanBefore - stale
 		refill := int(dropAt)%pages + 1
 		for p := 0; p < refill; p++ {
@@ -92,11 +87,11 @@ func TestSlotAllocatorDropAllProperty(t *testing.T) {
 		if a.Live() != refill {
 			t.Fatalf("Live=%d after refill of %d", a.Live(), refill)
 		}
-		if refill <= freeAvail && a.SlotSpan() != spanBefore {
+		if refill <= freeAvail && len(a.seq) != spanBefore {
 			t.Fatalf("slot span grew %d -> %d despite %d free slots",
-				spanBefore, a.SlotSpan(), freeAvail)
+				spanBefore, len(a.seq), freeAvail)
 		}
-		if freeAvail > 0 && a.Recycled() == recycledBefore {
+		if freeAvail > 0 && len(a.seq) == spanBefore+refill {
 			t.Fatal("refill did not recycle any dropped slot")
 		}
 		return true

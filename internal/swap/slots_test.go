@@ -6,29 +6,26 @@ import (
 	"testing/quick"
 )
 
-func TestSlotAssignRelease(t *testing.T) {
+func TestSlotAssignRecycle(t *testing.T) {
 	a := NewSlotAllocator(16)
 	s0 := a.Assign(3)
-	if s0 != 0 || a.SlotOf(3) != 0 || a.Live() != 1 {
+	if s0 != 0 || a.slotOf[3] != 0 || a.Live() != 1 {
 		t.Fatalf("first assign: slot=%d live=%d", s0, a.Live())
 	}
 	s1 := a.Assign(5)
 	if s1 != 1 {
 		t.Fatalf("second assign slot=%d", s1)
 	}
-	a.Release(3)
-	if a.SlotOf(3) != -1 || a.Live() != 1 {
-		t.Fatal("release did not clear")
+	if n := a.DropAll(); n != 2 || a.slotOf[3] != -1 || a.Live() != 0 {
+		t.Fatalf("drop freed %d slots, live %d", n, a.Live())
 	}
-	// Recycled slot reused.
-	s2 := a.Assign(7)
-	if s2 != 0 || a.Recycled() != 1 {
-		t.Fatalf("recycle: slot=%d recycled=%d", s2, a.Recycled())
+	// Dropped slots are reused before the slot space grows.
+	if s2 := a.Assign(7); s2 > 1 || len(a.seq) != 2 {
+		t.Fatalf("recycle: slot=%d span=%d", s2, len(a.seq))
 	}
-	// Double release is a no-op.
-	a.Release(3)
-	if a.Live() != 2 {
-		t.Fatal("double release corrupted state")
+	// A second drop frees only what is live.
+	if n := a.DropAll(); n != 1 || a.Live() != 0 {
+		t.Fatalf("second drop freed %d slots, live %d", n, a.Live())
 	}
 }
 
@@ -39,7 +36,7 @@ func TestSlotReassignInvalidatesOld(t *testing.T) {
 	a.Assign(1) // page 1 re-swapped: new slot, old slot stale
 	cluster := a.Cluster(nil, 2, 4, func(int32) bool { return true })
 	for _, p := range cluster[1:] {
-		if p == 1 && a.SlotOf(1) < 2 {
+		if p == 1 && a.slotOf[1] < 2 {
 			t.Fatal("stale slot entry surfaced in a cluster")
 		}
 	}
@@ -98,7 +95,7 @@ func TestSlotClusterNoSlot(t *testing.T) {
 	}
 }
 
-// Property: any assign/release sequence keeps the mapping bijective on live
+// Property: any assign/drop sequence keeps the mapping bijective on live
 // entries and conserves counts.
 func TestSlotAllocatorProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
@@ -107,16 +104,16 @@ func TestSlotAllocatorProperty(t *testing.T) {
 		for _, op := range ops {
 			page := int32(op % n)
 			if op&0x8000 != 0 {
-				a.Release(page)
+				a.DropAll()
 			} else {
 				a.Assign(page)
 			}
 			// Invariants: slotOf and seq agree; live matches.
 			live := 0
 			for p := int32(0); p < n; p++ {
-				if s := a.SlotOf(p); s >= 0 {
+				if s := a.slotOf[p]; s >= 0 {
 					live++
-					if s >= int32(a.SlotSpan()) || a.seq[s] != p {
+					if s >= int32(len(a.seq)) || a.seq[s] != p {
 						return false
 					}
 				}

@@ -39,7 +39,7 @@ func TestTaskInvariantsProperty(t *testing.T) {
 		ok := true
 		var watch func()
 		watch = func() {
-			if tk.PageSet().Resident() > limit+gran*spec.Threads {
+			if tk.ps.Resident() > limit+gran*spec.Threads {
 				ok = false
 				return
 			}
@@ -131,7 +131,7 @@ func TestSlotClusterFreshness(t *testing.T) {
 	r := newRig()
 	stats := runTask(r, Config{
 		Eng: r.eng, Name: "slots", Spec: spec, Seed: 3,
-		LocalRatio: 0.3, GranularityPages: 8, AlignedReadahead: true,
+		LocalRatio: 0.3, GranularityPages: 8,
 		SwapPath: r.path(r.rdma, 4), FilePath: r.path(r.ssd, 4),
 	})
 	if stats.PagesIn == 0 {
@@ -140,38 +140,5 @@ func TestSlotClusterFreshness(t *testing.T) {
 	// With heavy churn the run still terminates and hits stay bounded.
 	if stats.PrefetchHits > stats.PagesIn {
 		t.Fatalf("hits %d exceed pages in %d", stats.PrefetchHits, stats.PagesIn)
-	}
-}
-
-// THP: a THP-enabled sequential run backs pages huge and gains on access
-// time; the split cost shows up in sys time when reclaim churns.
-func TestTHPTradeoff(t *testing.T) {
-	seqSpec := smallSpec()
-	seqSpec.SeqShare = 0.95
-	seqSpec.RunLen = 128
-	seqSpec.SegmentLen = 512
-	run := func(thp bool) Stats {
-		r := newRig()
-		return runTask(r, Config{
-			Eng: r.eng, Name: "thp", Spec: seqSpec, Seed: 1,
-			LocalRatio: 0.5, GranularityPages: 64, UseTHP: thp,
-			SwapPath: r.path(r.rdma, 8), FilePath: r.path(r.ssd, 4),
-		})
-	}
-	off, on := run(false), run(true)
-	if on.HugeBackedPages == 0 {
-		t.Fatal("THP run backed no huge pages")
-	}
-	if off.HugeBackedPages != 0 {
-		t.Fatal("non-THP run backed huge pages")
-	}
-	if on.UserTime >= off.UserTime {
-		t.Fatalf("THP user time %v not below non-THP %v (TLB saving missing)", on.UserTime, off.UserTime)
-	}
-	if on.HugeSplits == 0 {
-		t.Fatal("reclaim under pressure should split huge pages")
-	}
-	if on.SysTime <= off.SysTime {
-		t.Logf("note: THP sys %v vs non-THP %v (split cost hidden by fault savings here)", on.SysTime, off.SysTime)
 	}
 }

@@ -28,8 +28,8 @@ func poolRun(t *testing.T, pool *Pool, seed int64, shapes []int, stagger sim.Dur
 		cfg := Config{
 			Eng: r.eng, Name: fmt.Sprintf("t%d", i), Spec: spec, Seed: seed + int64(i),
 			LocalRatio: 0.3 + 0.1*float64(sh%5), GranularityPages: 1 << (sh % 3 * 2),
-			AdaptiveWindow: sh%2 == 0, AlignedReadahead: sh%3 == 0,
-			SwapPath: swapPath, FilePath: filePath,
+			AdaptiveWindow: sh%2 == 0,
+			SwapPath:       swapPath, FilePath: filePath,
 		}
 		r.eng.At(sim.Time(0).Add(sim.Duration(i)*stagger), func() {
 			pool.New(cfg).Start(func(s Stats) { out[i] = s; finished++ })

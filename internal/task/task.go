@@ -50,13 +50,6 @@ const (
 	fileReadaheadPages = 16
 	// cpuNode is the NUMA node the task's threads run on.
 	cpuNode int8 = 0
-
-	// THP model (Sec IV-B): accesses to huge-backed pages skip most TLB
-	// misses, saving tlbSaving per access; reclaiming a huge-backed page
-	// first splits it, costing hugeSplitCost extra.
-	tlbSaving     = 40 * sim.Nanosecond
-	hugeSplitCost = 900 * sim.Nanosecond
-	hugeExtentMin = 64 // pages fetched contiguously to be THP-backed
 )
 
 // Config assembles everything a task run needs.
@@ -81,11 +74,6 @@ type Config struct {
 	// GranularityPages is the swap-in transfer unit in pages (1 = plain 4K,
 	// 512 = THP-like 2M extents). Clamped to at least 1.
 	GranularityPages int
-	// AlignedReadahead selects the kernel's slot-cluster semantics: the
-	// fetch window is aligned around the faulting page (half of it behind
-	// the access cursor). When false, the window looks forward from the
-	// fault, as xDM's custom far-memory read functions do.
-	AlignedReadahead bool
 	// AdaptiveWindow makes the reader fetch the full granularity only on
 	// faults that continue a sequential run; isolated random faults fetch an
 	// aligned cluster of RandomWindowPages instead. The kernel's swap
@@ -97,11 +85,6 @@ type Config struct {
 	// non-sequential faults (default 1). High-latency media keep a small
 	// cluster — spatial locality still amortizes the operation cost.
 	RandomWindowPages int
-	// UseTHP enables transparent-huge-page backing (khugepaged-style): anon
-	// extents of at least 64 contiguous pages are huge-backed, trading TLB
-	// savings on access against page-split cost at reclaim (Sec IV-B's
-	// granularity trade-off).
-	UseTHP bool
 
 	// Topo and NUMAPolicy control local page placement. Topo may be nil, in
 	// which case an unconstrained single-node topology is built.
@@ -142,10 +125,6 @@ type Stats struct {
 	ReclaimedPages uint64
 	PagesIn        uint64
 	PagesOut       uint64
-
-	// THP accounting.
-	HugeBackedPages uint64
-	HugeSplits      uint64
 
 	// Failure accounting.
 	LostPages    uint64 // far copies dropped by DropFarCopies
@@ -441,17 +420,11 @@ func (st *storage) setWorkers(n int) {
 	}
 }
 
-// PageSet exposes the task's page table (read-only use expected).
-func (t *Task) PageSet() *mem.PageSet { return &t.ps }
-
 // Cgroup exposes the task's memory limit.
 func (t *Task) Cgroup() *mem.Cgroup { return t.cg }
 
 // SwapPath exposes the task's current swap path.
 func (t *Task) SwapPath() *swap.Path { return t.cfg.SwapPath }
-
-// Granularity reports the current swap-in unit in pages.
-func (t *Task) Granularity() int { return t.granularity }
 
 // SetGranularity retunes the swap-in unit online.
 func (t *Task) SetGranularity(pages int) {
@@ -563,16 +536,13 @@ func (t *Task) run(w *worker) {
 
 		if t.ps.Page(a.Page).Resident {
 			lat := t.topo.AccessLatency(cpuNode, t.ps.Page(a.Page).Node)
-			if t.ps.Page(a.Page).Huge && lat > tlbSaving {
-				lat -= tlbSaving
-			}
 			pending += lat
 			t.stats.UserTime += lat
 			if t.prefetched[a.Page] {
 				t.prefetched[a.Page] = false
 				t.stats.PrefetchHits++
 			}
-			t.ps.Touch(a.Page, t.eng.Now(), a.Write)
+			t.ps.Touch(a.Page, a.Write)
 			continue
 		}
 		// Fault: advance by the accumulated compute, then handle it.
@@ -613,7 +583,7 @@ func (t *Task) fault(w *worker) {
 	if page.Resident {
 		// Another worker faulted this page in while we were advancing the
 		// clock; just touch and continue.
-		t.ps.Touch(a.Page, t.eng.Now(), a.Write)
+		t.ps.Touch(a.Page, a.Write)
 		t.run(w)
 		return
 	}
@@ -680,13 +650,8 @@ func (t *Task) fault(w *worker) {
 	w.lastFault = fetch[len(fetch)-1]
 
 	t.reclaimFor(len(fetch))
-	huge := t.cfg.UseTHP && anon && len(fetch) >= hugeExtentMin && contiguous(fetch)
 	for _, id := range fetch {
 		t.makeResident(id, id != a.Page)
-		if huge {
-			t.ps.Page(id).Huge = true
-			t.stats.HugeBackedPages++
-		}
 	}
 	if invariant.On {
 		ckCgroupLimit.Assert(t.ps.Resident() <= t.cg.LimitPages ||
@@ -705,7 +670,7 @@ func (t *Task) minorDone(w *worker) {
 	// Another worker's reclaim may have evicted the page during the fault
 	// window; it will simply refault on next access.
 	if t.ps.Page(a.Page).Resident {
-		t.ps.Touch(a.Page, t.eng.Now(), a.Write)
+		t.ps.Touch(a.Page, a.Write)
 	}
 	t.run(w)
 }
@@ -721,7 +686,7 @@ func (t *Task) swapInDone(w *worker) {
 	}
 	t.stats.SysTime += t.eng.Now().Sub(w.faultStart)
 	if t.ps.Page(a.Page).Resident {
-		t.ps.Touch(a.Page, t.eng.Now(), a.Write)
+		t.ps.Touch(a.Page, a.Write)
 	}
 	t.run(w)
 }
@@ -810,17 +775,11 @@ func (t *Task) reclaimPages(n int) {
 		page := t.ps.Page(id)
 		anon := page.Type == mem.Anonymous
 		node := page.Node
-		wasHuge := page.Huge
-		page.Huge = false
 		dirty := t.ps.Evict(id)
 		t.topo.Release(node)
 		t.prefetched[id] = false
 		t.stats.ReclaimedPages++
 		t.stats.SysTime += reclaimPerPage
-		if wasHuge {
-			t.stats.SysTime += hugeSplitCost
-			t.stats.HugeSplits++
-		}
 		if anon {
 			if dirty {
 				if !t.slotValid[id] {

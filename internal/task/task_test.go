@@ -259,11 +259,11 @@ func TestTaskAccessors(t *testing.T) {
 	if tk.SwapPath() != p {
 		t.Fatal("SwapPath accessor")
 	}
-	if tk.Granularity() != 4 {
+	if tk.granularity != 4 {
 		t.Fatal("Granularity accessor")
 	}
 	tk.SetGranularity(0)
-	if tk.Granularity() != 1 {
+	if tk.granularity != 1 {
 		t.Fatal("SetGranularity clamp")
 	}
 	p2 := r.path(r.ssd, 4)

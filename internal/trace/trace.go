@@ -60,13 +60,8 @@ func (t *Table) Record(page int32, write bool) {
 // Accesses reports the total number of recorded accesses.
 func (t *Table) Accesses() uint64 { return t.totalAcc }
 
-// Touched reports how many distinct pages were accessed.
-func (t *Table) Touched() int { return t.touched }
-
 // Features is the fused multi-dimensional characteristic vector (Fig 9a).
 type Features struct {
-	// FootprintPages is the task's address-space size in pages.
-	FootprintPages int
 	// TouchedPages is the number of distinct pages accessed.
 	TouchedPages int
 	// AnonRatio is anonymous pages / all pages (supplied by the caller from
@@ -101,9 +96,8 @@ const hotCoverage = 0.8
 // pages in the task's page set (the table does not see page types).
 func (t *Table) Features(anonPages int) Features {
 	f := Features{
-		FootprintPages: t.footprint,
-		TouchedPages:   t.touched,
-		AnonRatio:      float64(anonPages) / float64(t.footprint),
+		TouchedPages: t.touched,
+		AnonRatio:    float64(anonPages) / float64(t.footprint),
 	}
 	if t.loads+t.stores > 0 {
 		f.LoadRatio = float64(t.loads) / float64(t.loads+t.stores)

@@ -97,7 +97,7 @@ func TestReset(t *testing.T) {
 	tbl.Record(0, true)
 	tbl.Record(1, false)
 	tbl.Reset()
-	if tbl.Accesses() != 0 || tbl.Touched() != 0 {
+	if tbl.Accesses() != 0 || tbl.touched != 0 {
 		t.Fatal("reset incomplete")
 	}
 	f := tbl.Features(10)
@@ -137,7 +137,7 @@ func TestFeatureBoundsProperty(t *testing.T) {
 			!inUnit(ft.FragmentRatio) || !inUnit(ft.AnonRatio) {
 			return false
 		}
-		if ft.TouchedPages > ft.FootprintPages {
+		if ft.TouchedPages > n {
 			return false
 		}
 		if ft.MaxSeqRunPages < 0 || ft.MaxSeqRunPages >= n {

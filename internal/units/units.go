@@ -16,22 +16,13 @@ const (
 // configuration in the paper.
 const PageSize int64 = 4 * KiB
 
-// HugePageSize is the transparent-huge-page size, 2 MiB.
-const HugePageSize int64 = 2 * MiB
-
-// PagesPerHugePage is how many base pages one huge page spans (512).
-const PagesPerHugePage = HugePageSize / PageSize
-
-// BytesPerSec expresses a bandwidth. GBps/MBps construct it from the decimal
+// BytesPerSec expresses a bandwidth. GBps constructs it from the decimal
 // units vendors quote (1 GB/s = 1e9 B/s), which is also how the paper quotes
 // device bandwidths.
 type BytesPerSec float64
 
 // GBps converts decimal gigabytes per second to BytesPerSec.
 func GBps(v float64) BytesPerSec { return BytesPerSec(v * 1e9) }
-
-// MBps converts decimal megabytes per second to BytesPerSec.
-func MBps(v float64) BytesPerSec { return BytesPerSec(v * 1e6) }
 
 // GB reports the bandwidth in decimal GB/s for display.
 func (b BytesPerSec) GB() float64 { return float64(b) / 1e9 }

@@ -94,8 +94,7 @@ type Machine struct {
 	hostStage *swap.HostSwapStage
 	shared    *swap.Channel
 
-	vms    []*VM
-	nextID int
+	vms []*VM
 }
 
 // NewMachine builds a host on the given PCIe generation/lanes with the
@@ -252,7 +251,6 @@ func (m *Machine) CreateVM(name string, cores, pages int, warmBackends []string,
 		ckHostResources.Assert(m.usedCores <= m.CPUCores && m.usedPages <= m.MemoryPages,
 			"allocated %d/%d cores, %d/%d pages", m.usedCores, m.CPUCores, m.usedPages, m.MemoryPages)
 	}
-	m.nextID++
 	v := &VM{
 		Name:    name,
 		machine: m,
@@ -300,22 +298,6 @@ func (m *Machine) CreateVM(name string, cores, pages int, warmBackends []string,
 	return v
 }
 
-// Destroy releases the VM's host resources.
-func (m *Machine) Destroy(v *VM) {
-	for i, x := range m.vms {
-		if x == v {
-			m.vms = append(m.vms[:i], m.vms[i+1:]...)
-			break
-		}
-	}
-	m.usedCores -= v.Cores
-	m.usedPages -= v.Pages
-	if invariant.On {
-		ckHostResources.Assert(m.usedCores >= 0 && m.usedPages >= 0,
-			"freed below zero: %d cores, %d pages", m.usedCores, m.usedPages)
-	}
-}
-
 // State reports the VM's lifecycle state.
 func (v *VM) State() VMState { return v.state }
 
@@ -345,9 +327,6 @@ func (v *VM) Path() *swap.Path { return v.warm[v.active] }
 
 // PathFor returns the VM's path for any warm backend (nil if absent).
 func (v *VM) PathFor(name string) *swap.Path { return v.warm[name] }
-
-// Channel exposes the VM's isolated swap channel.
-func (v *VM) Channel() *swap.Channel { return v.channel }
 
 // SwitchBackend retargets the VM's swapper to the named backend. Warm
 // backends switch in SwitchCost (< 5 s); a cold backend pays the module
@@ -392,24 +371,6 @@ func (v *VM) SwitchBackend(name string, done func()) error {
 		}
 	})
 	return nil
-}
-
-// Reboot restarts the guest (e.g. to apply an offline parameter), costing
-// VMRebootCost — the cheap alternative to the host reboot traditional
-// systems need (Fig 18a).
-func (v *VM) Reboot(done func()) {
-	prev := v.state
-	v.state = Booting
-	rebootStart := v.machine.Eng.Now()
-	v.machine.Eng.After(VMRebootCost, func() {
-		v.state = prev
-		if v.rec != nil {
-			v.rec.Span(v.track, "reboot", rebootStart, "")
-		}
-		if done != nil {
-			done()
-		}
-	})
 }
 
 // Accept reports whether the VM can host a task needing the given

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -9,7 +10,7 @@ import (
 // always validate and survive a round trip.
 func FuzzLoadSpecs(f *testing.F) {
 	var seed bytes.Buffer
-	if err := SaveSpecs(&seed, Specs()); err != nil {
+	if err := json.NewEncoder(&seed).Encode(Specs()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
@@ -28,7 +29,7 @@ func FuzzLoadSpecs(f *testing.F) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := SaveSpecs(&buf, specs); err != nil {
+		if err := json.NewEncoder(&buf).Encode(specs); err != nil {
 			t.Fatalf("accepted specs cannot be saved: %v", err)
 		}
 		again, err := LoadSpecs(&buf)

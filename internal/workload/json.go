@@ -61,10 +61,3 @@ func LoadSpecs(r io.Reader) ([]Spec, error) {
 	}
 	return specs, nil
 }
-
-// SaveSpecs encodes specs as indented JSON.
-func SaveSpecs(w io.Writer, specs []Spec) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(specs)
-}

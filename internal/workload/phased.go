@@ -55,9 +55,6 @@ func (p *PhasedStream) Next() (Access, bool) {
 	return Access{}, false
 }
 
-// Phase reports the current phase index (== len(phases) when exhausted).
-func (p *PhasedStream) Phase() int { return p.cur }
-
 var _ AccessSource = (*Stream)(nil)
 var _ AccessSource = (*PhasedStream)(nil)
 

@@ -35,8 +35,8 @@ func TestPhasedStreamChains(t *testing.T) {
 	if count < want || count > want+specs[0].FootprintPages {
 		t.Fatalf("emitted %d accesses, want ~%d", count, want)
 	}
-	if p.Phase() != 2 {
-		t.Fatalf("final phase %d, want 2", p.Phase())
+	if p.cur != 2 {
+		t.Fatalf("final phase %d, want 2", p.cur)
 	}
 }
 

@@ -152,14 +152,8 @@ func (s *Stream) SkipInit() { s.phase = 1 }
 // access budget across threads).
 func (s *Stream) SetMainAccesses(n int) { s.spec.MainAccesses = n }
 
-// Spec reports the stream's workload spec.
-func (s *Stream) Spec() Spec { return s.spec }
-
 // MappedPages reports the number of distinct pages the stream can touch.
 func (s *Stream) MappedPages() int { return len(s.mapping) }
-
-// TotalAccesses reports the total sequence length (init + main).
-func (s *Stream) TotalAccesses() int { return len(s.mapping) + s.spec.MainAccesses }
 
 // Next produces the next access, reporting false when the stream ends.
 func (s *Stream) Next() (Access, bool) {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -77,8 +78,8 @@ func TestStreamLength(t *testing.T) {
 		}
 		count++
 	}
-	if count != s.TotalAccesses() {
-		t.Fatalf("emitted %d accesses, want %d", count, s.TotalAccesses())
+	if count != len(s.mapping)+s.spec.MainAccesses {
+		t.Fatalf("emitted %d accesses, want %d", count, len(s.mapping)+s.spec.MainAccesses)
 	}
 }
 
@@ -211,7 +212,7 @@ func TestSpecValidate(t *testing.T) {
 
 func TestSpecsJSONRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SaveSpecs(&buf, Specs()); err != nil {
+	if err := json.NewEncoder(&buf).Encode(Specs()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadSpecs(&buf)
@@ -255,7 +256,7 @@ func TestLoadSpecsDefaultsCoverage(t *testing.T) {
 func TestStreamAccessors(t *testing.T) {
 	spec := ByName("bert")
 	s := NewStream(spec, 1)
-	if s.Spec().Name != "bert" {
+	if s.spec.Name != "bert" {
 		t.Fatal("Spec accessor")
 	}
 	s.SetMainAccesses(10)
@@ -309,9 +310,9 @@ func TestStreamResetMatchesFresh(t *testing.T) {
 		seed := int64(100 + i)
 		s.Reset(spec, seed)
 		fresh := NewStream(spec, seed)
-		if s.MappedPages() != fresh.MappedPages() || s.TotalAccesses() != fresh.TotalAccesses() {
+		if s.MappedPages() != fresh.MappedPages() || len(s.mapping)+s.spec.MainAccesses != len(fresh.mapping)+fresh.spec.MainAccesses {
 			t.Fatalf("reset %d: %d mapped / %d total, fresh %d / %d", i,
-				s.MappedPages(), s.TotalAccesses(), fresh.MappedPages(), fresh.TotalAccesses())
+				s.MappedPages(), len(s.mapping)+s.spec.MainAccesses, fresh.MappedPages(), len(fresh.mapping)+fresh.spec.MainAccesses)
 		}
 		for j := 0; j < 10000; j++ {
 			got, gok := s.Next()
