@@ -154,6 +154,9 @@ func main() {
 			usageError("%v; -fabric spec = %s", err, fabric.Usage())
 		}
 	}
+	if mode == "capacity" && *format != "text" {
+		usageError("-capacity prints its sweep as text; -format %s is not supported", *format)
+	}
 	if mode == "capacity" && arts != (artifacts{}) {
 		usageError("-capacity cannot be combined with -trace/-metrics/-latency")
 	}

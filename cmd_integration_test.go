@@ -274,6 +274,7 @@ func TestXdmsimFlagValidation(t *testing.T) {
 		{"capacity with exp", "cannot be combined", []string{"-capacity", "-exp", "tab6"}},
 		{"capacity with serve", "cannot be combined", []string{"-capacity", "-serve", "poisson:100"}},
 		{"capacity with latency", "cannot be combined", []string{"-capacity"}},
+		{"capacity with csv format", "-format csv", []string{"-capacity", "-format", "csv"}},
 		{"custom with exp", "cannot be combined", []string{"-exp", "fig3", "-custom", "specs.json"}},
 		{"list with exp", "cannot be combined", []string{"-exp", "fig3", "-list"}},
 		{"metrics stem named json", "-metrics", []string{"-exp", "fig3", "-metrics", filepath.Join(dir, "m.json")}},

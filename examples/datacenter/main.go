@@ -50,7 +50,7 @@ func main() {
 	eng := sim.NewEngine()
 	env := newEnv(eng)
 	for _, b := range []string{"ssd0", "rdma0", "dram0"} {
-		env.Machine.CreateVM("warm-"+b, 4, 8*workload.PagesPerGiB, []string{b}, nil)
+		env.Machine.CreateVM("warm-"+b, 4, 8*workload.PagesPerGiB, []string{b})
 	}
 	eng.Run()
 
@@ -66,15 +66,15 @@ func main() {
 			fmt.Printf("%-9s  rejected (no capacity)\n", name)
 			continue
 		}
-		setup := baseline.PrepareXDM(env, env.Machine.Backend(p.Decision.Backend), spec,
-			p.Decision.LocalRatio, app.SLO, app.Seed)
+		setup := baseline.PrepareXDM(env, env.Machine.Backend(p.Backend), spec,
+			p.LocalRatio, app.SLO, app.Seed)
 		pl := p
 		nm := name
 		task.New(setup.Config).Start(func(s task.Stats) {
 			completed++
 			d.Release(pl)
 			fmt.Printf("%-9s  %-8s  %-11s  %8.0f%%  %v\n",
-				nm, pl.Decision.Backend, pl.Via, 100*pl.Decision.LocalRatio, s.Runtime)
+				nm, pl.Backend, pl.Via, 100*pl.LocalRatio, s.Runtime)
 		})
 	}
 	eng.Run()

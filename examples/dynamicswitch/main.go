@@ -45,12 +45,12 @@ func main() {
 	m.AttachDevice(device.SpecRemoteDRAM("dram"))
 	env := baseline.Env{Machine: m, FileBackend: "ssd"}
 
-	v := m.CreateVM("app-vm", 4, footprint*2, []string{"ssd", "rdma", "dram"}, nil)
+	v := m.CreateVM("app-vm", 4, footprint*2, []string{"ssd", "rdma", "dram"})
 	eng.Run()
 	fmt.Printf("VM booted with warm backends %v; active: %s\n",
 		[]string{"ssd", "rdma", "dram"}, v.ActiveBackend())
 
-	run := baseline.PrepareXDMDynamic(env, v, phases, 0.5, 11)
+	run := baseline.PrepareXDMDynamic(env, v, phases, 11)
 	fmt.Printf("phases: %s -> %s -> %s (one process, behaviour changes at runtime)\n\n",
 		phases[0].Name, phases[1].Name, phases[2].Name)
 

@@ -52,7 +52,7 @@ func main() {
 			baseline.OptionFor(m.Backend("rdma")),
 			baseline.OptionFor(m.Backend("dram")),
 		}
-		priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess, 0.5)
+		priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess)
 
 		// Run on the chosen backend with the full console configuration.
 		setup := baseline.PrepareXDM(env, m.Backend(priority[0]), spec, 0.5, 1.4, 7)

@@ -264,10 +264,8 @@ func PrepareXDM(env Env, backend swap.Backend, spec workload.Spec, localRatio fl
 	}
 
 	d := core.Decision{
-		Backend:          opt.Name,
 		GranularityPages: g,
 		Width:            w,
-		LocalRatio:       localRatio,
 		NUMA:             cfg.NUMAPolicy,
 	}
 	return XDMSetup{Config: cfg, Decision: d}

@@ -101,8 +101,8 @@ func TestPrepareXDMShape(t *testing.T) {
 	if cfg.GranularityPages < 2 {
 		t.Fatalf("sequential workload should tune granularity > 1, got %d", cfg.GranularityPages)
 	}
-	if setup.Decision.Width < 1 || setup.Decision.Backend != "rdma0" {
-		t.Fatalf("decision incomplete: %+v", setup.Decision)
+	if setup.Decision.Width < 1 || cfg.SwapPath.Backend().Name() != "rdma0" {
+		t.Fatalf("decision incomplete: %+v on %s", setup.Decision, cfg.SwapPath.Backend().Name())
 	}
 	if cfg.Trace == nil || cfg.OnEpoch == nil {
 		t.Fatal("xDM run must observe its trace and retune online")
@@ -114,11 +114,11 @@ func TestPrepareXDMConsoleSizesLocalRatio(t *testing.T) {
 	env := testEnv(eng)
 	setup := PrepareXDM(env, env.Machine.Backend("rdma0"), tinySpec(), -1, 1.5, 1)
 	d := setup.Decision
-	if setup.Config.LocalRatio < 0.1 || setup.Config.LocalRatio > 1 || d.LocalRatio != setup.Config.LocalRatio {
-		t.Fatalf("console local ratio %v (decision %v) out of range", setup.Config.LocalRatio, d.LocalRatio)
+	if setup.Config.LocalRatio < 0.1 || setup.Config.LocalRatio > 1 {
+		t.Fatalf("console local ratio %v out of range", setup.Config.LocalRatio)
 	}
-	if d.Backend != "rdma0" || d.GranularityPages < 1 || d.Width < 1 {
-		t.Fatalf("decision incomplete: %+v", d)
+	if setup.Config.SwapPath.Backend().Name() != "rdma0" || d.GranularityPages < 1 || d.Width < 1 {
+		t.Fatalf("decision incomplete: %+v on %s", d, setup.Config.SwapPath.Backend().Name())
 	}
 }
 

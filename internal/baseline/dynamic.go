@@ -44,11 +44,16 @@ const switchGainThreshold = 1.3
 // backends' pacing, and reacting to them would flap.
 const switchCooldownEpochs = 12
 
+// dynamicLocalRatio is the local-memory share of a dynamic run: half the
+// footprint stays local while the backend behind the other half switches.
+const dynamicLocalRatio = 0.5
+
 // PrepareXDMDynamic wires a phased workload onto VM v with online
-// MEI-driven backend switching. All phases must share footprint, anon
-// fraction, thread count, and compute intensity (they are phases of one
-// process). The VM must be booted with its warm backends ready.
-func PrepareXDMDynamic(env Env, v *vm.VM, phases []workload.Spec, localRatio float64, seed int64) *DynamicRun {
+// MEI-driven backend switching, keeping dynamicLocalRatio of the footprint
+// local. All phases must share footprint, anon fraction, thread count, and
+// compute intensity (they are phases of one process). The VM must be booted
+// with its warm backends ready.
+func PrepareXDMDynamic(env Env, v *vm.VM, phases []workload.Spec, seed int64) *DynamicRun {
 	if len(phases) == 0 {
 		panic("baseline: dynamic run needs at least one phase")
 	}
@@ -63,7 +68,7 @@ func PrepareXDMDynamic(env Env, v *vm.VM, phases []workload.Spec, localRatio flo
 	// Initial decision from the first phase's offline profile.
 	f := Profile(base, seed)
 	opts := catalogOptions(env)
-	priority, _ := core.SelectBackend(opts, f, base.ComputePerAccess, 0.5)
+	priority, _ := core.SelectBackend(opts, f, base.ComputePerAccess)
 	initial := v.ActiveBackend()
 	if len(priority) > 0 && v.HasWarmBackend(priority[0]) {
 		initial = priority[0]
@@ -91,7 +96,7 @@ func PrepareXDMDynamic(env Env, v *vm.VM, phases []workload.Spec, localRatio flo
 	}
 
 	run := &DynamicRun{}
-	budget := int(localRatio * float64(base.FootprintPages))
+	budget := int(dynamicLocalRatio * float64(base.FootprintPages))
 	opt := optionByName(opts, initial)
 	g, w := core.TuneTransferBudget(opt, f, budget)
 
@@ -101,7 +106,7 @@ func PrepareXDMDynamic(env Env, v *vm.VM, phases []workload.Spec, localRatio flo
 		Spec:              base,
 		Seed:              seed,
 		Sources:           sources,
-		LocalRatio:        localRatio,
+		LocalRatio:        dynamicLocalRatio,
 		SwapPath:          v.PathFor(initial),
 		FilePath:          env.filePath(),
 		GranularityPages:  g,
@@ -127,7 +132,7 @@ func PrepareXDMDynamic(env Env, v *vm.VM, phases []workload.Spec, localRatio flo
 			return
 		}
 		live := cfg.Trace.Features(int(base.AnonFraction * float64(base.FootprintPages)))
-		pri, mei := core.SelectBackend(availableOptions(env, opts), live, base.ComputePerAccess, 0.5)
+		pri, mei := core.SelectBackend(availableOptions(env, opts), live, base.ComputePerAccess)
 		if len(pri) == 0 {
 			return
 		}

@@ -48,7 +48,7 @@ type FailoverRun struct {
 func PrepareXDMFailover(env Env, v *vm.VM, spec workload.Spec, localRatio float64, seed int64) *FailoverRun {
 	f := Profile(spec, seed)
 	opts := catalogOptions(env)
-	priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess, 0.5)
+	priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess)
 
 	initial := v.ActiveBackend()
 	for _, name := range priority {
@@ -85,7 +85,7 @@ func PrepareXDMFailover(env Env, v *vm.VM, spec workload.Spec, localRatio float6
 	filePath := env.filePath()
 	// File refaults must not hang either if node storage fails; no monitor —
 	// file storage is not a switchable far-memory backend.
-	filePath.Retry = swap.DefaultRetryPolicy(filePath.Backend().Kind())
+	filePath.Retry = true
 
 	run.Config = task.Config{
 		Eng:               env.Machine.Eng,
@@ -112,7 +112,7 @@ func (r *FailoverRun) Bind(t *task.Task) { r.task = t }
 // arm puts path under the timeout/retry policy for its medium and wires a
 // fresh health monitor that demotes the backend when tripped.
 func (r *FailoverRun) arm(path *swap.Path, backend string) {
-	path.Retry = swap.DefaultRetryPolicy(path.Backend().Kind())
+	path.Retry = true
 	m := faults.NewMonitor()
 	m.OnUnhealthy = func() { r.demote(backend) }
 	path.Health = m

@@ -26,7 +26,7 @@ func TestFailoverSwitchesOffDeadBackend(t *testing.T) {
 	env := testEnv(eng)
 	spec := failoverSpec()
 	v := env.Machine.CreateVM("fo", spec.Threads, 2*spec.FootprintPages,
-		[]string{"rdma0", "ssd0", "dram0"}, nil)
+		[]string{"rdma0", "ssd0", "dram0"})
 	if v == nil {
 		t.Fatal("VM creation failed")
 	}
@@ -86,7 +86,7 @@ func TestFailoverWithNoAlternativeLimpsOn(t *testing.T) {
 	spec := failoverSpec()
 	spec.MainAccesses = 1 << 12 // keep the crippled tail short
 	v := env.Machine.CreateVM("fo", spec.Threads, 2*spec.FootprintPages,
-		[]string{"rdma0"}, nil)
+		[]string{"rdma0"})
 	eng.Run()
 
 	run := PrepareXDMFailover(env, v, spec, 0.5, 1)

@@ -77,7 +77,7 @@ func RunArrivalSim(env baseline.Env, cfg ArrivalSimConfig) ArrivalSimResult {
 			// Run the app on its VM's active backend with the console's
 			// decided parameters.
 			be := env.Machine.Backend(pl.VM.ActiveBackend())
-			setup := baseline.PrepareXDM(env, be, app.Spec, pl.Decision.LocalRatio, app.SLO, app.Seed)
+			setup := baseline.PrepareXDM(env, be, app.Spec, pl.LocalRatio, app.SLO, app.Seed)
 			setupCfg := setup.Config
 			setupCfg.SwapPath = pl.VM.Path()
 			task.New(setupCfg).Start(func(task.Stats) {
@@ -111,7 +111,7 @@ func RunArrivalSim(env baseline.Env, cfg ArrivalSimConfig) ArrivalSimResult {
 // resources, returning once they are all Free.
 func WarmFleet(env baseline.Env, cores, pages int) {
 	for _, name := range env.Machine.BackendNames() {
-		env.Machine.CreateVM("warm-"+name, cores, pages, []string{name}, nil)
+		env.Machine.CreateVM("warm-"+name, cores, pages, []string{name})
 	}
 	env.Machine.Eng.Run()
 }

@@ -59,7 +59,7 @@ func TestDispatcherMaxTasksPerVM(t *testing.T) {
 	m := vm.NewMachine(eng, pcie.Gen3, 16, 4, 6000)
 	m.AttachDevice(device.SpecTestbedSSD("ssd"))
 	env := baseline.Env{Machine: m, FileBackend: "ssd"}
-	m.CreateVM("only", 4, 4096, []string{"ssd"}, nil)
+	m.CreateVM("only", 4, 4096, []string{"ssd"})
 	eng.Run()
 
 	d := NewDispatcher(env)
@@ -93,13 +93,13 @@ func TestDispatcherGateExcludesBackend(t *testing.T) {
 	eng := sim.NewEngine()
 	env := clusterEnv(eng)
 	for _, name := range env.Machine.BackendNames() {
-		env.Machine.CreateVM("vm-"+name, 4, 4096, []string{name}, nil)
+		env.Machine.CreateVM("vm-"+name, 4, 4096, []string{name})
 	}
 	eng.Run()
 
 	d := NewDispatcher(env)
 	app := App{Spec: friendlySpec(), SLO: 1.4, Seed: 1, Cores: 1}
-	chosen := d.Dispatch(app, nil).Decision.Backend
+	chosen := d.Dispatch(app, nil).Backend
 	if chosen == "" {
 		t.Fatal("ungated dispatch failed")
 	}
@@ -111,7 +111,7 @@ func TestDispatcherGateExcludesBackend(t *testing.T) {
 	if p.Via == ViaNone {
 		t.Fatal("gated dispatch failed outright")
 	}
-	if p.Decision.Backend == chosen {
+	if p.Backend == chosen {
 		t.Fatalf("gated backend %q was still selected", chosen)
 	}
 

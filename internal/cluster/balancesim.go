@@ -21,13 +21,14 @@ type BalanceSimConfig struct {
 	Profile         clustertrace.Profile
 	Alpha, Beta     float64
 	Seed            int64
-
-	// NICBandwidth is each machine's far-memory NIC (default 10 GB/s, the
-	// testbed's ConnectX-5); SwitchBandwidth is the cluster switch fabric
-	// (default 25 GB/s per rack of contention).
-	NICBandwidth    units.BytesPerSec
-	SwitchBandwidth units.BytesPerSec
 }
+
+// Each machine's far-memory NIC is the testbed's 10 GB/s ConnectX-5; the
+// cluster switch fabric carries 25 GB/s per rack of contention.
+const (
+	balanceNICBandwidth    units.BytesPerSec = 10e9
+	balanceSwitchBandwidth units.BytesPerSec = 25e9
+)
 
 // BalanceSimResult reports the outcome.
 type BalanceSimResult struct {
@@ -46,12 +47,6 @@ type BalanceSimResult struct {
 // machines to the emptiest donors, with every transfer contending on source
 // NIC, switch, and donor NIC.
 func RunBalanceSim(cfg BalanceSimConfig) BalanceSimResult {
-	if cfg.NICBandwidth == 0 {
-		cfg.NICBandwidth = units.GBps(10)
-	}
-	if cfg.SwitchBandwidth == 0 {
-		cfg.SwitchBandwidth = units.GBps(25)
-	}
 	if cfg.Alpha > cfg.Beta {
 		cfg.Alpha, cfg.Beta = cfg.Beta, cfg.Alpha
 	}
@@ -64,10 +59,10 @@ func RunBalanceSim(cfg BalanceSimConfig) BalanceSimResult {
 
 	eng := sim.NewEngine()
 	fabric := pcie.NewFabric(eng)
-	swl := fabric.NewLink("switch", cfg.SwitchBandwidth)
+	swl := fabric.NewLink("switch", balanceSwitchBandwidth)
 	nics := make([]*pcie.Link, cfg.Machines)
 	for i := range nics {
-		nics[i] = fabric.NewLink("nic", cfg.NICBandwidth)
+		nics[i] = fabric.NewLink("nic", balanceNICBandwidth)
 	}
 
 	// Greedy matching: hottest sources drain into emptiest donors.

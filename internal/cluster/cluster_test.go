@@ -172,7 +172,7 @@ func TestDispatcherWarmStartPreference(t *testing.T) {
 	env := clusterEnv(eng)
 	// Pre-boot one VM per backend so a warm match always exists.
 	for _, name := range env.Machine.BackendNames() {
-		env.Machine.CreateVM("vm-"+name, 4, 4096, []string{name}, nil)
+		env.Machine.CreateVM("vm-"+name, 4, 4096, []string{name})
 	}
 	eng.Run()
 
@@ -184,7 +184,7 @@ func TestDispatcherWarmStartPreference(t *testing.T) {
 	if p.Via != ViaFreeVM {
 		t.Fatalf("placement via %v, want free-vm (warm start)", p.Via)
 	}
-	if got.VM == nil || got.VM.ActiveBackend() != p.Decision.Backend {
+	if got.VM == nil || got.VM.ActiveBackend() != p.Backend {
 		t.Fatalf("ready callback inconsistent: %+v", got)
 	}
 	if p.VM.State() != vm.Online {
@@ -199,14 +199,14 @@ func TestDispatcherWarmStartPreference(t *testing.T) {
 func TestDispatcherSwitchesWhenNoMatchingVM(t *testing.T) {
 	eng := sim.NewEngine()
 	env := clusterEnv(eng)
-	env.Machine.CreateVM("vm1", 4, 4096, []string{"ssd0"}, nil)
+	env.Machine.CreateVM("vm1", 4, 4096, []string{"ssd0"})
 	eng.Run()
 	d := NewDispatcher(env)
 	// friendlySpec is anon-heavy sequential: console picks rdma0, but only
 	// an ssd0 VM exists → switch.
 	p := d.Dispatch(App{Spec: friendlySpec(), SLO: 1.4, Seed: 1, Cores: 1}, nil)
-	if p.Decision.Backend != "rdma0" {
-		t.Skipf("console picked %s; switch branch untestable", p.Decision.Backend)
+	if p.Backend != "rdma0" {
+		t.Skipf("console picked %s; switch branch untestable", p.Backend)
 	}
 	if p.Via != ViaSwitch {
 		t.Fatalf("placement via %v, want switched-vm", p.Via)
@@ -316,7 +316,7 @@ func TestDispatcherAvoidsSaturatedBackend(t *testing.T) {
 	eng := sim.NewEngine()
 	env := clusterEnv(eng)
 	for _, name := range env.Machine.BackendNames() {
-		env.Machine.CreateVM("vm-"+name, 4, 4096, []string{name}, nil)
+		env.Machine.CreateVM("vm-"+name, 4, 4096, []string{name})
 	}
 	eng.Run()
 
@@ -326,7 +326,7 @@ func TestDispatcherAvoidsSaturatedBackend(t *testing.T) {
 	if first.Via == ViaNone {
 		t.Fatal("baseline dispatch failed")
 	}
-	preferred := first.Decision.Backend
+	preferred := first.Backend
 	d.Release(first)
 
 	// Saturate the preferred device: flood its queue far beyond 4x width.
@@ -345,7 +345,7 @@ func TestDispatcherAvoidsSaturatedBackend(t *testing.T) {
 	if second.Via == ViaNone {
 		t.Fatal("dispatch under pressure failed entirely")
 	}
-	if second.Decision.Backend == preferred {
+	if second.Backend == preferred {
 		t.Fatalf("dispatcher placed on the saturated backend %s", preferred)
 	}
 }

@@ -17,10 +17,12 @@ type App struct {
 	Cores int
 }
 
-// Placement describes where an app landed and with what configuration.
+// Placement describes where an app landed: the VM, the backend the console
+// chose and the local-memory share that keeps the app within its SLO.
 type Placement struct {
-	VM       *vm.VM
-	Decision core.Decision
+	VM         *vm.VM
+	Backend    string
+	LocalRatio float64
 	// How the VM was obtained, for overhead accounting.
 	Via PlacementKind
 }
@@ -53,8 +55,9 @@ func (k PlacementKind) String() string {
 }
 
 // Dispatcher implements Algorithm 1: page feature extraction, backend
-// selection, parameter optimization, then VM placement through a pluggable
-// placement policy (internal/place). The default policy, alg1, reconstructs
+// selection and local-memory sizing, then VM placement through a pluggable
+// placement policy (internal/place). Parameter optimization runs where the
+// task is built (baseline.PrepareXDM). The default policy, alg1, reconstructs
 // Algorithm 1's original placement loops exactly: online VM on the chosen
 // backend, then a free VM on it, then a switchable free VM — first match in
 // VM order within each preference tier.
@@ -144,10 +147,11 @@ const vmCores = 2
 // is available (immediately for warm placements; after the switch or boot
 // otherwise). It returns the placement synchronously.
 func (d *Dispatcher) Dispatch(app App, ready func(Placement)) Placement {
-	// Lines 2-4: feature extraction, backend selection, parameter
-	// optimization.
+	// Lines 2-4: feature extraction, backend selection and local-memory
+	// sizing. The transfer parameters are tuned where the task is built
+	// (baseline.PrepareXDM), for the local ratio the caller settles on.
 	f := baseline.Profile(app.Spec, app.Seed)
-	priority, _ := core.SelectBackend(d.systemPressure(), f, app.Spec.ComputePerAccess, 0.5)
+	priority, _ := core.SelectBackend(d.systemPressure(), f, app.Spec.ComputePerAccess)
 	if len(priority) == 0 {
 		d.Rejected++
 		return Placement{Via: ViaNone}
@@ -161,16 +165,11 @@ func (d *Dispatcher) Dispatch(app App, ready func(Placement)) Placement {
 		}
 	}
 	localRatio := core.MinLocalRatio(opt, f, app.Spec.ComputePerAccess, app.SLO)
-	g, w := core.TuneTransferBudget(opt, f, int(localRatio*float64(app.Spec.FootprintPages)))
-	decision := core.Decision{
-		Backend: backend, GranularityPages: g, Width: w, LocalRatio: localRatio,
-		NUMA: core.ChooseNUMA(f, app.Spec.ComputePerAccess),
-	}
 
 	finish := func(v *vm.VM, via PlacementKind) Placement {
 		v.BeginTask()
 		d.Placed[via]++
-		return Placement{VM: v, Decision: decision, Via: via}
+		return Placement{VM: v, Backend: backend, LocalRatio: localRatio, Via: via}
 	}
 
 	// Lines 5-20: VM placement, run through the placement policy. The
@@ -253,7 +252,7 @@ func (d *Dispatcher) Dispatch(app App, ready func(Placement)) Placement {
 	if pages < app.Spec.FootprintPages {
 		pages = app.Spec.FootprintPages
 	}
-	if v := d.Env.Machine.CreateVM("vm-auto", cores, pages, []string{backend}, nil); v != nil {
+	if v := d.Env.Machine.CreateVM("vm-auto", cores, pages, []string{backend}); v != nil {
 		p := finish(v, ViaCreate)
 		// Boot completion flips the VM to Free; ready fires then.
 		d.Env.Machine.Eng.After(vm.VMBootCost+sim.Second, func() {

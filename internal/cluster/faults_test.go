@@ -22,7 +22,7 @@ func TestDispatchAvoidsDeadBackend(t *testing.T) {
 	if p.Via == ViaNone {
 		t.Fatal("baseline dispatch rejected the app")
 	}
-	first := p.Decision.Backend
+	first := p.Backend
 	d.Release(p)
 	env.Machine.Device(first).Fail()
 
@@ -30,7 +30,7 @@ func TestDispatchAvoidsDeadBackend(t *testing.T) {
 	if p2.Via == ViaNone {
 		t.Fatal("dispatch rejected app despite healthy alternatives")
 	}
-	if p2.Decision.Backend == first {
+	if p2.Backend == first {
 		t.Fatalf("dispatch placed app on dead backend %q", first)
 	}
 }
@@ -42,19 +42,19 @@ func TestDispatchAvoidsStalledBackendUntilRecovery(t *testing.T) {
 	app := dispatchApp()
 
 	p := d.Dispatch(app, nil)
-	first := p.Decision.Backend
+	first := p.Backend
 	d.Release(p)
 	dev := env.Machine.Device(first)
 	dev.Stall()
 	p2 := d.Dispatch(app, nil)
-	if p2.Decision.Backend == first {
+	if p2.Backend == first {
 		t.Fatalf("dispatch placed app on stalled backend %q", first)
 	}
 	// Once the outage ends, the backend is eligible again.
 	dev.Recover()
 	d.Release(p2)
 	p3 := d.Dispatch(app, nil)
-	if p3.Decision.Backend != first {
-		t.Fatalf("recovered backend %q not re-selected (got %q)", first, p3.Decision.Backend)
+	if p3.Backend != first {
+		t.Fatalf("recovered backend %q not re-selected (got %q)", first, p3.Backend)
 	}
 }

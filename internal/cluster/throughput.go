@@ -129,7 +129,7 @@ func pickBackend(env baseline.Env, app App, assigned map[string]int) string {
 		opts = append(opts, baseline.OptionFor(env.Machine.Backend(name)))
 	}
 	f := baseline.Profile(app.Spec, app.Seed)
-	priority, _ := core.SelectBackend(opts, f, app.Spec.ComputePerAccess, 0.5)
+	priority, _ := core.SelectBackend(opts, f, app.Spec.ComputePerAccess)
 	if len(priority) == 0 {
 		return env.FileBackend
 	}

@@ -71,7 +71,7 @@ func Snapshot(p Profile, n int, seed int64) []float64 {
 	}
 	shift := p.Mean() - sum/float64(n)
 	for i := range out {
-		out[i] = clamp(out[i]+shift, 0.02, 0.995)
+		out[i] = clamp(out[i] + shift)
 	}
 	return out
 }
@@ -86,17 +86,24 @@ func Series(p Profile, points int, seed int64) []float64 {
 	for i := range out {
 		t := float64(i) / float64(points) * 2 * math.Pi
 		u := p.Mean() + amp*math.Sin(t+phase) + 0.05*rng.NormFloat64()
-		out[i] = clamp(u, 0.02, 0.995)
+		out[i] = clamp(u)
 	}
 	return out
 }
 
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
+// Every sampled utilization lies in [minUtil, maxUtil]: no machine is idle
+// or saturated outright.
+const (
+	minUtil = 0.02
+	maxUtil = 0.995
+)
+
+func clamp(x float64) float64 {
+	if x < minUtil {
+		return minUtil
 	}
-	if x > hi {
-		return hi
+	if x > maxUtil {
+		return maxUtil
 	}
 	return x
 }

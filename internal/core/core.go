@@ -50,19 +50,13 @@ func OptionFromSpec(s device.Spec) BackendOption {
 	}
 }
 
-// Decision is the console's full output for one application.
+// Decision is the console's tuning for one application on its backend.
 type Decision struct {
-	// Backend is the selected option's name.
-	Backend string
-
 	// GranularityPages is the tuned swap transfer unit (1..512 pages,
 	// i.e. 4 KiB .. 2 MiB average page size via THP).
 	GranularityPages int
 	// Width is the tuned I/O width (channels / event queues).
 	Width int
-	// LocalRatio is the minimum local-memory share predicted to keep the
-	// slowdown within the SLO.
-	LocalRatio float64
 	// NUMA is the local placement policy.
 	NUMA mem.NUMAPolicy
 }
@@ -260,11 +254,15 @@ func hotHitShare(f trace.Features, localRatio float64) float64 {
 	return 0.8 + 0.2*(localRatio-f.HotRatio)/coldSpan
 }
 
+// meiFarRatio is the far-memory share SelectBackend ranks backends at: half
+// the footprint offloaded.
+const meiFarRatio = 0.5
+
 // SelectBackend computes MEI for every available option and returns the
 // MEI-ordered priority list. MEI(b) = (runtime improvement over the slowest
 // available option) / normalized device cost — the paper's "memory
-// effectiveness improvement" metric.
-func SelectBackend(opts []BackendOption, f trace.Features, computePerAccess sim.Duration, farRatio float64) (priority []string, mei map[string]float64) {
+// effectiveness improvement" metric, with meiFarRatio of the footprint far.
+func SelectBackend(opts []BackendOption, f trace.Features, computePerAccess sim.Duration) (priority []string, mei map[string]float64) {
 	mei = make(map[string]float64)
 	worst := 0.0
 	shares := make(map[string]float64)
@@ -272,7 +270,7 @@ func SelectBackend(opts []BackendOption, f trace.Features, computePerAccess sim.
 		if !o.Available {
 			continue
 		}
-		s := PredictRuntimeShare(o, f, computePerAccess, farRatio)
+		s := PredictRuntimeShare(o, f, computePerAccess, meiFarRatio)
 		shares[o.Name] = s
 		if s > worst {
 			worst = s

@@ -75,7 +75,7 @@ func TestBackendPreferenceByAnonRatio(t *testing.T) {
 	anonHeavy.FileTrafficRatio = 0.05
 	anonHeavy.SeqRatio = 0.5
 	anonHeavy.FragmentRatio = 0.01
-	pri, mei := SelectBackend(opts, anonHeavy, 80*sim.Nanosecond, 0.5)
+	pri, mei := SelectBackend(opts, anonHeavy, 80*sim.Nanosecond)
 	if pri[0] != "rdma" {
 		t.Fatalf("anon-heavy priority %v (MEI %v), want rdma first", pri, mei)
 	}
@@ -83,7 +83,7 @@ func TestBackendPreferenceByAnonRatio(t *testing.T) {
 	fileHeavy := anonHeavy
 	fileHeavy.AnonRatio = 0.3
 	fileHeavy.FileTrafficRatio = 0.7
-	pri, mei = SelectBackend(opts, fileHeavy, 80*sim.Nanosecond, 0.5)
+	pri, mei = SelectBackend(opts, fileHeavy, 80*sim.Nanosecond)
 	if pri[0] != "ssd" {
 		t.Fatalf("file-heavy priority %v (MEI %v), want ssd first", pri, mei)
 	}
@@ -96,7 +96,7 @@ func TestUnavailableBackendExcluded(t *testing.T) {
 			opts[i].Available = false
 		}
 	}
-	pri, mei := SelectBackend(opts, seqFeatures(), 80*sim.Nanosecond, 0.5)
+	pri, mei := SelectBackend(opts, seqFeatures(), 80*sim.Nanosecond)
 	if _, ok := mei["rdma"]; ok {
 		t.Fatal("unavailable backend received an MEI score")
 	}
@@ -134,7 +134,7 @@ func TestChooseNUMA(t *testing.T) {
 func TestDecideFullPipeline(t *testing.T) {
 	opts := options()
 	f := seqFeatures()
-	priority, mei := SelectBackend(opts, f, 100*sim.Nanosecond, 0.5)
+	priority, mei := SelectBackend(opts, f, 100*sim.Nanosecond)
 	if len(priority) != 3 || priority[0] == "" {
 		t.Fatalf("ranking incomplete: %v", priority)
 	}
@@ -183,7 +183,7 @@ func TestSelectBackendProperty(t *testing.T) {
 			HotRatio:      float64(hotSeed) / 255 * 0.9,
 			LoadRatio:     0.8,
 		}
-		pri, mei := SelectBackend(options(), ft, 100*sim.Nanosecond, 0.5)
+		pri, mei := SelectBackend(options(), ft, 100*sim.Nanosecond)
 		if len(pri) != 3 {
 			return false
 		}
@@ -198,7 +198,7 @@ func TestSelectBackendProperty(t *testing.T) {
 			}
 		}
 		// Determinism.
-		pri2, _ := SelectBackend(options(), ft, 100*sim.Nanosecond, 0.5)
+		pri2, _ := SelectBackend(options(), ft, 100*sim.Nanosecond)
 		for i := range pri {
 			if pri[i] != pri2[i] {
 				return false

@@ -56,11 +56,13 @@ type Config struct {
 	Nodes        int
 	CoresPerNode int
 	PagesPerNode int
-	// NICBandwidth per node (default 10 GB/s) and switch capacity
-	// (default 40 GB/s).
-	NICBandwidth    units.BytesPerSec
-	SwitchBandwidth units.BytesPerSec
 }
+
+// Every node's NIC carries 10 GB/s and the rack switch 40 GB/s.
+const (
+	nicBandwidth    units.BytesPerSec = 10e9
+	switchBandwidth units.BytesPerSec = 40e9
+)
 
 // New builds a cluster; each node gets a local SSD (file storage and
 // SSD-backend swap).
@@ -68,24 +70,18 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	if cfg.Nodes <= 0 {
 		panic("datacenter: need at least one node")
 	}
-	if cfg.NICBandwidth == 0 {
-		cfg.NICBandwidth = units.GBps(10)
-	}
-	if cfg.SwitchBandwidth == 0 {
-		cfg.SwitchBandwidth = units.GBps(40)
-	}
 	c := &Cluster{
 		Eng:    eng,
 		fabric: pcie.NewFabric(eng),
 	}
-	c.sw = c.fabric.NewLink("switch", cfg.SwitchBandwidth)
+	c.sw = c.fabric.NewLink("switch", switchBandwidth)
 	for i := 0; i < cfg.Nodes; i++ {
 		m := vm.NewMachine(eng, pcie.Gen4, 16, cfg.CoresPerNode, cfg.PagesPerNode)
 		m.AttachDevice(device.SpecTestbedSSD("ssd"))
 		n := &Node{
 			Name:    fmt.Sprintf("node%d", i),
 			Machine: m,
-			nic:     c.fabric.NewLink(fmt.Sprintf("node%d/nic", i), cfg.NICBandwidth),
+			nic:     c.fabric.NewLink(fmt.Sprintf("node%d/nic", i), nicBandwidth),
 		}
 		c.nodes = append(c.nodes, n)
 	}
@@ -102,7 +98,6 @@ type RemoteMemory struct {
 	cluster  *Cluster
 	borrower *Node
 	donor    *Node
-	width    int
 	inflight *sim.Resource
 	name     string
 }
@@ -126,7 +121,6 @@ func (c *Cluster) Lend(donor, borrower *Node, pages int) (*RemoteMemory, error) 
 		cluster:  c,
 		borrower: borrower,
 		donor:    donor,
-		width:    4,
 		inflight: sim.NewResource(c.Eng, 4),
 		name:     fmt.Sprintf("remote-dram(%s->%s)", borrower.Name, donor.Name),
 	}, nil
@@ -145,15 +139,11 @@ func (r *RemoteMemory) CostPerGB() float64 { return 1.0 }
 // Bandwidth implements swap.Backend: bounded by the borrower's NIC.
 func (r *RemoteMemory) Bandwidth() units.BytesPerSec { return r.borrower.nic.Capacity() }
 
-// Width implements swap.Backend.
-func (r *RemoteMemory) Width() int { return r.width }
-
 // SetWidth implements swap.Backend.
 func (r *RemoteMemory) SetWidth(w int) {
 	if w < 1 {
 		w = 1
 	}
-	r.width = w
 	r.inflight.Resize(w)
 }
 
@@ -168,11 +158,11 @@ func (r *RemoteMemory) Submit(ex swap.Extent, done func(lat sim.Duration)) {
 		panic("datacenter: extent with no pages")
 	}
 	start := r.cluster.Eng.Now()
-	r.inflight.Acquire(1, func() {
+	r.inflight.Acquire(func() {
 		r.cluster.Eng.After(remoteLatency, func() {
 			path := []*pcie.Link{r.borrower.nic, r.cluster.sw, r.donor.nic}
 			r.cluster.fabric.Transfer(ex.Bytes(), path, func(at sim.Time) {
-				r.inflight.Release(1)
+				r.inflight.Release()
 				if done != nil {
 					done(at.Sub(start))
 				}
@@ -190,7 +180,7 @@ func (n *Node) Reserve(pages int) error {
 	}
 	// Model residency as a VM-less allocation: create a placeholder VM
 	// holding the pages.
-	if v := n.Machine.CreateVM("resident", 0, pages, []string{"ssd"}, nil); v == nil {
+	if v := n.Machine.CreateVM("resident", 0, pages, []string{"ssd"}); v == nil {
 		return fmt.Errorf("datacenter: %s reservation failed", n.Name)
 	}
 	return nil

@@ -78,11 +78,11 @@ func TestRemoteMemoryTransfer(t *testing.T) {
 	if got := lat.Microseconds(); math.Abs(got-3.41) > 0.1 {
 		t.Fatalf("remote page latency %.2fµs, want ~3.4µs", got)
 	}
-	if rm.Kind().String() != "dram" || rm.Width() != 4 {
+	if rm.Kind().String() != "dram" || rm.inflight.Capacity() != 4 {
 		t.Fatal("backend metadata wrong")
 	}
 	rm.SetWidth(0)
-	if rm.Width() != 1 {
+	if rm.inflight.Capacity() != 1 {
 		t.Fatal("width clamp")
 	}
 }

@@ -28,10 +28,10 @@ func SpecHDD(name string) Spec {
 }
 
 // SpecDiskArray models the Linux-swap baseline's striped disk backend
-// (Table IV: disk, 2 GB/s, 2T).
-func SpecDiskArray(name string) Spec {
+// (Table IV: disk, 2 GB/s, 2T), named "disk".
+func SpecDiskArray() Spec {
 	return Spec{
-		Name: name, Kind: HDD,
+		Name: "disk", Kind: HDD,
 		Bandwidth:        units.GBps(2),
 		ReadLatency:      70 * sim.Microsecond,
 		WriteLatency:     90 * sim.Microsecond,

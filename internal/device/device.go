@@ -170,13 +170,10 @@ type Device struct {
 
 	// Stats.
 	Ops       metrics.Counter
-	ReadOps   metrics.Counter
-	WriteOps  metrics.Counter
 	Failed    metrics.Counter // ops rejected with ErrDown
 	Dropped   metrics.Counter // ops silently lost while stalled
 	BytesRead float64
 	BytesWrit float64
-	Latency   metrics.Summary // per-op end-to-end latency, µs
 
 	// Observability handle, resolved once at construction (nil when off).
 	rec      *obs.Recorder
@@ -206,7 +203,7 @@ func New(eng *sim.Engine, fabric *pcie.Fabric, spec Spec, extraLinks ...*pcie.Li
 		if r := obs.Rec(eng); r != nil {
 			d.rec = r
 			d.track = "dev/" + spec.Name
-			d.obsQueue = r.Timeline(d.track+"/queue", obs.DefaultTimelineWidth, obs.ModeMean)
+			d.obsQueue = r.Timeline(d.track+"/queue", obs.ModeMean)
 			r.OnSeal(func() {
 				now := eng.Now()
 				r.Gauge(d.track + "/utilization/media").Set(d.internal.Utilization(now))
@@ -336,7 +333,7 @@ var ignoreLatency = func(sim.Duration) {}
 // with err == nil on success, or err == ErrDown (after FailFastLatency) if
 // the device is dead. While the device is stalled the op is dropped and
 // done never fires — initiators recover via their own timeout (see
-// swap.RetryPolicy).
+// swap.Path.Retry).
 func (d *Device) SubmitResult(op Op, done func(lat sim.Duration, err error)) {
 	d.submit(op, nil, done)
 }
@@ -418,7 +415,7 @@ func (d *Device) submit(op Op, onLat func(sim.Duration), onResult func(sim.Durat
 	if op.Write {
 		r.ch = d.writeCh
 	}
-	r.ch.Acquire(1, r.acquireFn)
+	r.ch.Acquire(r.acquireFn)
 }
 
 // acquire runs when the op is granted a channel.
@@ -434,7 +431,7 @@ func (r *opRecord) acquire() {
 	}
 	// The device may have faulted while the op sat in the queue.
 	if d.stalled || d.down {
-		r.ch.Release(1)
+		r.ch.Release()
 		if d.down {
 			d.failFast(r)
 		} else {
@@ -471,14 +468,12 @@ func (r *opRecord) serve() {
 // transferred runs when the op's last byte lands.
 func (r *opRecord) transferred(at sim.Time) {
 	d, op := r.d, r.op
-	r.ch.Release(1)
+	r.ch.Release()
 	lat := at.Sub(r.start)
 	d.Ops.Inc()
 	if op.Write {
-		d.WriteOps.Inc()
 		d.BytesWrit += float64(op.Size)
 	} else {
-		d.ReadOps.Inc()
 		d.BytesRead += float64(op.Size)
 	}
 	if invariant.On {
@@ -490,7 +485,6 @@ func (r *opRecord) transferred(at sim.Time) {
 			"device %q completed %.0f bytes in %.6fs at %.0f B/s",
 			d.spec.Name, d.TotalBytes(), secs, float64(d.spec.Bandwidth))
 	}
-	d.Latency.Add(lat.Microseconds())
 	if d.rec != nil {
 		name := "read"
 		if op.Write {

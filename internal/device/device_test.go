@@ -23,8 +23,8 @@ func TestSingleOpLatency(t *testing.T) {
 	if got := lat.Microseconds(); math.Abs(got-want) > 0.05 {
 		t.Fatalf("latency %.3fµs, want ~%.3fµs", got, want)
 	}
-	if d.Ops.Value != 1 || d.ReadOps.Value != 1 {
-		t.Fatalf("op counters: ops=%d reads=%d", d.Ops.Value, d.ReadOps.Value)
+	if d.Ops.Value != 1 || d.BytesRead != float64(units.PageSize) {
+		t.Fatalf("op accounting: ops=%d bytes read=%v", d.Ops.Value, d.BytesRead)
 	}
 }
 
@@ -56,8 +56,8 @@ func TestWriteLatencyDiffers(t *testing.T) {
 	if wr >= rd {
 		t.Fatalf("SSD write (%v) should be faster than read (%v) per the spec", wr, rd)
 	}
-	if d.WriteOps.Value != 1 || d.BytesWrit != float64(units.PageSize) {
-		t.Fatalf("write accounting: ops=%d bytes=%v", d.WriteOps.Value, d.BytesWrit)
+	if d.Ops.Value != 2 || d.BytesWrit != float64(units.PageSize) {
+		t.Fatalf("write accounting: ops=%d bytes written=%v", d.Ops.Value, d.BytesWrit)
 	}
 }
 
@@ -228,8 +228,8 @@ func TestMediaLatencyOrderingProperty(t *testing.T) {
 func TestDeviceAccessors(t *testing.T) {
 	eng := sim.NewEngine()
 	h := NewHost(eng, pcie.Gen3, 16)
-	d := h.Attach(SpecDiskArray("disk0"))
-	if d.Kind() != HDD || d.Name() != "disk0" {
+	d := h.Attach(SpecDiskArray())
+	if d.Kind() != HDD || d.Name() != "disk" {
 		t.Fatal("metadata accessors wrong")
 	}
 	if d.SlotLink() == nil || d.internal == nil {
@@ -246,7 +246,7 @@ func TestDeviceAccessors(t *testing.T) {
 }
 
 func TestDiskArraySpec(t *testing.T) {
-	s := SpecDiskArray("disk")
+	s := SpecDiskArray()
 	if s.Bandwidth.GB() != 2 {
 		t.Fatalf("disk array bandwidth %.1f, Table IV says 2 GB/s", s.Bandwidth.GB())
 	}

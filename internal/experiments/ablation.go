@@ -83,7 +83,7 @@ func AblationMEI(o Options) float64 {
 		baseline.OptionFor(env.Machine.Backend("dram")),
 	}
 	f := baseline.Profile(spec, o.Seed)
-	priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess, 0.5)
+	priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess)
 	best, worst := priority[0], priority[len(priority)-1]
 
 	measure := func(backend string) sim.Duration {
@@ -128,7 +128,7 @@ func AblationWarmStart(o Options) (warm, cold sim.Duration) {
 		env := testbed(eng)
 		if warm {
 			for _, name := range env.Machine.BackendNames() {
-				env.Machine.CreateVM("vm-"+name, 4, 8*workload.PagesPerGiB, []string{name}, nil)
+				env.Machine.CreateVM("vm-"+name, 4, 8*workload.PagesPerGiB, []string{name})
 			}
 			eng.Run()
 		}

@@ -32,7 +32,7 @@ func Custom(specs []workload.Spec, o Options) []Table {
 		for _, name := range []string{"ssd", "rdma", "dram"} {
 			opts = append(opts, baseline.OptionFor(envP.Machine.Backend(name)))
 		}
-		priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess, 0.5)
+		priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess)
 		best := "rdma"
 		if len(priority) > 0 {
 			best = priority[0]

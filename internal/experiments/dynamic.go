@@ -70,9 +70,9 @@ func Dynamic(o Options) []Table {
 		eng := sim.NewEngine()
 		env := testbed(eng)
 		v := env.Machine.CreateVM("dyn", 4, phases[0].FootprintPages*2,
-			[]string{"ssd", "rdma", "dram"}, nil)
+			[]string{"ssd", "rdma", "dram"})
 		eng.Run() // boot with the warm backends ready
-		run := baseline.PrepareXDMDynamic(env, v, phases, 0.5, o.Seed)
+		run := baseline.PrepareXDMDynamic(env, v, phases, o.Seed)
 		taskStart := eng.Now()
 		tk := task.New(run.Config)
 		tl := metrics.NewTimeline(eng, 50*sim.Millisecond, func() float64 {

@@ -222,7 +222,7 @@ func testbed(eng *sim.Engine) baseline.Env {
 	m.AttachDevice(device.SpecTestbedSSD("ssd"))
 	m.AttachDevice(device.SpecConnectX5("rdma"))
 	m.AttachDevice(device.SpecRemoteDRAM("dram"))
-	m.AttachDevice(device.SpecDiskArray("disk"))
+	m.AttachDevice(device.SpecDiskArray())
 	return baseline.Env{Machine: m, FileBackend: "ssd"}
 }
 

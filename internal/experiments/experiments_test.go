@@ -215,25 +215,6 @@ func TestFig19PaperPoints(t *testing.T) {
 	}
 }
 
-func TestRunAllProducesEveryTable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	var tables []Table
-	for _, id := range IDs() {
-		ts, _ := Run(id, Options{Scale: 16, Seed: 1})
-		tables = append(tables, ts...)
-	}
-	if len(tables) < 18 {
-		t.Fatalf("every experiment together produced %d tables", len(tables))
-	}
-	for _, tb := range tables {
-		if len(tb.Rows) == 0 {
-			t.Errorf("table %s has no rows", tb.ID)
-		}
-	}
-}
-
 // sscan parses a float from a string.
 func sscan(s string, v *float64) (int, error) {
 	return fmt.Sscanf(s, "%f", v)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/swap"
 	"repro/internal/task"
 	"repro/internal/workload"
 )
@@ -114,7 +113,7 @@ func runFaultScenario(o Options, kind faults.Kind, failover bool, pinned string)
 	target := pinned
 	if failover {
 		v := env.Machine.CreateVM("fault-probe-vm", spec.Threads, 2*spec.FootprintPages,
-			[]string{"rdma", "ssd", "dram"}, nil)
+			[]string{"rdma", "ssd", "dram"})
 		if v == nil {
 			panic("experiments: faults VM creation failed")
 		}
@@ -132,9 +131,9 @@ func runFaultScenario(o Options, kind faults.Kind, failover bool, pinned string)
 		// Same per-op timeout/retry discipline as the failover system, so
 		// the static baseline fails through rather than hanging forever —
 		// but no health monitor and nowhere to switch.
-		cfg.SwapPath.Retry = swap.DefaultRetryPolicy(be.Kind())
+		cfg.SwapPath.Retry = true
 		if cfg.FilePath != nil {
-			cfg.FilePath.Retry = swap.DefaultRetryPolicy(cfg.FilePath.Backend().Kind())
+			cfg.FilePath.Retry = true
 		}
 	}
 

@@ -37,7 +37,7 @@ type fig14System struct {
 func fig14Systems() []fig14System {
 	return []fig14System{
 		{name: "linux-swap", sys: baseline.LinuxSwap,
-			devices: []device.Spec{device.SpecDiskArray("disk")}},
+			devices: []device.Spec{device.SpecDiskArray()}},
 		{name: "tmo", sys: baseline.TMO,
 			devices: []device.Spec{device.SpecNVMeSSD("nvme")}},
 		{name: "fastswap", sys: baseline.Fastswap,

@@ -130,7 +130,7 @@ func Fig18(o Options) []Table {
 	m.AttachDevice(device.SpecTestbedSSD("ssd"))
 	m.AttachDevice(device.SpecConnectX5("rdma"))
 	m.AttachDevice(device.SpecRemoteDRAM("dram"))
-	v := m.CreateVM("vm", 2, 1024, []string{"ssd", "rdma", "dram"}, nil)
+	v := m.CreateVM("vm", 2, 1024, []string{"ssd", "rdma", "dram"})
 	eng.Run()
 	kinds := []string{"ssd", "rdma", "dram"}
 	maxSwitch := sim.Duration(0)

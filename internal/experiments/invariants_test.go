@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/invariant"
@@ -9,7 +10,9 @@ import (
 // TestAllExperimentsCleanUnderInvariants runs every registered experiment
 // grid with the runtime checking layer enabled, at Workers=1 and Workers=8,
 // and requires zero violations. Violations are collected (not panicked) so
-// one failure reports every broken law instead of dying on the first.
+// one failure reports every broken law instead of dying on the first. The
+// same sweep checks that both renders of each experiment are byte-equal,
+// and that together the experiments produce every table, each with rows.
 //
 // Not t.Parallel: it toggles the package-global invariant gate, so it must
 // not overlap tests that assume checks are off. Go runs it to completion
@@ -31,8 +34,10 @@ func TestAllExperimentsCleanUnderInvariants(t *testing.T) {
 	// five-way policyarena replay runs a further tier up to keep the
 	// double sweep affordable.
 	scaleFor := map[string]int{"policyarena": 32}
-	for _, workers := range []int{1, 8} {
-		for _, id := range IDs() {
+	var tables []Table
+	for _, id := range IDs() {
+		var renders [2]bytes.Buffer
+		for i, workers := range []int{1, 8} {
 			o := TestOptions()
 			o.Scale = 16
 			o.Workers = workers
@@ -40,11 +45,32 @@ func TestAllExperimentsCleanUnderInvariants(t *testing.T) {
 				o.Scale = s
 			}
 			before := len(violations)
-			renderExperiment(t, id, o)
+			ts, _ := Run(id, o)
+			for _, tb := range ts {
+				tb.Render(&renders[i])
+			}
+			if workers == 1 {
+				tables = append(tables, ts...)
+			}
 			if n := len(violations) - before; n > 0 {
 				t.Errorf("experiment %q (Workers=%d): %d invariant violations, first: %v",
 					id, workers, n, violations[before])
 			}
+		}
+		if renders[0].Len() == 0 {
+			t.Errorf("experiment %q rendered nothing", id)
+		}
+		if !bytes.Equal(renders[0].Bytes(), renders[1].Bytes()) {
+			t.Errorf("experiment %q: Workers=1 vs Workers=8 output differs:\n--- serial\n%s\n--- parallel\n%s",
+				id, renders[0].Bytes(), renders[1].Bytes())
+		}
+	}
+	if len(tables) < 18 {
+		t.Errorf("every experiment together produced %d tables", len(tables))
+	}
+	for _, tb := range tables {
+		if len(tb.Rows) == 0 {
+			t.Errorf("table %s has no rows", tb.ID)
 		}
 	}
 	if invariant.Checks() == 0 {

@@ -163,7 +163,7 @@ func NewCell(cfg Config) *Cell {
 		privateFar += int(cfg.Spec.Pool * float64(cfg.FarPagesPerHost))
 	}
 	c.pool = NewPool(cfg.Eng, cfg.Name+"/pool", cfg.Spec.Hosts, poolPages/cfg.Spec.Slab, cfg.Spec.Slab)
-	c.coh = NewCoherence(0)
+	c.coh = NewCoherence()
 	c.meta = c.coh.Region(cfg.Spec.Hosts)
 	c.totalFar = cfg.Spec.Hosts*privateFar + c.pool.Capacity()*cfg.Spec.Slab
 
@@ -339,7 +339,7 @@ func (c *Cell) place(i, h, cores, resident, far int) {
 			l.slabs = slabs
 			hs.leasedSlabs += slabs
 			c.checkLeases(h)
-			delay = c.coh.Charge(c.meta, h, true)
+			delay = c.coh.Charge(c.meta, h)
 		}
 	}
 	c.placed++
@@ -364,7 +364,7 @@ func (c *Cell) start(i int, rt *runningTask, spec workload.Spec) {
 	hs := c.hosts[rt.lease.host]
 	ch := swap.NewChannel(c.eng, spec.Name+"-ch", 4)
 	path := swap.NewPath(c.eng, hs.port, ch)
-	path.Retry = swap.DefaultRetryPolicy(hs.port.Kind())
+	path.Retry = true
 	cfg := task.Config{
 		Eng:              c.eng,
 		Name:             spec.Name,
@@ -403,7 +403,7 @@ func (c *Cell) demote(rt *runningTask) {
 		c.releaseFar(rt)
 		ch := swap.NewChannel(c.eng, rt.t.SwapPath().Channel().Name()+"-demoted", 4)
 		path := swap.NewPath(c.eng, hs.ssd, ch)
-		path.Retry = swap.DefaultRetryPolicy(hs.ssd.Kind())
+		path.Retry = true
 		rt.t.SetSwapPath(path)
 		c.demotions++
 		if c.rec != nil {
@@ -427,7 +427,7 @@ func (c *Cell) releaseFar(rt *runningTask) {
 		hs.leasedSlabs -= rt.lease.slabs
 		rt.lease.slabs = 0
 		c.checkLeases(rt.lease.host)
-		c.coh.Charge(c.meta, rt.lease.host, true)
+		c.coh.Charge(c.meta, rt.lease.host)
 	}
 }
 

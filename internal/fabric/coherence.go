@@ -6,24 +6,23 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultBackInvalidation is the per-remote-sharer cost of a writer-epoch
+// backInvalidation is the per-remote-sharer cost of a writer-epoch
 // change on a shared fabric region: the switch's back-invalidation snoop
 // plus the sharer's cacheline flush/refetch for the region's hot lines.
 // CXL 3.0 back-invalidate is a sub-µs snoop per line; a region epoch
 // touches a handful of lines, putting the per-sharer charge in single-digit
 // microseconds.
-const DefaultBackInvalidation = 4 * sim.Microsecond
+const backInvalidation = 4 * sim.Microsecond
 
 // Coherence models hardware-coherent shared regions on the switch (CXL 3.0
 // shared FAM). The cost model is epoch-based: while one host writes, other
 // sharers hold read copies for free; the first write by a *different* host
 // opens a new writer epoch, and the switch back-invalidates every other
-// sharer's copies — charged as DefaultBackInvalidation × (sharers − 1).
-// Reads never open epochs. Every counter is a pure function of the charge
+// sharer's copies — charged as backInvalidation × (sharers − 1). Only
+// writes are charged. Every counter is a pure function of the charge
 // history, so shared-region costs stay byte-identical across replays.
 type Coherence struct {
-	perSharer sim.Duration
-	regions   []*region
+	regions []*region
 }
 
 type region struct {
@@ -33,14 +32,9 @@ type region struct {
 	cost    sim.Duration
 }
 
-// NewCoherence builds a tracker charging perSharer (0 selects
-// DefaultBackInvalidation) per remote sharer per writer epoch.
-func NewCoherence(perSharer sim.Duration) *Coherence {
-	if perSharer <= 0 {
-		perSharer = DefaultBackInvalidation
-	}
-	return &Coherence{perSharer: perSharer}
-}
+// NewCoherence builds a tracker charging backInvalidation per remote sharer
+// per writer epoch.
+func NewCoherence() *Coherence { return &Coherence{} }
 
 // Region registers a shared region with the given sharer count and returns
 // its id.
@@ -52,18 +46,18 @@ func (c *Coherence) Region(sharers int) int {
 	return len(c.regions) - 1
 }
 
-// Charge records an access to region id by host and returns the coherence
-// cost the access pays: zero for reads and same-writer writes, one
-// back-invalidation round (perSharer × remote sharers) when the write moves
-// the region to a new writer epoch.
-func (c *Coherence) Charge(id, host int, write bool) sim.Duration {
+// Charge records a write to region id by host and returns the coherence
+// cost the write pays: zero for a same-writer write, one back-invalidation
+// round (backInvalidation × remote sharers) when the write moves the region
+// to a new writer epoch.
+func (c *Coherence) Charge(id, host int) sim.Duration {
 	r := c.regions[id]
-	if !write || r.writer == host {
+	if r.writer == host {
 		return 0
 	}
 	r.writer = host
 	r.epochs++
-	cost := c.perSharer * sim.Duration(r.sharers-1)
+	cost := backInvalidation * sim.Duration(r.sharers-1)
 	r.cost += cost
 	return cost
 }

@@ -14,20 +14,17 @@ import (
 // --- coherence ---
 
 func TestCoherenceEpochSemantics(t *testing.T) {
-	c := NewCoherence(0)
+	c := NewCoherence()
 	id := c.Region(4)
 
-	if d := c.Charge(id, 0, false); d != 0 {
-		t.Fatalf("read charged %v", d)
-	}
-	want := DefaultBackInvalidation * 3
-	if d := c.Charge(id, 0, true); d != want {
+	want := backInvalidation * 3
+	if d := c.Charge(id, 0); d != want {
 		t.Fatalf("first write charged %v, want %v", d, want)
 	}
-	if d := c.Charge(id, 0, true); d != 0 {
+	if d := c.Charge(id, 0); d != 0 {
 		t.Fatalf("same-writer write charged %v", d)
 	}
-	if d := c.Charge(id, 2, true); d != want {
+	if d := c.Charge(id, 2); d != want {
 		t.Fatalf("writer change charged %v, want %v", d, want)
 	}
 	if c.regions[id].epochs != 2 || c.regions[id].cost != 2*want {
@@ -39,9 +36,9 @@ func TestCoherenceEpochSemantics(t *testing.T) {
 }
 
 func TestCoherenceSingleSharerIsFree(t *testing.T) {
-	c := NewCoherence(sim.Microsecond)
+	c := NewCoherence()
 	id := c.Region(1)
-	if d := c.Charge(id, 0, true); d != 0 {
+	if d := c.Charge(id, 0); d != 0 {
 		t.Fatalf("lone sharer charged %v", d)
 	}
 	if c.regions[id].epochs != 1 {
@@ -353,7 +350,7 @@ func TestPoolConstructorGuards(t *testing.T) {
 		"negative-slabs": func() { NewPool(sim.NewEngine(), "p", 2, -1, 128) },
 		"zero-slab-size": func() { NewPool(sim.NewEngine(), "p", 2, 4, 0) },
 		"bad-host":       func() { NewPool(sim.NewEngine(), "p", 2, 4, 128).Grant(7, 1) },
-		"bad-region":     func() { NewCoherence(0).Region(0) },
+		"bad-region":     func() { NewCoherence().Region(0) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

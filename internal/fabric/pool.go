@@ -70,7 +70,7 @@ func NewPool(eng *sim.Engine, name string, hosts, slabs, slabPages int) *Pool {
 		if r := obs.Rec(eng); r != nil {
 			p.rec = r
 			p.track = "fabric/" + name
-			p.obsGranted = r.Timeline(p.track+"/granted-slabs", obs.DefaultTimelineWidth, obs.ModeMean)
+			p.obsGranted = r.Timeline(p.track+"/granted-slabs", obs.ModeMean)
 			r.OnSeal(func() {
 				r.Counter(p.track + "/grants").Add(float64(p.Grants))
 				r.Counter(p.track + "/reclaims").Add(float64(p.Reclaims))

@@ -181,14 +181,14 @@ func TestLRUConsistencyProperty(t *testing.T) {
 func TestNUMABindLocal(t *testing.T) {
 	topo := NewTopology(2)
 	// Fill node 0.
-	if n := topo.Allocate(BindLocal, 0); n != 0 {
+	if n := topo.Allocate(BindLocal); n != 0 {
 		t.Fatalf("alloc 1 on node %d", n)
 	}
-	if n := topo.Allocate(BindLocal, 0); n != 0 {
+	if n := topo.Allocate(BindLocal); n != 0 {
 		t.Fatalf("alloc 2 on node %d", n)
 	}
 	// Node 0 full: spills to node 1.
-	if n := topo.Allocate(BindLocal, 0); n != 1 {
+	if n := topo.Allocate(BindLocal); n != 1 {
 		t.Fatalf("spill went to node %d, want 1", n)
 	}
 	topo.Release(0)
@@ -201,7 +201,7 @@ func TestNUMAInterleave(t *testing.T) {
 	topo := NewTopology(4)
 	counts := map[int8]int{}
 	for i := 0; i < 6; i++ {
-		counts[topo.Allocate(Interleave, 0)]++
+		counts[topo.Allocate(Interleave)]++
 	}
 	if counts[0] != 3 || counts[1] != 3 {
 		t.Fatalf("interleave counts=%v, want 3/3", counts)
@@ -210,16 +210,16 @@ func TestNUMAInterleave(t *testing.T) {
 
 func TestNUMAPreferRemote(t *testing.T) {
 	topo := NewTopology(2)
-	if n := topo.Allocate(PreferRemote, 0); n != 1 {
+	if n := topo.Allocate(PreferRemote); n != 1 {
 		t.Fatalf("prefer-remote allocated on node %d, want 1", n)
 	}
 }
 
 func TestNUMAExhaustion(t *testing.T) {
 	topo := NewTopology(1)
-	topo.Allocate(BindLocal, 0)
-	topo.Allocate(BindLocal, 0)
-	if n := topo.Allocate(BindLocal, 0); n != -1 {
+	topo.Allocate(BindLocal)
+	topo.Allocate(BindLocal)
+	if n := topo.Allocate(BindLocal); n != -1 {
 		t.Fatalf("allocation on full topology returned %d", n)
 	}
 	if totalFree(topo) != 0 {
@@ -238,9 +238,9 @@ func totalFree(topo *Topology) int {
 func TestNUMAAccessLatency(t *testing.T) {
 	topo := NewTopology(10)
 	topo.AddCXLNode(10)
-	local := topo.AccessLatency(0, 0)
-	remote := topo.AccessLatency(0, 1)
-	cxl := topo.AccessLatency(0, 2)
+	local := topo.AccessLatency(0)
+	remote := topo.AccessLatency(1)
+	cxl := topo.AccessLatency(2)
 	if !(local < remote && remote < cxl) {
 		t.Fatalf("latency ordering violated: local=%v remote=%v cxl=%v", local, remote, cxl)
 	}
@@ -254,7 +254,7 @@ func TestNUMAConservationProperty(t *testing.T) {
 		var held []int8
 		for _, s := range policySeeds {
 			policy := NUMAPolicy(s % 3)
-			if n := topo.Allocate(policy, int8(s%2)); n >= 0 {
+			if n := topo.Allocate(policy); n >= 0 {
 				held = append(held, n)
 			}
 			for i := range topo.Nodes {

@@ -56,6 +56,9 @@ const (
 	cxlLatency    = 250 * sim.Nanosecond
 )
 
+// cpuNode is the NUMA node every task's threads run on.
+const cpuNode int8 = 0
+
 // Topology is the host's NUMA layout.
 type Topology struct {
 	Nodes []Node
@@ -88,7 +91,7 @@ func (t *Topology) AddCXLNode(pages int) {
 
 // Allocate picks a node for one page under the given policy, for a CPU on
 // cpuNode. It returns the node ID, or -1 if all nodes are full.
-func (t *Topology) Allocate(policy NUMAPolicy, cpuNode int8) int8 {
+func (t *Topology) Allocate(policy NUMAPolicy) int8 {
 	pick := func(id int8) int8 {
 		n := &t.Nodes[id]
 		if n.Free() > 0 {
@@ -97,7 +100,7 @@ func (t *Topology) Allocate(policy NUMAPolicy, cpuNode int8) int8 {
 		}
 		return -1
 	}
-	t.order = t.appendOrder(t.order[:0], policy, cpuNode)
+	t.order = t.appendOrder(t.order[:0], policy)
 	for _, id := range t.order {
 		if got := pick(id); got >= 0 {
 			return got
@@ -107,7 +110,7 @@ func (t *Topology) Allocate(policy NUMAPolicy, cpuNode int8) int8 {
 }
 
 // appendOrder appends the nodes to try, in preference order, to ids.
-func (t *Topology) appendOrder(ids []int8, policy NUMAPolicy, cpuNode int8) []int8 {
+func (t *Topology) appendOrder(ids []int8, policy NUMAPolicy) []int8 {
 	switch policy {
 	case Interleave:
 		n := len(t.Nodes)
@@ -148,7 +151,7 @@ func (t *Topology) Release(id int8) {
 
 // AccessLatency reports the memory latency of an access from cpuNode to a
 // page on memNode.
-func (t *Topology) AccessLatency(cpuNode, memNode int8) sim.Duration {
+func (t *Topology) AccessLatency(memNode int8) sim.Duration {
 	if int(memNode) < len(t.Nodes) && t.Nodes[memNode].CPUless {
 		return cxlLatency
 	}

@@ -63,7 +63,7 @@ func TestTopologyResetMatchesFresh(t *testing.T) {
 	topo := NewTopology(8)
 	topo.AddCXLNode(4)
 	for i := 0; i < 10; i++ {
-		topo.Allocate(Interleave, 0)
+		topo.Allocate(Interleave)
 	}
 	topo.Reset(3)
 	fresh := NewTopology(3)
@@ -72,7 +72,7 @@ func TestTopologyResetMatchesFresh(t *testing.T) {
 	}
 	for _, policy := range []NUMAPolicy{Interleave, PreferRemote, BindLocal} {
 		for i := 0; i < 7; i++ {
-			if got, want := topo.Allocate(policy, 0), fresh.Allocate(policy, 0); got != want {
+			if got, want := topo.Allocate(policy), fresh.Allocate(policy); got != want {
 				t.Fatalf("%v allocation %d: reset topology picked %d, fresh %d", policy, i, got, want)
 			}
 		}

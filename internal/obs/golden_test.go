@@ -44,7 +44,7 @@ func goldenScenario(t *testing.T) (trace, csv []byte) {
 	backend := swap.NewDeviceBackend(eng, dev)
 	ch := swap.NewChannel(eng, "vmA", 4)
 	path := swap.NewPath(eng, backend, ch)
-	path.Retry = swap.DefaultRetryPolicy(device.SSD)
+	path.Retry = true
 
 	inj := faults.NewInjector(eng)
 	inj.Register(dev)

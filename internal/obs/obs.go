@@ -48,10 +48,9 @@ func Enable() { On = true }
 // Disable turns recording off for components constructed afterwards.
 func Disable() { On = false }
 
-// DefaultTimelineWidth is the initial bucket width for auto-created
-// timelines. Buckets self-coarsen, so the width only sets the finest
-// resolution for short runs.
-const DefaultTimelineWidth = sim.Millisecond
+// timelineWidth is the initial bucket width of every timeline. Buckets
+// self-coarsen, so the width only sets the finest resolution for short runs.
+const timelineWidth = sim.Millisecond
 
 // MaxEventsPerRecorder caps the span/instant buffer of one recorder so a
 // heavy run cannot grow a trace without bound. Events past the cap are
@@ -95,7 +94,7 @@ func Attach(eng *sim.Engine) *Recorder {
 	}
 	recorders[eng] = r
 	order = append(order, r)
-	events := r.Timeline("sim/events", DefaultTimelineWidth, ModeSum)
+	events := r.Timeline("sim/events", ModeSum)
 	eng.SetStepHook(func(at sim.Time) { events.Add(at, 1) })
 	return r
 }
@@ -271,12 +270,12 @@ func (r *Recorder) Gauge(name string) *Gauge {
 }
 
 // Timeline returns (creating on first use) the named bucketed timeline.
-// The width and mode of an existing timeline are left unchanged.
-func (r *Recorder) Timeline(name string, width sim.Duration, mode TimelineMode) *metrics.BucketTimeline {
+// The mode of an existing timeline is left unchanged.
+func (r *Recorder) Timeline(name string, mode TimelineMode) *metrics.BucketTimeline {
 	if e, ok := r.timelines[name]; ok {
 		return e.tl
 	}
-	e := &timelineEntry{mode: mode, tl: metrics.NewBucketTimeline(width)}
+	e := &timelineEntry{mode: mode, tl: metrics.NewBucketTimeline(timelineWidth)}
 	r.timelines[name] = e
 	return e.tl
 }

@@ -135,8 +135,8 @@ func TestGaugeAndTimelineRegistry(t *testing.T) {
 		if got := r.Gauge("g").Value; got != 7 {
 			t.Errorf("gauge = %g, want 7", got)
 		}
-		tl := r.Timeline("tl", sim.Millisecond, obs.ModeSum)
-		if r.Timeline("tl", sim.Second, obs.ModeMean) != tl {
+		tl := r.Timeline("tl", obs.ModeSum)
+		if r.Timeline("tl", obs.ModeMean) != tl {
 			t.Errorf("same name must return the same timeline")
 		}
 	})
@@ -165,7 +165,7 @@ func TestTraceExportShape(t *testing.T) {
 			r.Instant("trackB", "tick", "x")
 		})
 		eng.Run()
-		r.Timeline("tl", sim.Millisecond, obs.ModeSum).Add(0, 2)
+		r.Timeline("tl", obs.ModeSum).Add(0, 2)
 
 		var buf bytes.Buffer
 		if err := obs.WriteTrace(&buf); err != nil {
@@ -209,8 +209,8 @@ func TestMetricsCSVShape(t *testing.T) {
 		r.Counter("z").Add(1)
 		r.Counter("a").Add(2)
 		r.Gauge("g").Set(0.5)
-		r.Timeline("tl", sim.Millisecond, obs.ModeMean).Add(0, 4)
-		sum := r.Timeline("tls", sim.Millisecond, obs.ModeSum)
+		r.Timeline("tl", obs.ModeMean).Add(0, 4)
+		sum := r.Timeline("tls", obs.ModeSum)
 		sum.Add(0, 3)
 		sum.Add(0, 4)
 
@@ -294,8 +294,8 @@ func TestNonFiniteValuesExportAsValidJSON(t *testing.T) {
 		r.Gauge("nan").Set(math.NaN())
 		r.Gauge("posinf").Set(math.Inf(1))
 		r.Counter("neginf").Add(math.Inf(-1))
-		r.Timeline("tl/nan", sim.Millisecond, obs.ModeMean).Add(0, math.NaN())
-		r.Timeline("tl/inf", sim.Millisecond, obs.ModeSum).Add(0, math.Inf(1))
+		r.Timeline("tl/nan", obs.ModeMean).Add(0, math.NaN())
+		r.Timeline("tl/inf", obs.ModeSum).Add(0, math.Inf(1))
 		var tb bytes.Buffer
 		if err := obs.WriteTrace(&tb); err != nil {
 			t.Fatal(err)
@@ -340,7 +340,7 @@ func TestObserveStation(t *testing.T) {
 		}
 		// Three arrivals at t=0 with one server: the first goes straight into
 		// service, so observed waiting depths are 0, 0, 1 — mean 1/3.
-		q := r.Timeline("stage/queue", obs.DefaultTimelineWidth, obs.ModeMean)
+		q := r.Timeline("stage/queue", obs.ModeMean)
 		if got := q.BucketMean(0); got != 1.0/3.0 {
 			t.Errorf("queue depth mean = %g, want 1/3", got)
 		}

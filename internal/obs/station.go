@@ -35,8 +35,8 @@ func ObserveStation(r *Recorder, st *sim.Station, track string) {
 		return
 	}
 	o := &stationObs{
-		depth:  r.Timeline(track+"/queue", DefaultTimelineWidth, ModeMean),
-		wait:   r.Timeline(track+"/wait", DefaultTimelineWidth, ModeMean),
+		depth:  r.Timeline(track+"/queue", ModeMean),
+		wait:   r.Timeline(track+"/wait", ModeMean),
 		waitH:  r.Hist(track + "/wait"),
 		served: r.Counter(track + "/served"),
 	}

@@ -134,7 +134,7 @@ func (fb *Fabric) NewLink(name string, capacity units.BytesPerSec) *Link {
 	if fb.rec != nil {
 		r := fb.rec
 		track := "pcie/" + name
-		l.obsUtil = r.Timeline(track+"/alloc", obs.DefaultTimelineWidth, obs.ModeMean)
+		l.obsUtil = r.Timeline(track+"/alloc", obs.ModeMean)
 		r.OnSeal(func() {
 			r.Gauge(track + "/utilization").Set(l.Utilization(fb.eng.Now()))
 			r.Counter(track + "/bytes").Add(l.bytesMoved)

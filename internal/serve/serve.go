@@ -34,7 +34,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/place"
 	"repro/internal/sim"
-	"repro/internal/swap"
 	"repro/internal/task"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -255,9 +254,9 @@ func Run(env baseline.Env, cfg Config) Result {
 	if obs.On {
 		if r := obs.Rec(s.eng); r != nil {
 			s.rec = r
-			s.obsQueue = r.Timeline("serve/queue-depth", obs.DefaultTimelineWidth, obs.ModeMean)
-			s.obsRate = r.Timeline("serve/shed-rate-limit", obs.DefaultTimelineWidth, obs.ModeMean)
-			s.obsArrival = r.Timeline("serve/offered-rate", obs.DefaultTimelineWidth, obs.ModeMean)
+			s.obsQueue = r.Timeline("serve/queue-depth", obs.ModeMean)
+			s.obsRate = r.Timeline("serve/shed-rate-limit", obs.ModeMean)
+			s.obsArrival = r.Timeline("serve/offered-rate", obs.ModeMean)
 			for _, name := range s.backendOrder {
 				if b := s.breakers[name]; b != nil {
 					name := name
@@ -453,7 +452,7 @@ func (s *server) pump() {
 		}
 		s.queue = s.queue[1:]
 		s.pendingReady++
-		if b := s.breakers[pl.Decision.Backend]; b != nil && b.State() == faults.BreakerHalfOpen {
+		if b := s.breakers[pl.Backend]; b != nil && b.State() == faults.BreakerHalfOpen {
 			// The selection peeked via Permits; the winner claims its
 			// half-open probe slot here.
 			b.Allow()
@@ -487,7 +486,7 @@ func (s *server) readyFn(q queued) func(cluster.Placement) {
 		// console's SLO planning asked for. This cap is what makes backend
 		// speed matter for serving capacity — the overflow must live on a
 		// backend, and how fast that backend is sets the service time.
-		local := pl.Decision.LocalRatio
+		local := pl.LocalRatio
 		if q.app.Spec.FootprintPages > 0 {
 			memCap := float64(pl.VM.Pages) /
 				float64(maxTasksPerVM*q.app.Spec.FootprintPages)
@@ -504,7 +503,7 @@ func (s *server) readyFn(q queued) func(cluster.Placement) {
 		cfg.SwapPath = pl.VM.Path()
 		// Per-op timeout/retry so a dead backend fails through, and the
 		// breaker observes every attempt outcome.
-		cfg.SwapPath.Retry = swap.DefaultRetryPolicy(be.Kind())
+		cfg.SwapPath.Retry = true
 		if b := s.breakers[pl.VM.ActiveBackend()]; b != nil {
 			cfg.SwapPath.Health = b
 		}
@@ -724,7 +723,7 @@ func PrewarmFleet(env baseline.Env, n, cores, pages int) {
 		for j := range names {
 			order = append(order, names[(i+j)%len(names)])
 		}
-		env.Machine.CreateVM("serve-"+order[0], cores, pages, order, nil)
+		env.Machine.CreateVM("serve-"+order[0], cores, pages, order)
 	}
 	env.Machine.Eng.Run()
 }

@@ -15,12 +15,12 @@ func Example() {
 	})
 
 	workers := sim.NewResource(eng, 1)
-	workers.Acquire(1, func() {
+	workers.Acquire(func() {
 		eng.After(5*sim.Microsecond, func() {
-			workers.Release(1)
+			workers.Release()
 		})
 	})
-	workers.Acquire(1, func() {
+	workers.Acquire(func() {
 		fmt.Println("second holder admitted at", eng.Now())
 	})
 

@@ -63,7 +63,7 @@ func (s *Station) newReq() *submitReq {
 	r.acquire = func() { r.s.eng.After(r.service, r.finish) }
 	r.finish = func() {
 		st := r.s
-		st.res.Release(1)
+		st.res.Release()
 		st.Served++
 		st.BusyTime += r.service
 		done := r.done
@@ -94,7 +94,7 @@ func (s *Station) Submit(service Duration, done func(sojourn Duration)) {
 	if s.obs != nil {
 		s.obs.StationSubmit(r.arrival, s.res.Waiting())
 	}
-	s.res.Acquire(1, r.acquire)
+	s.res.Acquire(r.acquire)
 }
 
 // Utilization reports mean server utilization over the interval [0, now].

@@ -14,8 +14,9 @@ var (
 
 // Resource is a counted resource with a FIFO wait queue — the simulation
 // analogue of a semaphore. Device channels, CPU cores, and swap-channel slots
-// are all Resources. Acquisition is asynchronous: the callback fires (possibly
-// immediately, possibly at a later virtual time) once the units are granted.
+// are all Resources. Each acquisition holds one unit. Acquisition is
+// asynchronous: the callback fires (possibly immediately, possibly at a later
+// virtual time) once the unit is granted.
 type Resource struct {
 	eng      *Engine
 	capacity int
@@ -23,13 +24,8 @@ type Resource struct {
 	// waiters[head:] is the FIFO queue. Dequeuing advances head instead of
 	// re-slicing, so the backing array is reused rather than walked forward
 	// (which would reallocate steadily under churn).
-	waiters []waiter
+	waiters []func()
 	head    int
-}
-
-type waiter struct {
-	units int
-	fn    func()
 }
 
 // NewResource creates a resource with the given number of units. Capacity
@@ -52,75 +48,55 @@ func (r *Resource) Waiting() int { return len(r.waiters) - r.head }
 
 // popWaiter dequeues the head waiter, compacting the backing array once it
 // is fully drained (or mostly dead space) so it can be reused.
-func (r *Resource) popWaiter() waiter {
-	w := r.waiters[r.head]
-	r.waiters[r.head] = waiter{} // drop the fn reference
+func (r *Resource) popWaiter() func() {
+	fn := r.waiters[r.head]
+	r.waiters[r.head] = nil // drop the fn reference
 	r.head++
 	if r.head == len(r.waiters) {
 		r.waiters = r.waiters[:0]
 		r.head = 0
 	} else if r.head > 32 && r.head*2 >= len(r.waiters) {
 		n := copy(r.waiters, r.waiters[r.head:])
-		for i := n; i < len(r.waiters); i++ {
-			r.waiters[i] = waiter{}
-		}
+		clear(r.waiters[n:])
 		r.waiters = r.waiters[:n]
 		r.head = 0
 	}
-	return w
+	return fn
 }
 
-// Acquire requests units and invokes fn once they are granted. Requests are
-// served strictly FIFO: a large request at the head blocks smaller ones
-// behind it (no starvation). Requesting more units than the capacity panics.
-func (r *Resource) Acquire(units int, fn func()) {
-	if units <= 0 {
-		panic("sim: acquire of non-positive units")
-	}
-	if units > r.capacity {
-		panic("sim: acquire exceeds resource capacity")
-	}
-	if r.Waiting() == 0 && r.inUse+units <= r.capacity {
-		r.inUse += units
-		if invariant.On {
-			ckResBound.Assert(r.inUse <= r.capacity,
-				"in use %d exceeds capacity %d", r.inUse, r.capacity)
-		}
-		// Run via the event queue so callers observe consistent ordering
-		// whether or not the acquisition had to wait.
-		r.eng.Immediately(fn)
+// Acquire requests one unit and invokes fn once it is granted. Requests are
+// served strictly FIFO.
+func (r *Resource) Acquire(fn func()) {
+	if r.Waiting() == 0 && r.inUse < r.capacity {
+		r.grant(fn)
 		return
 	}
-	r.waiters = append(r.waiters, waiter{units: units, fn: fn})
+	r.waiters = append(r.waiters, fn)
 }
 
-// Release returns units to the resource and admits as many queued waiters as
-// now fit, in FIFO order.
-func (r *Resource) Release(units int) {
-	if units <= 0 {
-		panic("sim: release of non-positive units")
+// grant hands one unit to fn. It runs via the event queue so callers observe
+// consistent ordering whether or not the acquisition had to wait.
+func (r *Resource) grant(fn func()) {
+	r.inUse++
+	if invariant.On {
+		ckResBound.Assert(r.inUse <= r.capacity,
+			"in use %d exceeds capacity %d", r.inUse, r.capacity)
 	}
-	if units > r.inUse {
-		panic("sim: release exceeds units in use")
+	r.eng.Immediately(fn)
+}
+
+// Release returns one unit to the resource and admits as many queued
+// waiters as now fit, in FIFO order.
+func (r *Resource) Release() {
+	if r.inUse == 0 {
+		panic("sim: release with no units in use")
 	}
-	r.inUse -= units
+	r.inUse--
 	if invariant.On {
 		ckResOccupancy.Assert(r.inUse >= 0 && r.Waiting() >= 0,
 			"in use %d, waiting %d", r.inUse, r.Waiting())
 	}
-	for r.Waiting() > 0 {
-		head := r.waiters[r.head]
-		if r.inUse+head.units > r.capacity {
-			break
-		}
-		r.inUse += head.units
-		r.popWaiter()
-		if invariant.On {
-			ckResBound.Assert(r.inUse <= r.capacity,
-				"in use %d exceeds capacity %d after admitting waiter", r.inUse, r.capacity)
-		}
-		r.eng.Immediately(head.fn)
-	}
+	r.admit()
 }
 
 // Resize changes the capacity. Growing admits queued waiters; shrinking below
@@ -130,14 +106,12 @@ func (r *Resource) Resize(capacity int) {
 		panic("sim: resource capacity must be positive")
 	}
 	r.capacity = capacity
-	// Admit whoever now fits.
-	for r.Waiting() > 0 {
-		head := r.waiters[r.head]
-		if head.units > r.capacity || r.inUse+head.units > r.capacity {
-			break
-		}
-		r.inUse += head.units
-		r.popWaiter()
-		r.eng.Immediately(head.fn)
+	r.admit()
+}
+
+// admit grants queued waiters, head first, while units are free.
+func (r *Resource) admit() {
+	for r.Waiting() > 0 && r.inUse < r.capacity {
+		r.grant(r.popWaiter())
 	}
 }

@@ -10,8 +10,8 @@ func TestResourceImmediateGrant(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, 2)
 	granted := 0
-	r.Acquire(1, func() { granted++ })
-	r.Acquire(1, func() { granted++ })
+	r.Acquire(func() { granted++ })
+	r.Acquire(func() { granted++ })
 	eng.Run()
 	if granted != 2 {
 		t.Fatalf("granted=%d, want 2", granted)
@@ -25,42 +25,18 @@ func TestResourceQueueing(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, 1)
 	var order []int
-	r.Acquire(1, func() {
+	r.Acquire(func() {
 		order = append(order, 1)
-		eng.After(10, func() { r.Release(1) })
+		eng.After(10, func() { r.Release() })
 	})
-	r.Acquire(1, func() {
+	r.Acquire(func() {
 		order = append(order, 2)
-		r.Release(1)
+		r.Release()
 	})
-	r.Acquire(1, func() { order = append(order, 3) })
+	r.Acquire(func() { order = append(order, 3) })
 	eng.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("FIFO violated: %v", order)
-	}
-}
-
-func TestResourceLargeRequestBlocksSmall(t *testing.T) {
-	eng := NewEngine()
-	r := NewResource(eng, 4)
-	var order []string
-	r.Acquire(3, func() {
-		order = append(order, "big1")
-		eng.After(10, func() { r.Release(3) })
-	})
-	// big2 needs 3 units: only 1 free, so it queues. small needs 1 and could
-	// fit, but FIFO means it must wait behind big2.
-	r.Acquire(3, func() {
-		order = append(order, "big2")
-		r.Release(3)
-	})
-	r.Acquire(1, func() { order = append(order, "small") })
-	eng.Run()
-	want := []string{"big1", "big2", "small"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order=%v, want %v", order, want)
-		}
 	}
 }
 
@@ -68,9 +44,9 @@ func TestResourceResizeAdmitsWaiters(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, 1)
 	got := 0
-	r.Acquire(1, func() { got++ })
-	r.Acquire(1, func() { got++ })
-	r.Acquire(1, func() { got++ })
+	r.Acquire(func() { got++ })
+	r.Acquire(func() { got++ })
+	r.Acquire(func() { got++ })
 	eng.Run()
 	if got != 1 {
 		t.Fatalf("got=%d before resize, want 1", got)
@@ -94,33 +70,30 @@ func TestResourcePanics(t *testing.T) {
 		fn()
 	}
 	mustPanic("zero capacity", func() { NewResource(eng, 0) })
-	mustPanic("acquire 0", func() { r.Acquire(0, func() {}) })
-	mustPanic("acquire > capacity", func() { r.Acquire(2, func() {}) })
-	mustPanic("release without acquire", func() { r.Release(1) })
+	mustPanic("release without acquire", func() { r.Release() })
 }
 
 // Property: a random schedule of acquires and releases never exceeds
 // capacity and eventually grants every request.
 func TestResourceConservationProperty(t *testing.T) {
-	f := func(unitSeeds []uint8, capSeed uint8) bool {
+	f := func(holdSeeds []uint8, capSeed uint8) bool {
 		capacity := int(capSeed%8) + 1
 		eng := NewEngine()
 		r := NewResource(eng, capacity)
 		granted := 0
 		holdOK := true
-		for _, us := range unitSeeds {
-			units := int(us)%capacity + 1
-			hold := Duration(us%17) + 1
-			r.Acquire(units, func() {
+		for _, hs := range holdSeeds {
+			hold := Duration(hs%17) + 1
+			r.Acquire(func() {
 				granted++
 				if r.InUse() > r.Capacity() {
 					holdOK = false
 				}
-				eng.After(hold, func() { r.Release(units) })
+				eng.After(hold, r.Release)
 			})
 		}
 		eng.Run()
-		return holdOK && granted == len(unitSeeds) && r.InUse() == 0
+		return holdOK && granted == len(holdSeeds) && r.InUse() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Fatal(err)

@@ -95,15 +95,6 @@ func (a *AggregateBackend) Bandwidth() units.BytesPerSec {
 	return sum
 }
 
-// Width implements Backend: the total member channels.
-func (a *AggregateBackend) Width() int {
-	w := 0
-	for _, m := range a.members {
-		w += m.Width()
-	}
-	return w
-}
-
 // SetWidth implements Backend: the width is divided evenly across members.
 func (a *AggregateBackend) SetWidth(w int) {
 	per := w / len(a.members)

@@ -24,8 +24,12 @@ func TestAggregateBandwidthSums(t *testing.T) {
 	if got := agg.Bandwidth().GB(); got < 31 || got > 33 {
 		t.Fatalf("aggregate bandwidth %.1f GB/s, want ~31.6 (4x7.9, Table IV)", got)
 	}
-	if agg.Width() != 4*8 {
-		t.Fatalf("aggregate width %d", agg.Width())
+	width := 0
+	for _, m := range agg.Members() {
+		width += m.dev.Channels()
+	}
+	if width != 4*8 {
+		t.Fatalf("aggregate width %d", width)
 	}
 }
 
@@ -122,14 +126,14 @@ func TestAggregateSetWidthDistributes(t *testing.T) {
 	agg, _ := newAggregate(eng, 4)
 	agg.SetWidth(8)
 	for _, m := range agg.Members() {
-		if m.Width() != 2 {
-			t.Fatalf("member width %d, want 2", m.Width())
+		if got := m.dev.Channels(); got != 2 {
+			t.Fatalf("member width %d, want 2", got)
 		}
 	}
 	agg.SetWidth(1) // clamped to 1 per member
 	for _, m := range agg.Members() {
-		if m.Width() != 1 {
-			t.Fatalf("member width %d, want 1", m.Width())
+		if got := m.dev.Channels(); got != 1 {
+			t.Fatalf("member width %d, want 1", got)
 		}
 	}
 }

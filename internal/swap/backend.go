@@ -47,9 +47,7 @@ type Backend interface {
 	CostPerGB() float64
 	// Bandwidth is the device's peak bandwidth.
 	Bandwidth() units.BytesPerSec
-	// Width reports the current I/O width (parallel channels).
-	Width() int
-	// SetWidth adjusts the I/O width.
+	// SetWidth adjusts the I/O width (parallel channels).
 	SetWidth(w int)
 	// Submit performs the extent transfer; done fires with its latency.
 	// Under faults, done only fires when the transfer succeeds.
@@ -60,7 +58,7 @@ type Backend interface {
 // done always fires exactly once with err != nil when any part of the
 // extent failed — unless the underlying device is stalled (transient
 // outage), in which case the op is silently lost and only the initiator's
-// timeout (RetryPolicy) notices.
+// retry timeout (Path.Retry) notices.
 type ResultBackend interface {
 	Backend
 	SubmitResult(ex Extent, done func(lat sim.Duration, err error))
@@ -149,9 +147,6 @@ func (b *DeviceBackend) CostPerGB() float64 { return b.dev.Spec().CostPerGB }
 // Bandwidth implements Backend.
 func (b *DeviceBackend) Bandwidth() units.BytesPerSec { return b.dev.Spec().Bandwidth }
 
-// Width implements Backend.
-func (b *DeviceBackend) Width() int { return b.dev.Channels() }
-
 // SetWidth implements Backend.
 func (b *DeviceBackend) SetWidth(w int) {
 	if w < 1 {
@@ -161,8 +156,8 @@ func (b *DeviceBackend) SetWidth(w int) {
 }
 
 // Submit implements Backend. Extents larger than one page are striped across
-// up to Width() parallel sub-operations; every operation pays the per-channel
-// management overhead for the configured width. done only fires when the
+// up to width (SetWidth) parallel sub-operations; every operation pays the
+// per-channel management overhead for that width. done only fires when the
 // whole extent succeeds; use SubmitResult for failure notification.
 func (b *DeviceBackend) Submit(ex Extent, done func(lat sim.Duration)) {
 	b.submit(ex, done, nil)

@@ -36,7 +36,7 @@ func NewChannel(eng *sim.Engine, name string, depth int) *Channel {
 	if obs.On {
 		if r := obs.Rec(eng); r != nil {
 			track := "swapch/" + name
-			c.obsQueue = r.Timeline(track+"/queue", obs.DefaultTimelineWidth, obs.ModeMean)
+			c.obsQueue = r.Timeline(track+"/queue", obs.ModeMean)
 			r.OnSeal(func() {
 				r.Counter(track + "/ops").Add(float64(c.Ops))
 				r.Gauge(track + "/mean-queue-wait-ns").Set(float64(c.MeanQueueWait()))
@@ -70,7 +70,7 @@ func (c *Channel) Enter(fn func()) {
 	if c.obsQueue != nil {
 		c.obsQueue.Add(e.start, float64(c.res.Waiting()))
 	}
-	c.res.Acquire(1, e.grantFn)
+	c.res.Acquire(e.grantFn)
 }
 
 // grant accounts the admission, recycles the record and runs the caller's
@@ -85,7 +85,7 @@ func (e *entry) grant() {
 }
 
 // Leave releases the operation's slot.
-func (c *Channel) Leave() { c.res.Release(1) }
+func (c *Channel) Leave() { c.res.Release() }
 
 // MeanQueueWait reports the average time ops spent waiting for admission.
 func (c *Channel) MeanQueueWait() sim.Duration {

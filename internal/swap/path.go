@@ -29,44 +29,31 @@ const (
 	// (kswapd-like threads) shared by all VMs on the hierarchical path.
 	DefaultHostWorkers = 4
 
-	// DefaultRetryBackoff is the base of the exponential backoff between
-	// retry attempts (attempt k waits base << (k-1)). 5 ms sits well above
-	// any healthy op latency, so retries never amplify transient queueing
-	// into congestion collapse, yet three attempts still resolve within
-	// tens of milliseconds.
-	DefaultRetryBackoff = 5 * sim.Millisecond
+	// retryBackoff is the base of the exponential backoff between retry
+	// attempts (attempt k waits retryBackoff << (k-1)). 5 ms sits well
+	// above any healthy op latency, so retries never amplify transient
+	// queueing into congestion collapse, yet three attempts still resolve
+	// within tens of milliseconds.
+	retryBackoff = 5 * sim.Millisecond
+
+	// maxRetries is how many times a timed-out or errored op is retried
+	// before it fails through.
+	maxRetries = 2
 )
 
-// RetryPolicy bounds how long the swap path waits on a backend before
-// declaring an op lost and retrying. The zero value disables timeouts —
-// ops wait forever, the pre-fault behaviour — so existing paths are
-// unaffected unless a policy is set.
-type RetryPolicy struct {
-	// Timeout is the per-attempt deadline. <= 0 disables the machinery.
-	Timeout sim.Duration
-	// MaxRetries is how many times a timed-out or errored op is retried
-	// before failing through (0 = single attempt).
-	MaxRetries int
-	// Backoff is the base of the exponential backoff between attempts;
-	// attempt k waits Backoff << (k-1). Zero uses DefaultRetryBackoff.
-	Backoff sim.Duration
-}
-
-// DefaultRetryPolicy returns the per-kind timeout/retry policy used by
-// failure-aware paths. Timeouts are ~100x a healthy op's worst-case
-// latency for the medium, so false positives need sustained congestion,
-// while a stalled device is detected within tens of milliseconds.
-func DefaultRetryPolicy(k device.Kind) RetryPolicy {
-	p := RetryPolicy{MaxRetries: 2, Backoff: DefaultRetryBackoff}
+// retryTimeout is the per-attempt deadline on a backend of kind k: about
+// 100x a healthy op's worst-case latency for the medium, so false positives
+// need sustained congestion, while a stalled device is detected within tens
+// of milliseconds.
+func retryTimeout(k device.Kind) sim.Duration {
 	switch k {
 	case device.SSD, device.HDD:
-		p.Timeout = 50 * sim.Millisecond
+		return 50 * sim.Millisecond
 	case device.RDMA, device.DPU:
-		p.Timeout = 10 * sim.Millisecond
+		return 10 * sim.Millisecond
 	default: // DRAM-class media
-		p.Timeout = 5 * sim.Millisecond
+		return 5 * sim.Millisecond
 	}
-	return p
 }
 
 // HealthSink observes per-op outcomes for failure detection.
@@ -103,9 +90,11 @@ type Path struct {
 	hierarchical bool
 	hostStage    *HostSwapStage
 
-	// Retry configures per-op timeout and bounded retry with exponential
-	// backoff. The zero value preserves the legacy wait-forever behaviour.
-	Retry RetryPolicy
+	// Retry turns on per-op timeouts and bounded retry: each attempt's
+	// deadline is retryTimeout of the backend's kind, and a timed-out or
+	// errored op is retried up to maxRetries times with exponential backoff.
+	// Off, ops wait forever: the pre-fault behaviour.
+	Retry bool
 
 	// Health, when non-nil, observes every attempt outcome (success,
 	// timeout, backend error) for failure detection.
@@ -117,7 +106,7 @@ type Path struct {
 	PagesIn   uint64
 	PagesOut  uint64
 	InLatency metrics.Summary // per swap-in op latency, µs
-	Timeouts  metrics.Counter // attempts abandoned at Retry.Timeout
+	Timeouts  metrics.Counter // attempts abandoned at the retry timeout
 	Errors    metrics.Counter // attempts completed with a backend error
 	Retries   metrics.Counter // re-submissions after timeout/error
 	FailedOps metrics.Counter // ops that exhausted all retries
@@ -324,14 +313,14 @@ func (r *pathOp) finish() {
 }
 
 // send submits the extent to the backend under the path's retry policy.
-// Without a policy (and with no health sink) it is a direct submit that
-// waits forever — exactly the pre-fault behaviour. With one, each attempt
-// races the backend against Retry.Timeout; timeouts and backend errors are
+// With Retry off (and no health sink) it is a direct submit that waits
+// forever — exactly the pre-fault behaviour. With it on, each attempt races
+// the backend against the retry timeout; timeouts and backend errors are
 // retried with exponential backoff, and an op that exhausts its retries
 // fails through: done still fires (the task must not hang), the loss is
 // charged upstream via re-fetch accounting and counted in FailedOps.
 func (p *Path) send(r *pathOp) {
-	if p.Retry.Timeout <= 0 && p.Health == nil {
+	if !p.Retry && p.Health == nil {
 		p.backend.Submit(r.ex, r.backendFn)
 		return
 	}
@@ -377,7 +366,7 @@ func (p *Path) recycleAttempt(a *attempt) {
 func (r *pathOp) try() {
 	p := r.p
 	a := p.newAttempt()
-	a.op, a.settled, a.timed, a.hasTimer = r, false, p.Retry.Timeout > 0, false
+	a.op, a.settled, a.timed, a.hasTimer = r, false, p.Retry, false
 	// The backend may complete synchronously and finish r, whose done may
 	// reuse r for a new op: only a is touched from here on.
 	if rb, ok := p.backend.(ResultBackend); ok {
@@ -386,7 +375,7 @@ func (r *pathOp) try() {
 		p.backend.Submit(r.ex, a.okFn)
 	}
 	if a.timed {
-		a.timer = p.eng.After(p.Retry.Timeout, a.timeoutFn)
+		a.timer = p.eng.After(retryTimeout(p.backend.Kind()), a.timeoutFn)
 		a.hasTimer = true
 	}
 }
@@ -423,7 +412,7 @@ func (a *attempt) outcome(err error) {
 	r.failOrRetry()
 }
 
-// timeout fires Retry.Timeout after the attempt was submitted.
+// timeout fires the retry timeout after the attempt was submitted.
 func (a *attempt) timeout() {
 	p, r := a.p, a.op
 	if a.settled {
@@ -445,17 +434,14 @@ func (a *attempt) timeout() {
 
 func (r *pathOp) failOrRetry() {
 	p := r.p
-	if r.attempt < p.Retry.MaxRetries {
+	if p.Retry && r.attempt < maxRetries {
 		r.attempt++
 		p.Retries.Inc()
-		backoff := p.Retry.Backoff
-		if backoff <= 0 {
-			backoff = DefaultRetryBackoff
-		}
+		backoff := retryBackoff << (r.attempt - 1)
 		if p.rec != nil {
-			p.rec.Instant(p.track, "retry", fmt.Sprintf("attempt=%d backoff=%v", r.attempt, backoff<<(r.attempt-1)))
+			p.rec.Instant(p.track, "retry", fmt.Sprintf("attempt=%d backoff=%v", r.attempt, backoff))
 		}
-		p.eng.After(backoff<<(r.attempt-1), r.tryFn)
+		p.eng.After(backoff, r.tryFn)
 		return
 	}
 	p.FailedOps.Inc()

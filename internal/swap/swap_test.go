@@ -72,8 +72,8 @@ func TestBackendWidthClamp(t *testing.T) {
 	eng := sim.NewEngine()
 	b := newSSDBackend(eng)
 	b.SetWidth(0)
-	if b.Width() != 1 {
-		t.Fatalf("width clamped to %d, want 1", b.Width())
+	if got := b.dev.Channels(); got != 1 {
+		t.Fatalf("width clamped to %d, want 1", got)
 	}
 }
 

@@ -54,7 +54,7 @@ func TestPathZeroAlloc(t *testing.T) {
 		}},
 		{"retry-healthy", func(eng *sim.Engine) *Path {
 			p := NewPath(eng, newRDMABackend(eng), NewChannel(eng, "ch", 8))
-			p.Retry = DefaultRetryPolicy(device.RDMA)
+			p.Retry = true
 			p.Health = nopHealth{}
 			return p
 		}},
@@ -97,9 +97,9 @@ func TestPathZeroAlloc(t *testing.T) {
 // completes exactly once.
 func TestRecycleDoneResubmitReusesRecord(t *testing.T) {
 	for _, retry := range []bool{false, true} {
-		eng, dev, p := retryTestPath(t, 4)
+		eng, _, p := retryTestPath(t, 4)
 		if retry {
-			p.Retry = DefaultRetryPolicy(dev.Kind())
+			p.Retry = true
 		}
 		const chain = 200
 		fired := make([]int, chain)
@@ -148,7 +148,7 @@ func TestRecycleLateCompletionAfterRetry(t *testing.T) {
 
 	for k := 0; k < 4; k++ {
 		eng, dev, p := retryTestPath(t, 4)
-		p.Retry = DefaultRetryPolicy(dev.Kind())
+		p.Retry = true
 		// 3µs base latency x ~1e4 = ~30ms: the first attempt outlives the
 		// 10ms timeout and completes long after the retry (at 15ms, once
 		// the device has recovered at 12ms) succeeded. Each k shifts the
@@ -205,7 +205,7 @@ func TestRecycleStalledStripeNeverReused(t *testing.T) {
 	// Three channels: extent A's two 7-page stripes and B's first take
 	// them, and B's second stripe queues until the stall drops it.
 	eng, dev, p := retryTestPath(t, 3)
-	p.Retry = DefaultRetryPolicy(dev.Kind())
+	p.Retry = true
 	be := p.Backend().(*DeviceBackend)
 	fired := map[string]int{}
 	swapIn := func(name string) {

@@ -48,8 +48,6 @@ const (
 	maxOutstandingWritebacks = 32
 	// fileReadaheadPages is the file-refault readahead window.
 	fileReadaheadPages = 16
-	// cpuNode is the NUMA node the task's threads run on.
-	cpuNode int8 = 0
 )
 
 // Config assembles everything a task run needs.
@@ -368,8 +366,8 @@ func (p *Pool) New(cfg Config) *Task {
 				name = "task"
 			}
 			t.track = "task/" + name
-			t.obsResident = r.Timeline(t.track+"/resident", obs.DefaultTimelineWidth, obs.ModeMean)
-			t.obsFar = r.Timeline(t.track+"/far-copies", obs.DefaultTimelineWidth, obs.ModeMean)
+			t.obsResident = r.Timeline(t.track+"/resident", obs.ModeMean)
+			t.obsFar = r.Timeline(t.track+"/far-copies", obs.ModeMean)
 			r.OnSeal(func() {
 				r.Counter(t.track + "/accesses").Add(float64(t.stats.Accesses))
 				r.Counter(t.track + "/major-faults").Add(float64(t.stats.MajorFaults))
@@ -535,7 +533,7 @@ func (t *Task) run(w *worker) {
 		t.stats.Accesses++
 
 		if t.ps.Page(a.Page).Resident {
-			lat := t.topo.AccessLatency(cpuNode, t.ps.Page(a.Page).Node)
+			lat := t.topo.AccessLatency(t.ps.Page(a.Page).Node)
 			pending += lat
 			t.stats.UserTime += lat
 			if t.prefetched[a.Page] {
@@ -739,11 +737,11 @@ func contiguous(ids []int32) bool {
 
 // makeResident allocates a NUMA node and installs the page.
 func (t *Task) makeResident(id int32, viaPrefetch bool) {
-	node := t.topo.Allocate(t.cfg.NUMAPolicy, cpuNode)
+	node := t.topo.Allocate(t.cfg.NUMAPolicy)
 	if node < 0 {
 		// Topology exhausted: reclaim one page and retry once.
 		t.reclaimPages(1)
-		node = t.topo.Allocate(t.cfg.NUMAPolicy, cpuNode)
+		node = t.topo.Allocate(t.cfg.NUMAPolicy)
 		if node < 0 {
 			panic("task: NUMA topology smaller than cgroup limit")
 		}
@@ -822,7 +820,7 @@ func (t *Task) writeback(path *swap.Path, ids []int32) {
 		}
 		pages := i - runStart
 		t.wbQueue = append(t.wbQueue, wbPending{path: path, pages: pages})
-		t.wbTokens.Acquire(1, t.wbGrantFn)
+		t.wbTokens.Acquire(t.wbGrantFn)
 		t.stats.PagesOut += uint64(pages)
 		runStart = i
 	}
@@ -846,7 +844,7 @@ func (t *Task) wbGrant() {
 
 // wbDone returns a completed write-back's token.
 func (t *Task) wbDone() {
-	t.wbTokens.Release(1)
+	t.wbTokens.Release()
 	if t.finished {
 		t.recycle()
 	}

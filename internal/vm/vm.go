@@ -236,9 +236,9 @@ type VM struct {
 }
 
 // CreateVM allocates host resources and boots a VM with the named warm
-// backends (the first is active). done fires when the boot completes.
+// backends (the first is active). The VM is Free once the boot completes.
 // It returns nil if the host lacks resources.
-func (m *Machine) CreateVM(name string, cores, pages int, warmBackends []string, done func(*VM)) *VM {
+func (m *Machine) CreateVM(name string, cores, pages int, warmBackends []string) *VM {
 	if cores > m.FreeCores() || pages > m.FreePages() {
 		return nil
 	}
@@ -290,9 +290,6 @@ func (m *Machine) CreateVM(name string, cores, pages int, warmBackends []string,
 		v.state = Free
 		if v.rec != nil {
 			v.rec.Span(v.track, "boot", bootStart, "")
-		}
-		if done != nil {
-			done(v)
 		}
 	})
 	return v

@@ -20,8 +20,7 @@ func newMachine(eng *sim.Engine) *Machine {
 func TestCreateVMAllocatesResources(t *testing.T) {
 	eng := sim.NewEngine()
 	m := newMachine(eng)
-	var booted *VM
-	v := m.CreateVM("vm1", 4, 1<<18, []string{"ssd0", "rdma0"}, func(v *VM) { booted = v })
+	v := m.CreateVM("vm1", 4, 1<<18, []string{"ssd0", "rdma0"})
 	if v == nil {
 		t.Fatal("CreateVM failed despite free resources")
 	}
@@ -29,8 +28,8 @@ func TestCreateVMAllocatesResources(t *testing.T) {
 		t.Fatalf("state=%v before boot completes", v.State())
 	}
 	eng.Run()
-	if booted != v || v.State() != Free {
-		t.Fatalf("boot callback/state wrong: %v %v", booted, v.State())
+	if v.State() != Free {
+		t.Fatalf("state=%v after boot, want Free", v.State())
 	}
 	if m.FreeCores() != 16 || m.FreePages() != (1<<20)-(1<<18) {
 		t.Fatalf("resources not allocated: cores=%d pages=%d", m.FreeCores(), m.FreePages())
@@ -43,10 +42,10 @@ func TestCreateVMAllocatesResources(t *testing.T) {
 func TestCreateVMRefusesOvercommit(t *testing.T) {
 	eng := sim.NewEngine()
 	m := newMachine(eng)
-	if v := m.CreateVM("vm1", 100, 1, []string{"ssd0"}, nil); v != nil {
+	if v := m.CreateVM("vm1", 100, 1, []string{"ssd0"}); v != nil {
 		t.Fatal("overcommitted cores accepted")
 	}
-	if v := m.CreateVM("vm1", 1, 1<<30, []string{"ssd0"}, nil); v != nil {
+	if v := m.CreateVM("vm1", 1, 1<<30, []string{"ssd0"}); v != nil {
 		t.Fatal("overcommitted memory accepted")
 	}
 }
@@ -55,7 +54,7 @@ func TestWarmSwitchUnder5Seconds(t *testing.T) {
 	// Fig 18(b): every warm backend switch completes in < 5 s.
 	eng := sim.NewEngine()
 	m := newMachine(eng)
-	v := m.CreateVM("vm1", 2, 1024, []string{"ssd0", "rdma0", "dram0"}, nil)
+	v := m.CreateVM("vm1", 2, 1024, []string{"ssd0", "rdma0", "dram0"})
 	eng.Run()
 	kinds := []string{"ssd0", "rdma0", "dram0"}
 	for _, from := range kinds {
@@ -96,7 +95,7 @@ func TestDRAMStartupIsSlowest(t *testing.T) {
 func TestColdSwitchCostsMore(t *testing.T) {
 	eng := sim.NewEngine()
 	m := newMachine(eng)
-	v := m.CreateVM("vm1", 2, 1024, []string{"ssd0"}, nil) // rdma0 not warm
+	v := m.CreateVM("vm1", 2, 1024, []string{"ssd0"}) // rdma0 not warm
 	eng.Run()
 	start := eng.Now()
 	v.SwitchBackend("rdma0", nil)
@@ -122,7 +121,7 @@ func TestColdSwitchCostsMore(t *testing.T) {
 func TestSwitchToActiveIsFree(t *testing.T) {
 	eng := sim.NewEngine()
 	m := newMachine(eng)
-	v := m.CreateVM("vm1", 2, 1024, []string{"ssd0"}, nil)
+	v := m.CreateVM("vm1", 2, 1024, []string{"ssd0"})
 	eng.Run()
 	start := eng.Now()
 	done := false
@@ -172,8 +171,8 @@ func TestSharedPathIsHierarchical(t *testing.T) {
 func TestVMPathIsBypassAndIsolated(t *testing.T) {
 	eng := sim.NewEngine()
 	m := newMachine(eng)
-	v1 := m.CreateVM("vm1", 2, 1024, []string{"rdma0"}, nil)
-	v2 := m.CreateVM("vm2", 2, 1024, []string{"rdma0"}, nil)
+	v1 := m.CreateVM("vm1", 2, 1024, []string{"rdma0"})
+	v2 := m.CreateVM("vm2", 2, 1024, []string{"rdma0"})
 	eng.Run()
 	if viaHost(eng, v1.Path()) {
 		t.Fatal("VM path must bypass the host")
@@ -186,7 +185,7 @@ func TestVMPathIsBypassAndIsolated(t *testing.T) {
 func TestAcceptChecksResources(t *testing.T) {
 	eng := sim.NewEngine()
 	m := newMachine(eng)
-	v := m.CreateVM("vm1", 2, 1024, []string{"ssd0"}, nil)
+	v := m.CreateVM("vm1", 2, 1024, []string{"ssd0"})
 	if v.Accept(1, 512) {
 		t.Fatal("booting VM accepted a task")
 	}
@@ -226,7 +225,7 @@ func TestVMStateStrings(t *testing.T) {
 func TestVMTaskLifecycleAndPaths(t *testing.T) {
 	eng := sim.NewEngine()
 	m := newMachine(eng)
-	v := m.CreateVM("vm1", 2, 1024, []string{"ssd0", "rdma0"}, nil)
+	v := m.CreateVM("vm1", 2, 1024, []string{"ssd0", "rdma0"})
 	eng.Run()
 	if v.PathFor("rdma0") == nil || v.PathFor("nope") != nil {
 		t.Fatal("PathFor wrong")
@@ -267,7 +266,7 @@ func TestSharedPathUnknownBackendPanics(t *testing.T) {
 func TestActivateIsFreeProvisioningChoice(t *testing.T) {
 	eng := sim.NewEngine()
 	m := newMachine(eng)
-	v := m.CreateVM("vm", 2, 1024, []string{"rdma0", "ssd0"}, nil)
+	v := m.CreateVM("vm", 2, 1024, []string{"rdma0", "ssd0"})
 	eng.Run()
 	if v.ActiveBackend() != "rdma0" {
 		t.Fatalf("default active %q, want first warm backend", v.ActiveBackend())
@@ -295,7 +294,7 @@ func TestActivateIsFreeProvisioningChoice(t *testing.T) {
 func TestSwitchBackendUnknownReturnsError(t *testing.T) {
 	eng := sim.NewEngine()
 	m := newMachine(eng)
-	v := m.CreateVM("vm", 2, 1024, []string{"rdma0"}, nil)
+	v := m.CreateVM("vm", 2, 1024, []string{"rdma0"})
 	eng.Run()
 	fired := false
 	if err := v.SwitchBackend("missing", func() { fired = true }); err == nil {

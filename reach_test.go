@@ -7,7 +7,19 @@ package repro
 //     entry point reaches;
 //   - each struct field that reached code never reads;
 //   - each bool, numeric, string or func field that reached code never
-//     writes, which is therefore always zero.
+//     writes, which is therefore always zero;
+//   - each such field whose only writes are its own zero-value fallback
+//     (`if x.f == c { x.f = v }`), which therefore always holds v;
+//   - each field of a module struct type whose every use is the receiver of
+//     a method that returns nothing, such as a counter fed by Add that
+//     nothing reads;
+//   - each parameter that every call, of at least two, passes the same
+//     constant or nil.
+//
+// A method is reached when something names it, or when its receiver type is
+// reached and reached code calls a method of that name through an interface
+// or a type parameter (or the name stands in for a standard-library
+// interface).
 //
 // Entry points are every main, every init, every blank `_` var and every
 // declaration named in testdata/unreachable.allow. Code that only tests
@@ -60,6 +72,10 @@ func TestReachFixture(t *testing.T) {
 		"lib/lib.go:77 unset-field lib.Slot.n",
 		"lib/lib.go:80 unread-field lib.Pair.B",
 		"lib/lib.go:97 unreached-type lib.Orphan",
+		"lib/rules.go:21 self-default lib.Options.Width",
+		"lib/rules.go:33 const-param lib.Options.Scaled.factor",
+		"lib/rules.go:48 unreached-method lib.Disk.Cap",
+		"lib/rules.go:58 write-only lib.Gauge.sent",
 		"unreachable.allow:3 stale-allow lib.Gone",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -115,8 +131,8 @@ func reachFindings(root, allowFile string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	bare := m.reach(nil)
-	reached := m.reach(allow)
+	bare, _ := m.reach(nil)
+	reached, dynamic := m.reach(allow)
 	var out []finding
 	valid := map[string]bool{}
 	for obj, d := range m.decls {
@@ -128,7 +144,7 @@ func reachFindings(root, allowFile string) ([]string, error) {
 			out = append(out, m.finding(d.pos, "unreached-"+d.kind, d.name))
 		}
 	}
-	for _, f := range m.fieldFindings(reached) {
+	for _, f := range append(m.fieldFindings(reached), m.paramFindings(reached, dynamic)...) {
 		valid[f.name] = true
 		if _, ok := allow[f.name]; !ok {
 			out = append(out, f)
@@ -391,22 +407,15 @@ func namedObj(t types.Type) *types.TypeName {
 }
 
 // reach returns the declarations reachable from the roots plus the
-// allowlisted declarations.
-func (m *reachModule) reach(allow map[string]int) map[types.Object]bool {
-	reached := map[types.Object]bool{}
-	ifaceNames := map[string]bool{}
+// allowlisted declarations, and the method names reached code calls through
+// an interface or a type parameter (plus the standard-library stand-ins).
+func (m *reachModule) reach(allow map[string]int) (reached map[types.Object]bool, dynamic map[string]bool) {
+	reached, dynamic = map[types.Object]bool{}, map[string]bool{}
 	for name := range stdInterfaceMethods {
-		ifaceNames[name] = true
+		dynamic[name] = true
 	}
 	work := append([]ast.Node(nil), m.roots...)
 	var mark func(types.Object)
-	addIface := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				ifaceNames[it.Method(i).Name()] = true
-			}
-		}
-	}
 	mark = func(obj types.Object) {
 		obj = origin(obj)
 		d := m.decls[obj]
@@ -416,8 +425,6 @@ func (m *reachModule) reach(allow map[string]int) map[types.Object]bool {
 		reached[obj] = true
 		work = append(work, d.node)
 		switch o := obj.(type) {
-		case *types.TypeName:
-			addIface(o.Type())
 		case *types.Var, *types.Const:
 			if tn := namedObj(o.Type()); tn != nil {
 				mark(tn)
@@ -439,19 +446,19 @@ func (m *reachModule) reach(allow map[string]int) map[types.Object]bool {
 					if obj := m.info.Uses[n]; obj != nil {
 						mark(obj)
 					}
-				case *ast.InterfaceType:
-					if t := m.info.TypeOf(n); t != nil {
-						addIface(t)
+				case *ast.SelectorExpr:
+					if m.dynamicMethod(n) {
+						dynamic[n.Sel.Name] = true
 					}
 				}
 				return true
 			})
 		}
-		// A method is reached when its receiver type is reached and a
-		// reached interface declares its name.
+		// A method is reached when its receiver type is reached and reached
+		// code calls its name through an interface.
 		for obj := range m.decls {
 			fn, ok := obj.(*types.Func)
-			if !ok || reached[obj] || !ifaceNames[fn.Name()] {
+			if !ok || reached[obj] || !dynamic[fn.Name()] {
 				continue
 			}
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && reached[namedObj(recv.Type())] {
@@ -459,33 +466,54 @@ func (m *reachModule) reach(allow map[string]int) map[types.Object]bool {
 			}
 		}
 		if len(work) == 0 {
-			return reached
+			return reached, dynamic
 		}
 	}
 }
 
-// fieldFindings judges the fields of every struct type declared in reached
-// code, counting only the reads and writes of reached code.
-func (m *reachModule) fieldFindings(reached map[types.Object]bool) []finding {
-	type node struct {
-		n    ast.Node
-		name string // enclosing declaration, for naming anonymous structs
+// dynamicMethod reports whether sel selects a method of an interface or a
+// type parameter, whose implementation is chosen at run time.
+func (m *reachModule) dynamicMethod(sel *ast.SelectorExpr) bool {
+	s := m.info.Selections[sel]
+	if s == nil || s.Kind() == types.FieldVal {
+		return false
 	}
-	var nodes []node
+	recv := s.Obj().Type().(*types.Signature).Recv()
+	return types.IsInterface(s.Recv()) || recv != nil && types.IsInterface(recv.Type())
+}
+
+// reachedNodes is every root and reached declaration, each with the name
+// of its declaration (empty for a type, whose TypeSpec names it).
+func (m *reachModule) reachedNodes(reached map[types.Object]bool) []reachedNode {
+	var nodes []reachedNode
 	for _, n := range m.roots {
-		nodes = append(nodes, node{n, ""})
+		nodes = append(nodes, reachedNode{n, ""})
 	}
 	for obj, d := range m.decls {
 		if reached[obj] {
 			name := d.local
 			if d.kind == "type" {
-				name = "" // its TypeSpec names it
+				name = ""
 			}
-			nodes = append(nodes, node{d.node, name})
+			nodes = append(nodes, reachedNode{d.node, name})
 		}
 	}
+	return nodes
+}
+
+type reachedNode struct {
+	n    ast.Node
+	name string // enclosing declaration, for naming anonymous structs
+}
+
+// fieldFindings judges the fields of every struct type declared in reached
+// code, counting only the reads and writes of reached code.
+func (m *reachModule) fieldFindings(reached map[types.Object]bool) []finding {
+	nodes := m.reachedNodes(reached)
 	read := map[*types.Var]bool{}
+	fed := map[*types.Var]bool{} // the receiver of a method that returns nothing
 	written := map[*types.Var]bool{}
+	defaulted := map[*types.Var]bool{} // written only by its own zero-value fallback
 	writeIdents := map[*ast.Ident]bool{}
 	field := func(id *ast.Ident) *types.Var {
 		if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
@@ -514,10 +542,10 @@ func (m *reachModule) fieldFindings(reached map[types.Object]bool) []finding {
 			}
 		}
 	}
-	target := func(x ast.Expr) {
+	target := func(x ast.Expr, set map[*types.Var]bool) {
 		if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
 			if f := field(sel.Sel); f != nil {
-				written[f] = true
+				set[f] = true
 				writeIdents[sel.Sel] = true
 			}
 		}
@@ -563,11 +591,15 @@ func (m *reachModule) fieldFindings(reached map[types.Object]bool) []finding {
 					}
 				}
 			case *ast.AssignStmt:
+				set := written
+				if n.Tok == token.ASSIGN && m.isFallback(n, stack) {
+					set = defaulted
+				}
 				for _, x := range n.Lhs {
-					target(x)
+					target(x, set)
 				}
 			case *ast.IncDecStmt:
-				target(n.X)
+				target(n.X, written)
 			case *ast.CompositeLit:
 				t := m.info.TypeOf(n)
 				if t == nil {
@@ -608,9 +640,17 @@ func (m *reachModule) fieldFindings(reached map[types.Object]bool) []finding {
 		})
 	}
 	for _, nd := range nodes {
+		var stack []ast.Node
 		ast.Inspect(nd.n, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
 			if id, ok := n.(*ast.Ident); ok && !writeIdents[id] {
-				if f := field(id); f != nil {
+				if f := field(id); f != nil && m.feeds(stack) {
+					fed[f] = true
+				} else if f != nil {
 					read[f] = true
 				}
 			}
@@ -624,14 +664,155 @@ func (m *reachModule) fieldFindings(reached map[types.Object]bool) []finding {
 			continue
 		}
 		seen[j.v] = true
-		if !read[j.v] {
+		switch {
+		case read[j.v]:
+		case fed[j.v] && m.isModuleStruct(j.v.Type()):
+			out = append(out, m.finding(j.v.Pos(), "write-only", j.name))
+		case !fed[j.v]:
 			out = append(out, m.finding(j.v.Pos(), "unread-field", j.name))
 		}
 		if !written[j.v] && isKnob(j.v.Type()) {
-			out = append(out, m.finding(j.v.Pos(), "unset-field", j.name))
+			kind := "unset-field"
+			if defaulted[j.v] {
+				kind = "self-default"
+			}
+			out = append(out, m.finding(j.v.Pos(), kind, j.name))
 		}
 	}
 	return out
+}
+
+// paramFindings reports each parameter of a module function that every
+// reached call, of at least two, passes the same constant or nil. A function
+// that reached code also uses as a value, and a method whose name is in
+// dynamic, may have callers the scan cannot see, so they are skipped.
+func (m *reachModule) paramFindings(reached map[types.Object]bool, dynamic map[string]bool) []finding {
+	calls := map[*types.Func][]*ast.CallExpr{}
+	callees := map[*ast.Ident]bool{}
+	asValue := map[*types.Func]bool{}
+	for _, nd := range m.reachedNodes(reached) {
+		// Inspect visits a call before its callee identifier.
+		ast.Inspect(nd.n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if id := calleeIdent(n.Fun); id != nil {
+					if fn, ok := m.info.Uses[id].(*types.Func); ok {
+						calls[fn.Origin()] = append(calls[fn.Origin()], n)
+						callees[id] = true
+					}
+				}
+			case *ast.Ident:
+				if fn, ok := m.info.Uses[n].(*types.Func); ok && !callees[n] {
+					asValue[fn.Origin()] = true
+				}
+			}
+			return true
+		})
+	}
+	var out []finding
+	for fn, sites := range calls {
+		d := m.decls[fn]
+		sig := fn.Type().(*types.Signature)
+		if d == nil || d.pkg.readOnly || len(sites) < 2 || asValue[fn] || sig.Recv() != nil && dynamic[fn.Name()] {
+			continue
+		}
+		for i := 0; i < sig.Params().Len(); i++ {
+			p := sig.Params().At(i)
+			if p.Name() == "" || p.Name() == "_" || sig.Variadic() && i == sig.Params().Len()-1 {
+				continue
+			}
+			val := m.constArg(sites[0], i, sig)
+			for _, c := range sites[1:] {
+				if val != "" && m.constArg(c, i, sig) != val {
+					val = ""
+				}
+			}
+			if val != "" {
+				out = append(out, m.finding(p.Pos(), "const-param", d.name+"."+p.Name()))
+			}
+		}
+	}
+	return out
+}
+
+// calleeIdent is the identifier naming the function a call invokes, through
+// parentheses, a package or receiver selector and explicit instantiation.
+func calleeIdent(fun ast.Expr) *ast.Ident {
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		return f
+	case *ast.SelectorExpr:
+		return f.Sel
+	case *ast.IndexExpr:
+		return calleeIdent(f.X)
+	case *ast.IndexListExpr:
+		return calleeIdent(f.X)
+	}
+	return nil
+}
+
+// constArg is the constant, or "nil", that call passes as parameter i of
+// sig, or "" when it passes anything else.
+func (m *reachModule) constArg(call *ast.CallExpr, i int, sig *types.Signature) string {
+	if len(call.Args) != sig.Params().Len() || call.Ellipsis.IsValid() {
+		return ""
+	}
+	tv := m.info.Types[call.Args[i]]
+	switch {
+	case tv.Value != nil:
+		return tv.Value.ExactString()
+	case tv.IsNil():
+		return "nil"
+	}
+	return ""
+}
+
+// isFallback reports whether the assignment on top of stack sits in the body
+// of `if x.f == c` (or <=, <) and assigns to that same x.f: a zero-value
+// default, not a setting.
+func (m *reachModule) isFallback(as *ast.AssignStmt, stack []ast.Node) bool {
+	if len(stack) < 3 || len(as.Lhs) != 1 {
+		return false
+	}
+	body, _ := stack[len(stack)-2].(*ast.BlockStmt)
+	ifs, _ := stack[len(stack)-3].(*ast.IfStmt)
+	if body == nil || ifs == nil || ifs.Body != body {
+		return false
+	}
+	cond, _ := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
+	if cond == nil || cond.Op != token.EQL && cond.Op != token.LEQ && cond.Op != token.LSS || m.info.Types[cond.Y].Value == nil {
+		return false
+	}
+	lhs := ast.Unparen(as.Lhs[0])
+	_, isSel := lhs.(*ast.SelectorExpr)
+	return isSel && types.ExprString(ast.Unparen(cond.X)) == types.ExprString(lhs)
+}
+
+// feeds reports whether the field identifier on top of stack is the
+// receiver of a call to a method that returns nothing: `x.f.Add(v)`.
+func (m *reachModule) feeds(stack []ast.Node) bool {
+	if len(stack) < 4 {
+		return false
+	}
+	inner, _ := stack[len(stack)-2].(*ast.SelectorExpr)
+	outer, _ := stack[len(stack)-3].(*ast.SelectorExpr)
+	call, _ := stack[len(stack)-4].(*ast.CallExpr)
+	if inner == nil || outer == nil || call == nil || outer.X != inner || call.Fun != outer {
+		return false
+	}
+	s := m.info.Selections[outer]
+	return s != nil && s.Kind() == types.MethodVal && s.Obj().Type().(*types.Signature).Results().Len() == 0
+}
+
+// isModuleStruct reports whether t is a struct type declared in the module,
+// held by value: its state lives in the field and nowhere else.
+func (m *reachModule) isModuleStruct(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return false
+	}
+	_, isStruct := n.Underlying().(*types.Struct)
+	return isStruct && m.pkgs[n.Obj().Pkg().Path()] != nil
 }
 
 // fieldOwner is the struct type that declares the field s selects.

@@ -32,14 +32,14 @@ func touch(v *int) { *v = 1 }
 // fields are judged over reached code only.
 func Unused() int { return Counter{}.hits }
 
-// Shape is a reached interface, so Square.Area is reached through it.
+// Run calls Area through Shape, so Square.Area is reached through it.
 type Shape interface{ Area() int }
 
 type Square struct{ side int }
 
 func (s Square) Area() int { return s.side * s.side }
 
-// Scale is declared by no reached interface and called by nothing.
+// Scale is called by nothing, directly or through an interface.
 func (s Square) Scale() {}
 
 // Label.String is reached through the standard-library stand-ins.

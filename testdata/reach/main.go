@@ -2,4 +2,7 @@ package main
 
 import "fixture/lib"
 
-func main() { lib.Run() }
+func main() {
+	lib.Run()
+	lib.More()
+}
