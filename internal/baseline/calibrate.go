@@ -31,6 +31,22 @@ import (
 var calibMu sync.Mutex
 var calibCache = map[string]float64{}
 
+// memo returns the value cached under key, running measure and caching its
+// result on a miss. The lock is not held while measuring, so two cells
+// missing the same key both measure; exact keys make their values equal.
+func memo(key string, measure func() float64) float64 {
+	calibMu.Lock()
+	v, ok := calibCache[key]
+	calibMu.Unlock()
+	if !ok {
+		v = measure()
+		calibMu.Lock()
+		calibCache[key] = v
+		calibMu.Unlock()
+	}
+	return v
+}
+
 // calibSafety keeps SLO headroom for effects the staging run does not see
 // (co-location, fabric contention, seed-to-seed variance).
 const calibSafety = 0.88
@@ -41,20 +57,11 @@ const calibSafety = 0.88
 func CalibratedLocalRatio(backendSpec device.Spec, spec workload.Spec, slo float64, seed int64) float64 {
 	key := fmt.Sprintf("%s/%d/%d/%s/%.2f/%d", spec.Name, spec.FootprintPages, spec.MainAccesses,
 		backendSpec.Name, slo, seed)
-	calibMu.Lock()
-	if v, ok := calibCache[key]; ok {
-		calibMu.Unlock()
-		return v
-	}
-	calibMu.Unlock()
-
-	best := calibScan(slo, func(ratio float64) int64 {
-		return calibRun(backendSpec, spec, ratio, seed)
+	return memo(key, func() float64 {
+		return calibScan(slo, func(ratio float64) int64 {
+			return calibRun(backendSpec, spec, ratio, seed)
+		})
 	})
-	calibMu.Lock()
-	calibCache[key] = best
-	calibMu.Unlock()
-	return best
 }
 
 // calibScan finds the smallest local ratio whose measured slowdown stays
@@ -80,37 +87,21 @@ func calibScan(slo float64, run func(ratio float64) int64) float64 {
 func CalibratedBaselineRatio(sys System, backendSpec device.Spec, spec workload.Spec, slo float64, seed int64) float64 {
 	key := fmt.Sprintf("base/%s/%s/%d/%d/%s/%.2f/%d", sys, spec.Name, spec.FootprintPages,
 		spec.MainAccesses, backendSpec.Name, slo, seed)
-	calibMu.Lock()
-	if v, ok := calibCache[key]; ok {
-		calibMu.Unlock()
-		return v
-	}
-	calibMu.Unlock()
-	best := calibScan(slo, func(ratio float64) int64 {
-		eng := sim.NewUnobservedEngine()
-		m := vm.NewMachine(eng, pcie.Gen4, 16, 32, 64*workload.PagesPerGiB)
-		bs := backendSpec
-		bs.Name = "calib-backend"
-		m.AttachDevice(bs)
-		m.AttachDevice(device.SpecTestbedSSD("calib-file"))
-		env := Env{Machine: m, FileBackend: "calib-file"}
-		cfg := Prepare(sys, env, m.Backend("calib-backend"), spec, ratio, seed+ProfileSeedOffset)
-		var out task.Stats
-		task.New(cfg).Start(func(s task.Stats) { out = s })
-		eng.Run()
-		return int64(out.Runtime)
+	return memo(key, func() float64 {
+		return calibScan(slo, func(ratio float64) int64 {
+			return stagingRun(backendSpec, func(env Env, backend swap.Backend) task.Config {
+				return Prepare(sys, env, backend, spec, ratio, seed+ProfileSeedOffset)
+			})
+		})
 	})
-	calibMu.Lock()
-	calibCache[key] = best
-	calibMu.Unlock()
-	return best
 }
 
-// calibRun executes one staging run and returns the runtime. Staging runs
-// are offline preparation, not part of the simulated scenario, so they use
-// unobserved engines: with memoization their number varies with cache
-// warmth and worker interleaving, which would otherwise leak into traces.
-func calibRun(backendSpec device.Spec, spec workload.Spec, ratio float64, seed int64) (runtime int64) {
+// stagingRun executes one staging run of the task prepare builds on a
+// replica of backendSpec and returns its runtime. Staging runs are offline
+// preparation, not part of the simulated scenario, so they use unobserved
+// engines: with memoization their number varies with cache warmth and
+// worker interleaving, which would otherwise leak into traces.
+func stagingRun(backendSpec device.Spec, prepare func(env Env, backend swap.Backend) task.Config) int64 {
 	eng := sim.NewUnobservedEngine()
 	m := vm.NewMachine(eng, pcie.Gen4, 16, 32, 64*workload.PagesPerGiB)
 	bs := backendSpec
@@ -118,19 +109,18 @@ func calibRun(backendSpec device.Spec, spec workload.Spec, ratio float64, seed i
 	m.AttachDevice(bs)
 	m.AttachDevice(device.SpecTestbedSSD("calib-file"))
 	env := Env{Machine: m, FileBackend: "calib-file"}
-	var backend swap.Backend = m.Backend("calib-backend")
-
-	setup := prepareXDMWithRatio(env, backend, spec, ratio, seed+ProfileSeedOffset)
 	var out task.Stats
-	task.New(setup.Config).Start(func(s task.Stats) { out = s })
+	task.New(prepare(env, m.Backend("calib-backend"))).Start(func(s task.Stats) { out = s })
 	eng.Run()
 	return int64(out.Runtime)
 }
 
-// prepareXDMWithRatio is PrepareXDM with an explicit ratio (no recursion
+// calibRun is one xDM staging run at an explicit local ratio (no recursion
 // into calibration).
-func prepareXDMWithRatio(env Env, backend swap.Backend, spec workload.Spec, ratio float64, seed int64) XDMSetup {
-	return PrepareXDM(env, backend, spec, ratio, 1.0, seed)
+func calibRun(backendSpec device.Spec, spec workload.Spec, ratio float64, seed int64) int64 {
+	return stagingRun(backendSpec, func(env Env, backend swap.Backend) task.Config {
+		return PrepareXDM(env, backend, spec, ratio, 1.0, seed+ProfileSeedOffset).Config
+	})
 }
 
 // CalibratedBackendPriority realizes the paper's offline FM-path preference
@@ -149,15 +139,7 @@ func CalibratedBackendPriority(backends map[string]device.Spec, spec workload.Sp
 	runtimes := make(map[string]float64, len(names))
 	for _, n := range names {
 		key := fmt.Sprintf("pref/%s/%d/%d/%s/%d", spec.Name, spec.FootprintPages, spec.MainAccesses, n, seed)
-		calibMu.Lock()
-		v, ok := calibCache[key]
-		calibMu.Unlock()
-		if !ok {
-			v = float64(calibRun(backends[n], spec, 0.5, seed))
-			calibMu.Lock()
-			calibCache[key] = v
-			calibMu.Unlock()
-		}
+		v := memo(key, func() float64 { return float64(calibRun(backends[n], spec, 0.5, seed)) })
 		runtimes[n] = v
 		if v > worst {
 			worst = v

@@ -67,7 +67,7 @@ func PrepareXDMDynamic(env Env, v *vm.VM, phases []workload.Spec, seed int64) *D
 
 	// Initial decision from the first phase's offline profile.
 	f := Profile(base, seed)
-	opts := catalogOptions(env)
+	opts := CatalogOptions(env)
 	priority, _ := core.SelectBackend(opts, f, base.ComputePerAccess)
 	initial := v.ActiveBackend()
 	if len(priority) > 0 && v.HasWarmBackend(priority[0]) {
@@ -185,8 +185,9 @@ func PrepareXDMDynamic(env Env, v *vm.VM, phases []workload.Spec, seed int64) *D
 	return run
 }
 
-// catalogOptions builds console options for every backend on the machine.
-func catalogOptions(env Env) []core.BackendOption {
+// CatalogOptions builds console options for every backend on the machine,
+// in BackendNames order.
+func CatalogOptions(env Env) []core.BackendOption {
 	var opts []core.BackendOption
 	for _, name := range env.Machine.BackendNames() {
 		opts = append(opts, OptionFor(env.Machine.Backend(name)))

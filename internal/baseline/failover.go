@@ -47,7 +47,7 @@ type FailoverRun struct {
 // before the engine runs, so the controller can retarget it on failover.
 func PrepareXDMFailover(env Env, v *vm.VM, spec workload.Spec, localRatio float64, seed int64) *FailoverRun {
 	f := Profile(spec, seed)
-	opts := catalogOptions(env)
+	opts := CatalogOptions(env)
 	priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess)
 
 	initial := v.ActiveBackend()
@@ -153,7 +153,7 @@ func (r *FailoverRun) demote(backend string) {
 		// Retune transfer parameters for the new medium using the same
 		// offline features the initial decision used.
 		f := Profile(r.Config.Spec, r.Config.Seed)
-		opt := optionByName(catalogOptions(r.env), target)
+		opt := optionByName(CatalogOptions(r.env), target)
 		g, w := core.TuneTransferBudget(opt, f, r.task.Cgroup().LimitPages)
 		r.task.SetGranularity(g)
 		r.env.Machine.Backend(target).SetWidth(widthForThreads(w, r.threads))

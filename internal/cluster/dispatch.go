@@ -95,11 +95,7 @@ var defaultPolicy = place.Builtin("alg1")
 
 // NewDispatcher builds a dispatcher over the machine's registered backends.
 func NewDispatcher(env baseline.Env) *Dispatcher {
-	d := &Dispatcher{Env: env, Placed: make(map[PlacementKind]int)}
-	for _, name := range env.Machine.BackendNames() {
-		d.opts = append(d.opts, baseline.OptionFor(env.Machine.Backend(name)))
-	}
-	return d
+	return &Dispatcher{Env: env, opts: baseline.CatalogOptions(env), Placed: make(map[PlacementKind]int)}
 }
 
 // systemPressure marks options unavailable when their device is saturated

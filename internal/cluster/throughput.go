@@ -124,10 +124,7 @@ func RunThroughput(env baseline.Env, jobs []App, policy AdmissionPolicy, serverP
 // land on different devices instead of contending on one — the
 // multi-backend scale-out this system exists for.
 func pickBackend(env baseline.Env, app App, assigned map[string]int) string {
-	var opts []core.BackendOption
-	for _, name := range env.Machine.BackendNames() {
-		opts = append(opts, baseline.OptionFor(env.Machine.Backend(name)))
-	}
+	opts := baseline.CatalogOptions(env)
 	f := baseline.Profile(app.Spec, app.Seed)
 	priority, _ := core.SelectBackend(opts, f, app.Spec.ComputePerAccess)
 	if len(priority) == 0 {
@@ -143,14 +140,14 @@ func pickBackend(env baseline.Env, app App, assigned map[string]int) string {
 	// Least-pending device of the winning kind.
 	best := priority[0]
 	bestLoad := int(^uint(0) >> 1)
-	for _, name := range env.Machine.BackendNames() {
-		be := env.Machine.Backend(name)
-		if baseline.OptionFor(be).Kind != winner.Kind {
+	for _, o := range opts {
+		if o.Kind != winner.Kind {
 			continue
 		}
-		load := assigned[name] + be.Pending() + be.Device().QueueDepth()
+		be := env.Machine.Backend(o.Name)
+		load := assigned[o.Name] + be.Pending() + be.Device().QueueDepth()
 		if load < bestLoad {
-			best, bestLoad = name, load
+			best, bestLoad = o.Name, load
 		}
 	}
 	return best

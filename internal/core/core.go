@@ -202,16 +202,22 @@ func NormalizedCost(costPerGB float64) float64 {
 // operation.
 const fileServiceCost = 250 * sim.Microsecond
 
-// PredictRuntimeShare estimates the relative per-access time of running f
-// with far ratio farRatio on backend opt (tuned), combining compute, the
-// anonymous swap share, and the backend-independent file share. Used to
-// compare backends, so constant factors cancel.
 // localAccessCost is the DRAM latency added per resident access.
 const localAccessCost = 80 * sim.Nanosecond
 
-func PredictRuntimeShare(opt BackendOption, f trace.Features, computePerAccess sim.Duration, farRatio float64) float64 {
+// tunedPageCost is the predicted amortized swap-in cost per useful page on
+// opt at the transfer parameters TuneTransfer picks for f. It does not
+// depend on the far ratio, so a caller comparing ratios computes it once.
+func tunedPageCost(opt BackendOption, f trace.Features) sim.Duration {
 	g, w := TuneTransfer(opt, f)
-	pageCost := PredictPageCost(opt, f, g, w)
+	return PredictPageCost(opt, f, g, w)
+}
+
+// predictRuntimeShare estimates the relative per-access time of running f
+// with far ratio farRatio on a backend whose tuned page cost is pageCost,
+// combining compute, the anonymous swap share, and the backend-independent
+// file share. Used to compare backends, so constant factors cancel.
+func predictRuntimeShare(pageCost sim.Duration, f trace.Features, computePerAccess sim.Duration, farRatio float64) float64 {
 	// Miss probability per access: the share of accesses falling outside
 	// what local memory holds (hotHitShare already accounts for the local
 	// size). Sequential sweeps are harder on the LRU than random traffic —
@@ -270,7 +276,7 @@ func SelectBackend(opts []BackendOption, f trace.Features, computePerAccess sim.
 		if !o.Available {
 			continue
 		}
-		s := PredictRuntimeShare(o, f, computePerAccess, meiFarRatio)
+		s := predictRuntimeShare(tunedPageCost(o, f), f, computePerAccess, meiFarRatio)
 		shares[o.Name] = s
 		if s > worst {
 			worst = s
@@ -333,9 +339,10 @@ func MinLocalRatio(opt BackendOption, f trace.Features, computePerAccess sim.Dur
 		slo = 1
 	}
 	budget := 1 + (slo-1)*sloMargin
-	base := PredictRuntimeShare(opt, f, computePerAccess, 0)
+	pageCost := tunedPageCost(opt, f)
+	base := predictRuntimeShare(pageCost, f, computePerAccess, 0)
 	for local := 0.1; local < 1.0; local += 0.05 {
-		r := PredictRuntimeShare(opt, f, computePerAccess, 1-local)
+		r := predictRuntimeShare(pageCost, f, computePerAccess, 1-local)
 		if r <= base*budget {
 			return local
 		}

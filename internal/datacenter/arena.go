@@ -101,9 +101,8 @@ type ArenaConfig struct {
 	Seed int64
 }
 
-// ArenaResult is one arena run's outcome. Every field except Stats is a
-// deterministic simulation quantity, byte-identical across shard and worker
-// counts; Stats carries wall-clock throughput measurements for reporting.
+// ArenaResult is one arena run's outcome. Every field is a deterministic
+// simulation quantity, byte-identical across shard and worker counts.
 type ArenaResult struct {
 	Offered   int
 	Refused   int // open-loop arrivals bounced off the full queue

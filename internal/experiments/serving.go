@@ -144,7 +144,6 @@ func ServingOnce(o Options, arr workload.ArrivalProcess, slo, duration sim.Durat
 		SLO:       slo,
 		Shedding:  true,
 		Breakers:  true,
-		Retier:    true,
 		Seed:      o.Seed,
 		Policy:    o.placementPolicy(),
 	})
@@ -183,8 +182,8 @@ type ServingFlashRow struct {
 }
 
 // ServingFlashData serves an 8x flash crowd on the overcommitted static-ssd
-// fleet twice: with the adaptive shedder, and with shedding and deadline
-// admission disabled (every request queues until placed).
+// fleet twice: with deadline admission and the adaptive shedder, and with
+// both disabled (every request that fits the queue waits until placed).
 func ServingFlashData(o Options) []ServingFlashRow {
 	o = o.normalize()
 	systems := []string{"no-shed", "shed"}
@@ -199,13 +198,9 @@ func ServingFlashData(o Options) []ServingFlashRow {
 			Duration: 4 * sim.Second,
 			Drain:    sim.Second,
 			SLO:      servingSLO,
+			Shedding: systems[i] == "shed",
 			Seed:     o.Seed,
 			Policy:   o.placementPolicy(),
-		}
-		if systems[i] == "shed" {
-			cfg.Shedding = true
-		} else {
-			cfg.AdmitDeadline = sim.Hour // disabled: admit everything that fits the queue
 		}
 		env := servingFleet([]string{"ssd0"}, foot)
 		return ServingFlashRow{System: systems[i], Result: serve.Run(env, cfg)}

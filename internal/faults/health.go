@@ -18,7 +18,7 @@ package faults
 // no interior locking.
 type Monitor struct {
 	// TripConsecutive failures in a row trip immediately regardless of
-	// the window share (default 6): fast detection of hard outages.
+	// the window share (NewMonitor sets 6): fast detection of hard outages.
 	TripConsecutive int
 	// OnUnhealthy fires exactly once, at the Record that trips the
 	// monitor. It runs inline in engine context, so it may schedule
@@ -62,7 +62,7 @@ func (m *Monitor) Record(succeeded bool) {
 	if m.unhealthy {
 		return
 	}
-	tripped := m.consecFail >= m.tripConsecutive()
+	tripped := m.consecFail >= m.TripConsecutive
 	if n := m.ok + m.fail; !tripped && n >= monitorMinSamples {
 		tripped = float64(m.fail)/float64(n) >= monitorThreshold
 	}
@@ -84,11 +84,4 @@ func (m *Monitor) Unhealthy() bool { return m.unhealthy }
 func (m *Monitor) Reset() {
 	m.ok, m.fail, m.consecFail = 0, 0, 0
 	m.unhealthy = false
-}
-
-func (m *Monitor) tripConsecutive() int {
-	if m.TripConsecutive <= 0 {
-		return 6
-	}
-	return m.TripConsecutive
 }

@@ -1,9 +1,9 @@
 // Package serve is the open-loop serving mode: an arrival process offers
 // requests at a rate the server did not choose, and the robustness
-// machinery — bounded admission queue with deadline-based admission
-// control, an SLO-aware adaptive load shedder, per-backend circuit
-// breakers, and online backend re-tiering — decides what to accept, what
-// to refuse, and where to run what was accepted.
+// machinery — a bounded admission queue, deadline-based admission control
+// with an SLO-aware adaptive load shedder, and per-backend circuit breakers
+// with online backend re-tiering — decides what to accept, what to refuse,
+// and where to run what was accepted.
 //
 // The paper's evaluation is closed-loop (fixed task grids run to
 // completion); this package is the "heavy traffic from millions of users"
@@ -19,7 +19,7 @@
 //
 // Refusals never enter the system (queue-full, predicted-deadline, and
 // shedder throttling); sheds are admitted requests dropped from the queue
-// when their waiting time exceeds the deadline.
+// when their waiting time exceeds the deadline, which is the SLO.
 package serve
 
 import (
@@ -56,24 +56,20 @@ type Config struct {
 	// work can finish (0: stop at Duration and report in-flight).
 	Drain sim.Duration
 	// SLO is the placement-delay target (submission → VM-ready) the
-	// shedder defends for admitted traffic, as a p99.
+	// shedder defends for admitted traffic, as a p99. It must be positive.
 	SLO sim.Duration
-	// AdmitDeadline refuses arrivals whose predicted queue wait exceeds
-	// it, and sheds queued requests that have already waited longer —
-	// work that cannot possibly meet its deadline is not worth queueing,
-	// and shedding it is what keeps the *admitted* traffic's placement
-	// delay bounded. Defaults to SLO; 0 with no SLO disables deadline
-	// enforcement entirely.
-	AdmitDeadline sim.Duration
-	// Shedding enables the adaptive token-bucket shedder; without it, only
-	// the queue bound and the admit deadline protect the server.
+	// Shedding enables deadline admission at the SLO and the adaptive
+	// token-bucket shedder. The deadline refuses arrivals whose predicted
+	// queue wait exceeds the SLO and sheds queued requests that have
+	// already waited longer: work that cannot meet its deadline is not
+	// worth queueing, and shedding it is what keeps the *admitted*
+	// traffic's placement delay bounded. Without Shedding, only the queue
+	// bound protects the server.
 	Shedding bool
-	// Breakers enables per-backend circuit breakers.
+	// Breakers enables per-backend circuit breakers and online backend
+	// re-tiering: once a breaker condemns a backend, Free VMs parked on
+	// broken or saturated backends are switched to the healthiest one.
 	Breakers bool
-	// Retier enables online backend reconfiguration under sustained
-	// pressure: Free VMs parked on broken or saturated backends are
-	// switched to the healthiest one.
-	Retier bool
 	// Policy overrides the dispatcher's placement policy (nil = alg1);
 	// see internal/place.
 	Policy *place.Policy
@@ -85,13 +81,6 @@ type Config struct {
 // queueCap bounds the admission queue: arrivals finding it full are
 // refused.
 const queueCap = 256
-
-func (c Config) withDefaults() Config {
-	if c.AdmitDeadline <= 0 {
-		c.AdmitDeadline = c.SLO
-	}
-	return c
-}
 
 // Result summarizes one serving run.
 type Result struct {
@@ -108,7 +97,7 @@ type Result struct {
 	// response) by the shedder's brown-out band.
 	Degraded int
 	// Shed counts admitted requests dropped from the queue after waiting
-	// past the deadline.
+	// past the SLO.
 	Shed int
 	// Completed tasks, and the subset whose placement delay met the SLO.
 	Completed      int
@@ -176,9 +165,7 @@ type server struct {
 
 	breakers     map[string]*faults.Breaker
 	backendOrder []string
-
-	pressureTicks int
-	lastRetier    sim.Time
+	lastRetier   sim.Time
 
 	ewmaServiceNS float64
 
@@ -190,19 +177,17 @@ type server struct {
 }
 
 // shedder is the adaptive admission throttle: a token bucket whose refill
-// rate follows an AIMD law driven by the windowed placement-delay p99 and
-// the queue-delay gradient. When the window p99 breaches the SLO — or the
-// queue head's age exceeds it and is still growing — the rate is cut
-// multiplicatively; otherwise it recovers additively toward the offered
-// rate. Below one token the bucket has a brown-out band where requests are
-// admitted degraded rather than refused.
+// rate follows an AIMD law driven by the windowed placement-delay p99. When
+// the window p99 breaches the SLO the rate is cut multiplicatively;
+// otherwise it recovers additively toward the offered rate. Below one token
+// the bucket has a brown-out band where requests are admitted degraded
+// rather than refused. (The queue head's age needs no signal of its own:
+// the deadline sheds every request older than the SLO first.)
 type shedder struct {
-	enabled    bool
-	rate       float64 // tokens/second
-	tokens     float64
-	burst      float64
-	minRate    float64
-	lastQDelay sim.Duration
+	rate    float64 // tokens/second
+	tokens  float64
+	burst   float64
+	minRate float64
 }
 
 const (
@@ -211,7 +196,6 @@ const (
 	degradeCost  = 0.25 // tokens consumed by a degraded admission
 	degradeBand  = 0.25 // minimum tokens for a degraded admission
 	retierEvery  = sim.Second
-	pressureFor  = 10 // consecutive ticks of queue delay over SLO
 	ewmaAlpha    = 0.2
 	minShedRate  = 5.0
 	shedHeadroom = 1.25 // rate cap as a multiple of the offered rate
@@ -219,8 +203,8 @@ const (
 	// maxTasksPerVM is the dispatcher's per-VM concurrency bound; see
 	// cluster.Dispatcher.MaxTasksPerVM.
 	maxTasksPerVM = 2
-	// controlTick is the control-loop cadence: shedder adaptation,
-	// queue-deadline scanning, pressure detection, conservation checks.
+	// controlTick is the control-loop cadence: queue-deadline scanning,
+	// shedder adaptation, re-tiering, conservation checks.
 	controlTick = 50 * sim.Millisecond
 )
 
@@ -228,7 +212,6 @@ const (
 // caller owns fleet preparation (see PrewarmFleet); Run owns everything
 // from the first arrival to the final accounting.
 func Run(env baseline.Env, cfg Config) Result {
-	cfg = cfg.withDefaults()
 	s := &server{
 		cfg: cfg,
 		env: env,
@@ -284,7 +267,6 @@ func Run(env baseline.Env, cfg Config) Result {
 	if cfg.Shedding {
 		offered := cfg.Arrivals.Rate(0)
 		s.shed = shedder{
-			enabled: true,
 			rate:    offered * shedHeadroom,
 			minRate: minShedRate,
 		}
@@ -377,14 +359,14 @@ func (s *server) offer(i int) {
 		return
 	}
 	// 2. Deadline-based admission: refuse work predicted to wait past the
-	// deadline (queue length × smoothed service time / fleet slots).
-	if wait := s.predictedWait(); s.cfg.AdmitDeadline > 0 && wait > s.cfg.AdmitDeadline {
+	// SLO (queue length × smoothed service time / fleet slots).
+	if s.cfg.Shedding && s.predictedWait() > s.cfg.SLO {
 		s.res.RefusedDeadline++
 		return
 	}
 	// 3. Adaptive shedder.
 	degraded := false
-	if s.shed.enabled {
+	if s.cfg.Shedding {
 		switch {
 		case s.shed.tokens >= 1:
 			s.shed.tokens--
@@ -433,19 +415,14 @@ func (s *server) predictedWait() sim.Duration {
 }
 
 // pump dispatches from the queue head until the fleet refuses. Expired
-// work is shed here, at the last possible moment: a request that already
+// work is shed first, at the last possible moment: a request that already
 // waited past the deadline is never dispatched, which is what bounds the
-// placement delay of everything that *is* dispatched (the tick-time queue
-// scan alone would leave a one-tick race where expired work slips out).
+// placement delay of everything that *is* dispatched (the tick-time scan
+// alone would leave a one-tick race where expired work slips out).
 func (s *server) pump() {
-	now := s.eng.Now()
+	s.expire()
 	for len(s.queue) > 0 {
 		q := s.queue[0]
-		if s.cfg.AdmitDeadline > 0 && now.Sub(q.arrived) > s.cfg.AdmitDeadline {
-			s.res.Shed++
-			s.queue = s.queue[1:]
-			continue
-		}
 		pl := s.d.Dispatch(q.app, s.readyFn(q))
 		if pl.Via == cluster.ViaNone {
 			return
@@ -530,39 +507,32 @@ func (s *server) readyFn(q queued) func(cluster.Placement) {
 	}
 }
 
+// expire sheds queued requests that have already waited past the
+// deadline. The queue is in arrival order, so they are always a prefix.
+func (s *server) expire() {
+	if !s.cfg.Shedding {
+		return
+	}
+	now := s.eng.Now()
+	for len(s.queue) > 0 && now.Sub(s.queue[0].arrived) > s.cfg.SLO {
+		s.res.Shed++
+		s.queue = s.queue[1:]
+	}
+}
+
 // tick is the control loop: deadline scanning, shedder adaptation,
-// pressure detection and re-tiering, conservation checking, timelines.
+// re-tiering, conservation checking, timelines.
 func (s *server) tick() {
 	now := s.eng.Now()
+	s.expire()
 
-	// Shed queued work that has already waited past the deadline.
-	kept := s.queue[:0]
-	for _, q := range s.queue {
-		if s.cfg.AdmitDeadline > 0 && now.Sub(q.arrived) > s.cfg.AdmitDeadline {
-			s.res.Shed++
-			continue
-		}
-		kept = append(kept, q)
-	}
-	s.queue = kept
-
-	// Queue-delay signal: age of the head (0 when empty).
-	var qDelay sim.Duration
-	if len(s.queue) > 0 {
-		qDelay = now.Sub(s.queue[0].arrived)
-	}
-
-	if s.shed.enabled {
-		p99 := s.windowP99()
-		grad := qDelay - s.shed.lastQDelay
-		s.shed.lastQDelay = qDelay
+	if s.cfg.Shedding {
 		offered := s.cfg.Arrivals.Rate(s.elapsed())
 		maxRate := offered * shedHeadroom
 		if maxRate < s.shed.minRate {
 			maxRate = s.shed.minRate
 		}
-		breach := (p99 > 0 && p99 > s.cfg.SLO) || (qDelay > s.cfg.SLO && grad > 0)
-		if breach {
+		if s.windowP99() > s.cfg.SLO {
 			s.shed.rate *= shedBeta
 			if s.shed.rate < s.shed.minRate {
 				s.shed.rate = s.shed.minRate
@@ -585,15 +555,11 @@ func (s *server) tick() {
 	// Online re-tiering. The dispatcher's ViaSwitch branch already
 	// converts idle VMs to the chosen backend on demand, but that pays
 	// the switch latency on a request's critical path. The control loop
-	// pre-positions instead: under sustained queue pressure, or as soon
-	// as a breaker condemns a backend, idle VMs parked on sick backends
-	// are switched ahead of demand so the next dispatch finds a Free VM
-	// already active on a healthy backend.
-	if qDelay > s.cfg.SLO {
-		s.pressureTicks++
-	} else {
-		s.pressureTicks = 0
-	}
+	// pre-positions instead: as soon as a breaker condemns a backend,
+	// idle VMs parked on sick backends are switched ahead of demand so
+	// the next dispatch finds a Free VM already active on a healthy
+	// backend. Permits is asked every tick because asking is what moves
+	// an expired open breaker to half-open.
 	condemned := false
 	for _, name := range s.backendOrder {
 		if b := s.breakers[name]; b != nil && !b.Permits() {
@@ -601,8 +567,7 @@ func (s *server) tick() {
 			break
 		}
 	}
-	if s.cfg.Retier && (s.pressureTicks >= pressureFor || condemned) &&
-		now.Sub(s.lastRetier) >= retierEvery {
+	if condemned && now.Sub(s.lastRetier) >= retierEvery {
 		s.retier()
 		s.lastRetier = now
 	}
@@ -650,9 +615,9 @@ func (s *server) windowP99() sim.Duration {
 }
 
 // retier switches Free VMs off broken or saturated backends onto the
-// healthiest one — online backend reconfiguration under pressure. VMs
-// running tasks are left alone (live migration is the dispatcher's warm
-// switch on the next placement).
+// healthiest one — online backend reconfiguration. VMs running tasks are
+// left alone (live migration is the dispatcher's warm switch on the next
+// placement).
 func (s *server) retier() {
 	target := s.bestBackend()
 	if target == "" {

@@ -108,7 +108,6 @@ func TestServeConservation(t *testing.T) {
 			SLO:       100 * sim.Millisecond,
 			Shedding:  true,
 			Breakers:  true,
-			Retier:    true,
 			Seed:      3,
 		})
 
@@ -144,7 +143,6 @@ func TestServeDeterministic(t *testing.T) {
 			SLO:       100 * sim.Millisecond,
 			Shedding:  true,
 			Breakers:  true,
-			Retier:    true,
 			Seed:      seed,
 		})
 	}
@@ -169,7 +167,10 @@ func TestFlashCrowdSheddingDefendsSLO(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{
+		// The baseline has no overload protection beyond the queue bound:
+		// with Shedding off there is no deadline either, so the queue
+		// soaks the crowd and delay explodes.
+		return Run(env, Config{
 			Templates: RequestTemplates(),
 			Arrivals:  arr,
 			Duration:  5 * sim.Second,
@@ -177,14 +178,7 @@ func TestFlashCrowdSheddingDefendsSLO(t *testing.T) {
 			SLO:       slo,
 			Shedding:  shed,
 			Seed:      7,
-		}
-		if !shed {
-			// The baseline has no overload protection at all: deadline
-			// enforcement off, so the queue soaks the crowd and delay
-			// explodes.
-			cfg.AdmitDeadline = sim.Hour
-		}
-		return Run(env, cfg)
+		})
 	}
 	shed, base := run(true), run(false)
 
@@ -225,7 +219,6 @@ func TestServeBreakerCutsFailedBackend(t *testing.T) {
 		SLO:       200 * sim.Millisecond,
 		Shedding:  true,
 		Breakers:  true,
-		Retier:    true,
 		Seed:      5,
 	})
 	if res.BreakerOpens == 0 {
@@ -317,7 +310,6 @@ func TestServeObservability(t *testing.T) {
 		SLO:       100 * sim.Millisecond,
 		Shedding:  true,
 		Breakers:  true,
-		Retier:    true,
 		Seed:      9,
 	})
 	rec.Seal()
@@ -338,22 +330,25 @@ func TestServeObservability(t *testing.T) {
 }
 
 // TestQueueBound drives a small overcommitted fleet into deep overload
-// with deadline enforcement off: the bounded queue is the only front-door
-// protection left, and it must refuse at its cap rather than grow.
+// with Shedding off: the bounded queue is the only front-door protection
+// left, and it must refuse at its cap rather than grow.
 func TestQueueBound(t *testing.T) {
 	env := servingEnv("ssd0", "dram0")
 	PrewarmFleet(env, 4, 2, 1024)
 	res := Run(env, Config{
-		Templates:     RequestTemplates(),
-		Arrivals:      workload.Poisson{RPS: 2000},
-		Duration:      3 * sim.Second,
-		Drain:         sim.Second,
-		SLO:           100 * sim.Millisecond,
-		AdmitDeadline: sim.Hour,
-		Seed:          13,
+		Templates: RequestTemplates(),
+		Arrivals:  workload.Poisson{RPS: 2000},
+		Duration:  3 * sim.Second,
+		Drain:     sim.Second,
+		SLO:       100 * sim.Millisecond,
+		Seed:      13,
 	})
 	if res.RefusedQueueFull == 0 {
 		t.Fatalf("bounded queue never refused under 2000 rps overload: %+v", res)
+	}
+	// Without Shedding neither the deadline nor the shedder acts.
+	if res.RefusedDeadline != 0 || res.RefusedThrottle != 0 || res.Shed != 0 || res.Degraded != 0 {
+		t.Fatalf("overload control beyond the queue bound acted with Shedding off: %+v", res)
 	}
 	if res.MaxQueue > queueCap {
 		t.Fatalf("queue grew past its cap: %d", res.MaxQueue)
@@ -366,6 +361,7 @@ func TestQueueBound(t *testing.T) {
 // TestRetierMovesIdleVMsOffSickBackend pins the pre-positioning path: when
 // a breaker condemns a backend, its idle VMs are switched to a healthy one
 // ahead of demand instead of waiting for a dispatch to pay the switch.
+// Breakers alone turn re-tiering on.
 func TestRetierMovesIdleVMsOffSickBackend(t *testing.T) {
 	env := warmedEnv("ssd0", "rdma0")
 	dev := env.Machine.Device("rdma0")
@@ -380,7 +376,6 @@ func TestRetierMovesIdleVMsOffSickBackend(t *testing.T) {
 		Drain:     2 * sim.Second,
 		SLO:       200 * sim.Millisecond,
 		Breakers:  true,
-		Retier:    true,
 		Seed:      5,
 	})
 	if res.BreakerOpens == 0 {
@@ -411,12 +406,5 @@ func TestPrewarmFleet(t *testing.T) {
 	// Round-robin: 4 VMs over 2 backends → 2 each.
 	if byBackend["ssd0"] != 2 || byBackend["rdma0"] != 2 {
 		t.Fatalf("fleet not spread round-robin: %v", byBackend)
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{SLO: 100 * sim.Millisecond}.withDefaults()
-	if c.AdmitDeadline != c.SLO {
-		t.Fatalf("admit deadline default %v, want SLO %v", c.AdmitDeadline, c.SLO)
 	}
 }
