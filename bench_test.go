@@ -304,6 +304,34 @@ func BenchmarkWorkloadStream(b *testing.B) {
 	}
 }
 
+// profileSink keeps BenchmarkProfile's results live.
+var profileSink trace.Features
+
+// BenchmarkProfile measures xDM's offline profile of one serving request,
+// the lookup template at scale 8 (128 pages, 256 accesses), with a new seed
+// per request as the serving loop draws them. "fresh" is baseline.Profile,
+// which builds a stream and a trace table per call; "warm" reuses one
+// baseline.Profiler, as the serving loop does.
+func BenchmarkProfile(b *testing.B) {
+	spec := serve.RequestTemplates()[0].Spec
+	spec.FootprintPages /= 8
+	spec.MainAccesses /= 8
+	spec.SegmentLen = min(spec.SegmentLen, spec.FootprintPages)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			profileSink = baseline.Profile(spec, int64(i))
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		var p baseline.Profiler
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			profileSink = p.Profile(spec, int64(i))
+		}
+	})
+}
+
 func BenchmarkSwapPathOp(b *testing.B) {
 	eng := sim.NewEngine()
 	h := device.NewHost(eng, pcie.Gen4, 16)
@@ -366,7 +394,7 @@ func BenchmarkEndToEndTask(b *testing.B) {
 		m.AttachDevice(device.SpecTestbedSSD("ssd"))
 		m.AttachDevice(device.SpecConnectX5("rdma"))
 		env := baseline.Env{Machine: m, FileBackend: "ssd"}
-		setup := baseline.PrepareXDM(env, m.Backend("rdma"), spec, 0.5, 1.4, 1)
+		setup := baseline.PrepareXDM(env, m.Backend("rdma"), spec, baseline.Profile(spec, 1), 0.5, 1.4, 1)
 		done := false
 		task.New(setup.Config).Start(func(task.Stats) { done = true })
 		eng.Run()

@@ -45,10 +45,12 @@ func main() {
 			spec.SegmentLen = spec.FootprintPages
 		}
 
+		f := baseline.Profile(spec, 3)
+
 		// Reference runtime with everything resident.
 		engRef := sim.NewEngine()
 		eRef := env(engRef)
-		refSetup := baseline.PrepareXDM(eRef, eRef.Machine.Backend("rdma"), spec, 1.0, 1.2, 3)
+		refSetup := baseline.PrepareXDM(eRef, eRef.Machine.Backend("rdma"), spec, f, 1.0, 1.2, 3)
 		var ref task.Stats
 		task.New(refSetup.Config).Start(func(s task.Stats) { ref = s })
 		engRef.Run()
@@ -59,7 +61,7 @@ func main() {
 			e := env(eng)
 			// localRatio < 0: the console calibrates the minimum local
 			// share for this SLO from an offline staging run.
-			setup := baseline.PrepareXDM(e, e.Machine.Backend("rdma"), spec, -1, slo, 3)
+			setup := baseline.PrepareXDM(e, e.Machine.Backend("rdma"), spec, f, -1, slo, 3)
 			var stats task.Stats
 			task.New(setup.Config).Start(func(s task.Stats) { stats = s })
 			eng.Run()

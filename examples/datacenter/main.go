@@ -61,12 +61,13 @@ func main() {
 	for i, name := range apps {
 		spec := scaled(name, 16)
 		app := cluster.App{Spec: spec, SLO: 1.5, Seed: int64(i), Cores: 1}
-		p := d.Dispatch(app, nil)
+		f := baseline.Profile(spec, app.Seed)
+		p := d.Dispatch(app, f, nil)
 		if p.Via == cluster.ViaNone {
 			fmt.Printf("%-9s  rejected (no capacity)\n", name)
 			continue
 		}
-		setup := baseline.PrepareXDM(env, env.Machine.Backend(p.Backend), spec,
+		setup := baseline.PrepareXDM(env, env.Machine.Backend(p.Backend), spec, f,
 			p.LocalRatio, app.SLO, app.Seed)
 		pl := p
 		nm := name

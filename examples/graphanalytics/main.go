@@ -55,7 +55,7 @@ func main() {
 		priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess)
 
 		// Run on the chosen backend with the full console configuration.
-		setup := baseline.PrepareXDM(env, m.Backend(priority[0]), spec, 0.5, 1.4, 7)
+		setup := baseline.PrepareXDM(env, m.Backend(priority[0]), spec, f, 0.5, 1.4, 7)
 		var stats task.Stats
 		task.New(setup.Config).Start(func(s task.Stats) { stats = s })
 		eng.Run()

@@ -40,7 +40,7 @@ func main() {
 
 		var cfg task.Config
 		if xdm {
-			setup := baseline.PrepareXDM(env, m.Backend("rdma"), spec, 0.5, 1.4, 42)
+			setup := baseline.PrepareXDM(env, m.Backend("rdma"), spec, baseline.Profile(spec, 42), 0.5, 1.4, 42)
 			fmt.Printf("  xDM console decision: granularity=%d pages, width=%d, NUMA=%v\n",
 				setup.Decision.GranularityPages, setup.Decision.Width, setup.Decision.NUMA)
 			cfg = setup.Config

@@ -129,9 +129,26 @@ const ProfileSeedOffset = 10007
 // into a page trace table and fuse its features. The allocation sweep is
 // skipped — first-touch faults are zero-fill and never reach the swap path,
 // so including them would bias every decision toward sequential streaming.
+// A caller that profiles many requests keeps a Profiler instead.
 func Profile(spec workload.Spec, seed int64) trace.Features {
-	tbl := trace.NewTable(spec.FootprintPages)
-	s := workload.NewStream(spec, seed+ProfileSeedOffset)
+	var p Profiler
+	return p.Profile(spec, seed)
+}
+
+// Profiler runs Profile without allocating once warm: it reuses one access
+// stream, one trace table and the table's sort scratch across calls. Each
+// request owner that profiles many requests (a serving loop) keeps its own;
+// it is not safe for concurrent use. The zero value is ready.
+type Profiler struct {
+	stream workload.Stream
+	table  trace.Table
+}
+
+// Profile returns what the package-level Profile returns for spec and seed.
+func (p *Profiler) Profile(spec workload.Spec, seed int64) trace.Features {
+	p.table.Resize(spec.FootprintPages)
+	s := &p.stream
+	s.Reset(spec, seed+ProfileSeedOffset)
 	for skip := s.MappedPages(); skip > 0; skip-- {
 		if _, ok := s.Next(); !ok {
 			break
@@ -142,10 +159,10 @@ func Profile(spec workload.Spec, seed int64) trace.Features {
 		if !ok {
 			break
 		}
-		tbl.Record(a.Page, a.Write)
+		p.table.Record(a.Page, a.Write)
 	}
 	anon := int(spec.AnonFraction * float64(spec.FootprintPages))
-	return tbl.Features(anon)
+	return p.table.Features(anon)
 }
 
 // OptionFor derives a console BackendOption from a live swap backend.
@@ -197,13 +214,13 @@ type XDMSetup struct {
 }
 
 // PrepareXDM builds an xDM run on a *fixed* backend (as Table VI does,
-// comparing systems on the same device): offline profiling, transfer tuning
-// for that backend, a bypass path with an isolated channel, and online
-// epoch-based retuning. localRatio < 0 asks the console to size local
-// memory for the given SLO instead.
-func PrepareXDM(env Env, backend swap.Backend, spec workload.Spec, localRatio float64, slo float64, seed int64) XDMSetup {
+// comparing systems on the same device): transfer tuning for that backend
+// from f, the offline profile the caller computed (Profile(spec, seed)), a
+// bypass path with an isolated channel, and online epoch-based retuning.
+// localRatio < 0 asks the console to size local memory for the given SLO
+// instead.
+func PrepareXDM(env Env, backend swap.Backend, spec workload.Spec, f trace.Features, localRatio float64, slo float64, seed int64) XDMSetup {
 	eng := env.Machine.Eng
-	f := Profile(spec, seed)
 	opt := OptionFor(backend)
 
 	if localRatio < 0 {

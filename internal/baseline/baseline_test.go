@@ -90,7 +90,7 @@ func TestProfileFeatures(t *testing.T) {
 func TestPrepareXDMShape(t *testing.T) {
 	eng := sim.NewEngine()
 	env := testEnv(eng)
-	setup := PrepareXDM(env, env.Machine.Backend("rdma0"), tinySpec(), 0.5, 1.3, 1)
+	setup := PrepareXDM(env, env.Machine.Backend("rdma0"), tinySpec(), Profile(tinySpec(), 1), 0.5, 1.3, 1)
 	cfg := setup.Config
 	if viaHost(eng, cfg.SwapPath) {
 		t.Fatal("xDM path must bypass the host")
@@ -112,7 +112,7 @@ func TestPrepareXDMShape(t *testing.T) {
 func TestPrepareXDMConsoleSizesLocalRatio(t *testing.T) {
 	eng := sim.NewEngine()
 	env := testEnv(eng)
-	setup := PrepareXDM(env, env.Machine.Backend("rdma0"), tinySpec(), -1, 1.5, 1)
+	setup := PrepareXDM(env, env.Machine.Backend("rdma0"), tinySpec(), Profile(tinySpec(), 1), -1, 1.5, 1)
 	d := setup.Decision
 	if setup.Config.LocalRatio < 0.1 || setup.Config.LocalRatio > 1 {
 		t.Fatalf("console local ratio %v out of range", setup.Config.LocalRatio)
@@ -130,7 +130,7 @@ func TestXDMBeatsFastswapOnSameBackend(t *testing.T) {
 		env := testEnv(eng)
 		var cfg task.Config
 		if xdm {
-			cfg = PrepareXDM(env, env.Machine.Backend("rdma0"), tinySpec(), 0.4, 1.3, 1).Config
+			cfg = PrepareXDM(env, env.Machine.Backend("rdma0"), tinySpec(), Profile(tinySpec(), 1), 0.4, 1.3, 1).Config
 		} else {
 			cfg = Prepare(Fastswap, env, env.Machine.Backend("rdma0"), tinySpec(), 0.4, 1)
 		}

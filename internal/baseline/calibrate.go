@@ -116,10 +116,13 @@ func stagingRun(backendSpec device.Spec, prepare func(env Env, backend swap.Back
 }
 
 // calibRun is one xDM staging run at an explicit local ratio (no recursion
-// into calibration).
+// into calibration). The staging task runs at the profiling seed, and its
+// own profile is taken at that seed too.
 func calibRun(backendSpec device.Spec, spec workload.Spec, ratio float64, seed int64) int64 {
+	seed += ProfileSeedOffset
+	f := Profile(spec, seed)
 	return stagingRun(backendSpec, func(env Env, backend swap.Backend) task.Config {
-		return PrepareXDM(env, backend, spec, ratio, 1.0, seed+ProfileSeedOffset).Config
+		return PrepareXDM(env, backend, spec, f, ratio, 1.0, seed).Config
 	})
 }
 

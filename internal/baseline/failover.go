@@ -6,6 +6,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/swap"
 	"repro/internal/task"
+	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -33,7 +34,10 @@ type FailoverRun struct {
 
 	Switches []SwitchRecord
 
-	env       Env
+	env Env
+	// f is the offline profile the initial decision used; a failover
+	// retunes from it.
+	f         trace.Features
 	priority  []string
 	unhealthy map[string]bool
 	switching bool
@@ -73,6 +77,7 @@ func PrepareXDMFailover(env Env, v *vm.VM, spec workload.Spec, localRatio float6
 		VM:        v,
 		Initial:   initial,
 		env:       env,
+		f:         f,
 		priority:  priority,
 		unhealthy: make(map[string]bool),
 		threads:   threads,
@@ -152,9 +157,8 @@ func (r *FailoverRun) demote(backend string) {
 		r.task.SetSwapPath(newPath)
 		// Retune transfer parameters for the new medium using the same
 		// offline features the initial decision used.
-		f := Profile(r.Config.Spec, r.Config.Seed)
 		opt := optionByName(CatalogOptions(r.env), target)
-		g, w := core.TuneTransferBudget(opt, f, r.task.Cgroup().LimitPages)
+		g, w := core.TuneTransferBudget(opt, r.f, r.task.Cgroup().LimitPages)
 		r.task.SetGranularity(g)
 		r.env.Machine.Backend(target).SetWidth(widthForThreads(w, r.threads))
 	})

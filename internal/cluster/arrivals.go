@@ -71,13 +71,14 @@ func RunArrivalSim(env baseline.Env, cfg ArrivalSimConfig) ArrivalSimResult {
 		app.Seed = cfg.Seed + int64(i)
 		submitted := eng.Now()
 
-		d.Dispatch(app, func(pl Placement) {
+		f := baseline.Profile(app.Spec, app.Seed)
+		d.Dispatch(app, f, func(pl Placement) {
 			delaySum += eng.Now().Sub(submitted)
 			delayed++
 			// Run the app on its VM's active backend with the console's
 			// decided parameters.
 			be := env.Machine.Backend(pl.VM.ActiveBackend())
-			setup := baseline.PrepareXDM(env, be, app.Spec, pl.LocalRatio, app.SLO, app.Seed)
+			setup := baseline.PrepareXDM(env, be, app.Spec, f, pl.LocalRatio, app.SLO, app.Seed)
 			setupCfg := setup.Config
 			setupCfg.SwapPath = pl.VM.Path()
 			task.New(setupCfg).Start(func(task.Stats) {

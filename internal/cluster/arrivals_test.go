@@ -65,8 +65,9 @@ func TestDispatcherMaxTasksPerVM(t *testing.T) {
 	d := NewDispatcher(env)
 	d.MaxTasksPerVM = 2
 	app := App{Spec: friendlySpec(), SLO: 1.6, Cores: 1}
-	p1 := d.Dispatch(app, nil)
-	p2 := d.Dispatch(app, nil)
+	f := baseline.Profile(app.Spec, app.Seed)
+	p1 := d.Dispatch(app, f, nil)
+	p2 := d.Dispatch(app, f, nil)
 	if p1.Via == ViaNone || p2.Via == ViaNone {
 		t.Fatalf("first two placements refused: %v, %v", p1.Via, p2.Via)
 	}
@@ -75,13 +76,13 @@ func TestDispatcherMaxTasksPerVM(t *testing.T) {
 	}
 	// Third task: the sole VM is at its bound and the host has no room for
 	// another VM → refused.
-	p3 := d.Dispatch(app, nil)
+	p3 := d.Dispatch(app, f, nil)
 	if p3.Via != ViaNone {
 		t.Fatalf("third placement via %v, want refusal at the concurrency bound", p3.Via)
 	}
 	// Releasing one task re-opens the slot.
 	d.Release(p1)
-	p4 := d.Dispatch(app, nil)
+	p4 := d.Dispatch(app, f, nil)
 	if p4.Via == ViaNone {
 		t.Fatal("placement refused after a slot freed")
 	}
@@ -99,7 +100,8 @@ func TestDispatcherGateExcludesBackend(t *testing.T) {
 
 	d := NewDispatcher(env)
 	app := App{Spec: friendlySpec(), SLO: 1.4, Seed: 1, Cores: 1}
-	chosen := d.Dispatch(app, nil).Backend
+	f := baseline.Profile(app.Spec, app.Seed)
+	chosen := d.Dispatch(app, f, nil).Backend
 	if chosen == "" {
 		t.Fatal("ungated dispatch failed")
 	}
@@ -107,7 +109,7 @@ func TestDispatcherGateExcludesBackend(t *testing.T) {
 	// Gate out the chosen backend; the next dispatch must land elsewhere.
 	d2 := NewDispatcher(env)
 	d2.Gate = func(b string) bool { return b != chosen }
-	p := d2.Dispatch(app, nil)
+	p := d2.Dispatch(app, f, nil)
 	if p.Via == ViaNone {
 		t.Fatal("gated dispatch failed outright")
 	}
@@ -118,7 +120,7 @@ func TestDispatcherGateExcludesBackend(t *testing.T) {
 	// Gate everything out: selection has no candidates at all.
 	d3 := NewDispatcher(env)
 	d3.Gate = func(string) bool { return false }
-	if p := d3.Dispatch(app, nil); p.Via != ViaNone {
+	if p := d3.Dispatch(app, f, nil); p.Via != ViaNone {
 		t.Fatalf("fully gated dispatch placed via %v", p.Via)
 	}
 	if d3.Rejected != 1 {

@@ -178,8 +178,9 @@ func TestDispatcherWarmStartPreference(t *testing.T) {
 
 	d := NewDispatcher(env)
 	app := App{Spec: friendlySpec(), SLO: 1.4, Seed: 1, Cores: 1}
+	f := baseline.Profile(app.Spec, app.Seed)
 	var got Placement
-	p := d.Dispatch(app, func(pl Placement) { got = pl })
+	p := d.Dispatch(app, f, func(pl Placement) { got = pl })
 	eng.Run()
 	if p.Via != ViaFreeVM {
 		t.Fatalf("placement via %v, want free-vm (warm start)", p.Via)
@@ -204,7 +205,7 @@ func TestDispatcherSwitchesWhenNoMatchingVM(t *testing.T) {
 	d := NewDispatcher(env)
 	// friendlySpec is anon-heavy sequential: console picks rdma0, but only
 	// an ssd0 VM exists → switch.
-	p := d.Dispatch(App{Spec: friendlySpec(), SLO: 1.4, Seed: 1, Cores: 1}, nil)
+	p := d.Dispatch(App{Spec: friendlySpec(), SLO: 1.4, Seed: 1, Cores: 1}, baseline.Profile(friendlySpec(), 1), nil)
 	if p.Backend != "rdma0" {
 		t.Skipf("console picked %s; switch branch untestable", p.Backend)
 	}
@@ -221,7 +222,7 @@ func TestDispatcherCreatesVMWhenFleetBusy(t *testing.T) {
 	eng := sim.NewEngine()
 	env := clusterEnv(eng)
 	d := NewDispatcher(env)
-	p := d.Dispatch(App{Spec: friendlySpec(), SLO: 1.4, Seed: 1, Cores: 1}, nil)
+	p := d.Dispatch(App{Spec: friendlySpec(), SLO: 1.4, Seed: 1, Cores: 1}, baseline.Profile(friendlySpec(), 1), nil)
 	if p.Via != ViaCreate {
 		t.Fatalf("empty fleet placement via %v, want created-vm", p.Via)
 	}
@@ -237,7 +238,7 @@ func TestDispatcherRejectsWhenHostFull(t *testing.T) {
 	m.AttachDevice(device.SpecTestbedSSD("ssd0"))
 	env := baseline.Env{Machine: m, FileBackend: "ssd0"}
 	d := NewDispatcher(env)
-	p := d.Dispatch(App{Spec: friendlySpec(), SLO: 1.4, Seed: 1, Cores: 4}, nil)
+	p := d.Dispatch(App{Spec: friendlySpec(), SLO: 1.4, Seed: 1, Cores: 4}, baseline.Profile(friendlySpec(), 1), nil)
 	if p.Via != ViaNone || d.Rejected != 1 {
 		t.Fatalf("overcommitted dispatch: via=%v rejected=%d", p.Via, d.Rejected)
 	}
@@ -322,7 +323,8 @@ func TestDispatcherAvoidsSaturatedBackend(t *testing.T) {
 
 	d := NewDispatcher(env)
 	app := App{Spec: friendlySpec(), SLO: 1.6, Seed: 1, Cores: 1}
-	first := d.Dispatch(app, nil)
+	f := baseline.Profile(app.Spec, app.Seed)
+	first := d.Dispatch(app, f, nil)
 	if first.Via == ViaNone {
 		t.Fatal("baseline dispatch failed")
 	}
@@ -341,7 +343,7 @@ func TestDispatcherAvoidsSaturatedBackend(t *testing.T) {
 		t.Skipf("could not saturate %s (queue %d)", preferred, dev.QueueDepth())
 	}
 
-	second := d.Dispatch(app, nil)
+	second := d.Dispatch(app, f, nil)
 	if second.Via == ViaNone {
 		t.Fatal("dispatch under pressure failed entirely")
 	}

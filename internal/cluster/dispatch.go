@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"slices"
+
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/place"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -54,10 +57,12 @@ func (k PlacementKind) String() string {
 	}
 }
 
-// Dispatcher implements Algorithm 1: page feature extraction, backend
-// selection and local-memory sizing, then VM placement through a pluggable
-// placement policy (internal/place). Parameter optimization runs where the
-// task is built (baseline.PrepareXDM). The default policy, alg1, reconstructs
+// Dispatcher implements Algorithm 1: backend selection and local-memory
+// sizing from the request's page features, then VM placement through a
+// pluggable placement policy (internal/place). Feature extraction runs in
+// the request's owner, once per request (baseline.Profile), and parameter
+// optimization where the task is built (baseline.PrepareXDM); both read the
+// same features. The default policy, alg1, reconstructs
 // Algorithm 1's original placement loops exactly: online VM on the chosen
 // backend, then a free VM on it, then a switchable free VM — first match in
 // VM order within each preference tier.
@@ -86,6 +91,12 @@ type Dispatcher struct {
 	// Stats per branch.
 	Placed   map[PlacementKind]int
 	Rejected int
+
+	// pressured and cands are Dispatch's scratch, reused across calls: the
+	// pressure-adjusted options and the VM candidates. Neither outlives a
+	// call (SelectBackend and Policy.Place keep neither slice).
+	pressured []core.BackendOption
+	cands     []place.Candidate
 }
 
 // defaultPolicy is Algorithm 1's placement, shared by every dispatcher that
@@ -103,8 +114,8 @@ func NewDispatcher(env baseline.Env) *Dispatcher {
 // extended with health: a dead or stalled device is never a placement
 // target, so unhealthy donors drop out of selection automatically.
 func (d *Dispatcher) systemPressure() []core.BackendOption {
-	opts := make([]core.BackendOption, len(d.opts))
-	copy(opts, d.opts)
+	d.pressured = append(d.pressured[:0], d.opts...)
+	opts := d.pressured
 	for i := range opts {
 		dev := d.Env.Machine.Device(opts[i].Name)
 		if dev == nil {
@@ -141,12 +152,14 @@ const vmCores = 2
 
 // Dispatch places app per Algorithm 1 and calls ready once the hosting VM
 // is available (immediately for warm placements; after the switch or boot
-// otherwise). It returns the placement synchronously.
-func (d *Dispatcher) Dispatch(app App, ready func(Placement)) Placement {
-	// Lines 2-4: feature extraction, backend selection and local-memory
-	// sizing. The transfer parameters are tuned where the task is built
-	// (baseline.PrepareXDM), for the local ratio the caller settles on.
-	f := baseline.Profile(app.Spec, app.Seed)
+// otherwise). It returns the placement synchronously. f is app's page
+// features: Algorithm 1's line 2 (feature extraction) runs in the caller,
+// which profiles each request once (baseline.Profile) and passes the same
+// features to every dispatch attempt and to baseline.PrepareXDM.
+func (d *Dispatcher) Dispatch(app App, f trace.Features, ready func(Placement)) Placement {
+	// Lines 3-4: backend selection and local-memory sizing. The transfer
+	// parameters are tuned where the task is built (baseline.PrepareXDM),
+	// for the local ratio the caller settles on.
 	priority, _ := core.SelectBackend(d.systemPressure(), f, app.Spec.ComputePerAccess)
 	if len(priority) == 0 {
 		d.Rejected++
@@ -178,7 +191,8 @@ func (d *Dispatcher) Dispatch(app App, ready func(Placement)) Placement {
 	// never widen feasibility: the predicate chain keeps every candidate
 	// inside the same accepts/compatibility envelope the loops enforced.
 	vms := d.Env.Machine.VMs()
-	cands := make([]place.Candidate, len(vms))
+	d.cands = slices.Grow(d.cands[:0], len(vms))[:len(vms)]
+	cands := d.cands
 	for i, v := range vms {
 		tier := 0
 		switch {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/sim"
 )
 
@@ -16,9 +17,10 @@ func TestDispatchAvoidsDeadBackend(t *testing.T) {
 	env := clusterEnv(eng)
 	d := NewDispatcher(env)
 	app := dispatchApp()
+	f := baseline.Profile(app.Spec, app.Seed)
 
 	// Learn the healthy first choice, then kill that device.
-	p := d.Dispatch(app, nil)
+	p := d.Dispatch(app, f, nil)
 	if p.Via == ViaNone {
 		t.Fatal("baseline dispatch rejected the app")
 	}
@@ -26,7 +28,7 @@ func TestDispatchAvoidsDeadBackend(t *testing.T) {
 	d.Release(p)
 	env.Machine.Device(first).Fail()
 
-	p2 := d.Dispatch(app, nil)
+	p2 := d.Dispatch(app, f, nil)
 	if p2.Via == ViaNone {
 		t.Fatal("dispatch rejected app despite healthy alternatives")
 	}
@@ -40,20 +42,21 @@ func TestDispatchAvoidsStalledBackendUntilRecovery(t *testing.T) {
 	env := clusterEnv(eng)
 	d := NewDispatcher(env)
 	app := dispatchApp()
+	f := baseline.Profile(app.Spec, app.Seed)
 
-	p := d.Dispatch(app, nil)
+	p := d.Dispatch(app, f, nil)
 	first := p.Backend
 	d.Release(p)
 	dev := env.Machine.Device(first)
 	dev.Stall()
-	p2 := d.Dispatch(app, nil)
+	p2 := d.Dispatch(app, f, nil)
 	if p2.Backend == first {
 		t.Fatalf("dispatch placed app on stalled backend %q", first)
 	}
 	// Once the outage ends, the backend is eligible again.
 	dev.Recover()
 	d.Release(p2)
-	p3 := d.Dispatch(app, nil)
+	p3 := d.Dispatch(app, f, nil)
 	if p3.Backend != first {
 		t.Fatalf("recovered backend %q not re-selected (got %q)", first, p3.Backend)
 	}

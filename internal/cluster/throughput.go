@@ -5,6 +5,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/task"
+	"repro/internal/trace"
 )
 
 // AdmissionPolicy decides how much local memory a job needs before it can
@@ -59,10 +60,11 @@ func RunThroughput(env baseline.Env, jobs []App, policy AdmissionPolicy, serverP
 			// Jobs still need their file pages from storage.
 			p.cfg = baseline.Prepare(baseline.LinuxSwap, env, env.Machine.Backend(env.FileBackend), app.Spec, 1.0, app.Seed)
 		case FarMemorySLO:
-			backendName := pickBackend(env, app, assigned)
+			f := baseline.Profile(app.Spec, app.Seed)
+			backendName := pickBackend(env, app, f, assigned)
 			assigned[backendName]++
 			be := env.Machine.Backend(backendName)
-			setup := baseline.PrepareXDM(env, be, app.Spec, -1, app.SLO, app.Seed)
+			setup := baseline.PrepareXDM(env, be, app.Spec, f, -1, app.SLO, app.Seed)
 			p.ratio = setup.Config.LocalRatio
 			p.required = int(p.ratio * float64(app.Spec.FootprintPages))
 			p.cfg = setup.Config
@@ -118,14 +120,13 @@ func RunThroughput(env baseline.Env, jobs []App, policy AdmissionPolicy, serverP
 	return res
 }
 
-// pickBackend runs the console's backend selection for one job against the
-// machine's catalog, then spreads load across the machine's devices of the
-// winning kind: with multiple far-memory backends attached, concurrent jobs
-// land on different devices instead of contending on one — the
-// multi-backend scale-out this system exists for.
-func pickBackend(env baseline.Env, app App, assigned map[string]int) string {
+// pickBackend runs the console's backend selection for one job, whose page
+// features are f, against the machine's catalog, then spreads load across
+// the machine's devices of the winning kind: with multiple far-memory
+// backends attached, concurrent jobs land on different devices instead of
+// contending on one — the multi-backend scale-out this system exists for.
+func pickBackend(env baseline.Env, app App, f trace.Features, assigned map[string]int) string {
 	opts := baseline.CatalogOptions(env)
-	f := baseline.Profile(app.Spec, app.Seed)
 	priority, _ := core.SelectBackend(opts, f, app.Spec.ComputePerAccess)
 	if len(priority) == 0 {
 		return env.FileBackend

@@ -130,7 +130,7 @@ func TestTaskOnRemoteMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := baseline.Env{Machine: borrower.Machine, FileBackend: "ssd"}
-	setup := baseline.PrepareXDM(env, rm, spec, 0.5, 1.4, 1)
+	setup := baseline.PrepareXDM(env, rm, spec, baseline.Profile(spec, 1), 0.5, 1.4, 1)
 	var stats task.Stats
 	task.New(setup.Config).Start(func(s task.Stats) { stats = s })
 	eng.Run()

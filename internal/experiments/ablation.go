@@ -26,10 +26,12 @@ func ablationSpec(o Options) workload.Spec {
 // configuration forced through the hierarchical host path. Returns the
 // sys-time ratio (hierarchical / bypass).
 func AblationBypass(o Options) float64 {
+	spec := ablationSpec(o)
+	f := baseline.Profile(spec, o.Seed)
 	run := func(hierarchical bool) sim.Duration {
 		eng := sim.NewEngine()
 		env := testbed(eng)
-		setup := baseline.PrepareXDM(env, env.Machine.Backend("rdma"), ablationSpec(o), 0.5, 1.4, o.Seed)
+		setup := baseline.PrepareXDM(env, env.Machine.Backend("rdma"), spec, f, 0.5, 1.4, o.Seed)
 		cfg := setup.Config
 		if hierarchical {
 			cfg.SwapPath = swap.NewHierarchicalPath(eng, env.Machine.Backend("rdma"),
@@ -50,7 +52,8 @@ func AblationIsolation(o Options) float64 {
 		sharedCh := swap.NewChannel(eng, "shared", 4)
 		var paths []*swap.Path
 		for i := 0; i < 2; i++ {
-			setup := baseline.PrepareXDM(env, env.Machine.Backend("rdma"), ablationSpec(o), 0.5, 1.4, o.Seed+int64(i))
+			spec, seed := ablationSpec(o), o.Seed+int64(i)
+			setup := baseline.PrepareXDM(env, env.Machine.Backend("rdma"), spec, baseline.Profile(spec, seed), 0.5, 1.4, seed)
 			cfg := setup.Config
 			if shared {
 				cfg.SwapPath = swap.NewPath(eng, env.Machine.Backend("rdma"), sharedCh)
@@ -89,7 +92,7 @@ func AblationMEI(o Options) float64 {
 	measure := func(backend string) sim.Duration {
 		eng := sim.NewEngine()
 		env := testbed(eng)
-		setup := baseline.PrepareXDM(env, env.Machine.Backend(backend), spec, 0.5, 1.4, o.Seed)
+		setup := baseline.PrepareXDM(env, env.Machine.Backend(backend), spec, f, 0.5, 1.4, o.Seed)
 		return runTask(eng, setup.Config).Runtime
 	}
 	return float64(measure(worst)) / float64(measure(best))
@@ -99,10 +102,12 @@ func AblationMEI(o Options) float64 {
 // sys-time ratio (disabled / full). Knobs: "granularity", "width",
 // "adaptive".
 func AblationKnob(o Options, knob string) float64 {
+	spec := ablationSpec(o)
+	f := baseline.Profile(spec, o.Seed)
 	run := func(disable string) sim.Duration {
 		eng := sim.NewEngine()
 		env := testbed(eng)
-		setup := baseline.PrepareXDM(env, env.Machine.Backend("rdma"), ablationSpec(o), 0.5, 1.4, o.Seed)
+		setup := baseline.PrepareXDM(env, env.Machine.Backend("rdma"), spec, f, 0.5, 1.4, o.Seed)
 		cfg := setup.Config
 		switch disable {
 		case "granularity":
@@ -135,7 +140,8 @@ func AblationWarmStart(o Options) (warm, cold sim.Duration) {
 		start := eng.Now()
 		d := cluster.NewDispatcher(env)
 		readyAt := sim.Time(-1)
-		d.Dispatch(cluster.App{Spec: ablationSpec(o), SLO: 1.4, Seed: o.Seed, Cores: 1},
+		app := cluster.App{Spec: ablationSpec(o), SLO: 1.4, Seed: o.Seed, Cores: 1}
+		d.Dispatch(app, baseline.Profile(app.Spec, app.Seed),
 			func(cluster.Placement) { readyAt = eng.Now() })
 		eng.Run()
 		if readyAt < 0 {

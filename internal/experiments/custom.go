@@ -48,7 +48,7 @@ func Custom(specs []workload.Spec, o Options) []Table {
 		// xDM on the same backend.
 		engX := sim.NewEngine()
 		envX := testbed(engX)
-		setup := baseline.PrepareXDM(envX, envX.Machine.Backend(best), spec, 0.5, 1.4, o.Seed)
+		setup := baseline.PrepareXDM(envX, envX.Machine.Backend(best), spec, f, 0.5, 1.4, o.Seed)
 		statsX := runTask(engX, setup.Config)
 
 		return []string{spec.Name, f2(f.AnonRatio), f2(f.SeqRatio), f2(f.HotRatio), best,

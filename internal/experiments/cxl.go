@@ -45,11 +45,12 @@ func CXLModes(o Options) []Table {
 			m.AttachDevice(device.SpecConnectX5("rdma"))
 			m.AttachDevice(device.SpecCXL("cxl"))
 			env := baseline.Env{Machine: m, FileBackend: "ssd"}
+			f := baseline.Profile(spec, o.Seed)
 
 			switch mode {
 			case "cxl-numa":
 				// Everything mapped; the second "node" is the CXL expander.
-				setup := baseline.PrepareXDM(env, m.Backend("rdma"), spec, 1.0, 1.4, o.Seed)
+				setup := baseline.PrepareXDM(env, m.Backend("rdma"), spec, f, 1.0, 1.4, o.Seed)
 				cfg := setup.Config
 				topo := mem.NewTopology(dramPages)
 				topo.Nodes = topo.Nodes[:1] // single socket
@@ -58,10 +59,10 @@ func CXLModes(o Options) []Table {
 				cfg.NUMAPolicy = mem.BindLocal // fill DRAM first, spill to CXL
 				return runTask(eng, cfg).Runtime
 			case "cxl-backend":
-				setup := baseline.PrepareXDM(env, m.Backend("cxl"), spec, 0.5, 1.4, o.Seed)
+				setup := baseline.PrepareXDM(env, m.Backend("cxl"), spec, f, 0.5, 1.4, o.Seed)
 				return runTask(eng, setup.Config).Runtime
 			default: // rdma-swap
-				setup := baseline.PrepareXDM(env, m.Backend("rdma"), spec, 0.5, 1.4, o.Seed)
+				setup := baseline.PrepareXDM(env, m.Backend("rdma"), spec, f, 0.5, 1.4, o.Seed)
 				return runTask(eng, setup.Config).Runtime
 			}
 		}

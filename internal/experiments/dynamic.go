@@ -179,7 +179,7 @@ func Dynamic(o Options) []Table {
 // prepareStaticPhased is the static strawman: the same phased workload,
 // same tuning machinery, but pinned to one backend forever.
 func prepareStaticPhased(env baseline.Env, phases []workload.Spec, backend string, seed int64) task.Config {
-	setup := baseline.PrepareXDM(env, env.Machine.Backend(backend), phases[0], 0.5, 1.4, seed)
+	setup := baseline.PrepareXDM(env, env.Machine.Backend(backend), phases[0], baseline.Profile(phases[0], seed), 0.5, 1.4, seed)
 	cfg := setup.Config
 	threads := phases[0].Threads
 	var sources []workload.AccessSource

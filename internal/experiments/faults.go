@@ -126,7 +126,7 @@ func runFaultScenario(o Options, kind faults.Kind, failover bool, pinned string)
 		if be == nil {
 			panic("experiments: faults unknown backend " + target)
 		}
-		setup := baseline.PrepareXDM(env, be, spec, faultLocalRatio, 1.4, o.Seed)
+		setup := baseline.PrepareXDM(env, be, spec, baseline.Profile(spec, o.Seed), faultLocalRatio, 1.4, o.Seed)
 		cfg = setup.Config
 		// Same per-op timeout/retry discipline as the failover system, so
 		// the static baseline fails through rather than hanging forever —

@@ -74,7 +74,7 @@ func fig14Run(o Options, fs fig14System, spec workload.Spec) float64 {
 			members = append(members, m.Backend(d.Name))
 		}
 		agg := swap.NewAggregateBackend(eng, fs.name, members...)
-		cfg = baseline.PrepareXDM(env, agg, spec, fig14Ratio, 1.4, o.Seed).Config
+		cfg = baseline.PrepareXDM(env, agg, spec, baseline.Profile(spec, o.Seed), fig14Ratio, 1.4, o.Seed).Config
 	} else if fs.sys == baseline.XMemPod {
 		agg := swap.NewAggregateBackend(eng, "dram+rdma",
 			m.Backend(fs.devices[0].Name), m.Backend(fs.devices[1].Name))

@@ -39,16 +39,17 @@ func Fig15(o Options) []Table {
 		slo := fig15SLOs[i]
 		name := fig15Workloads[j]
 		spec := o.scaled(workload.ByName(name))
+		f := baseline.Profile(spec, o.Seed)
 
 		// Reference runtime: fully resident.
 		engR := sim.NewEngine()
 		envR := testbed(engR)
-		ref := runTask(engR, baseline.PrepareXDM(envR, envR.Machine.Backend("rdma"), spec, 1.0, slo, o.Seed).Config)
+		ref := runTask(engR, baseline.PrepareXDM(envR, envR.Machine.Backend("rdma"), spec, f, 1.0, slo, o.Seed).Config)
 
 		// xDM: console sizes local memory against the SLO.
 		engX := sim.NewEngine()
 		envX := testbed(engX)
-		setup := baseline.PrepareXDM(envX, envX.Machine.Backend("rdma"), spec, -1, slo, o.Seed)
+		setup := baseline.PrepareXDM(envX, envX.Machine.Backend("rdma"), spec, f, -1, slo, o.Seed)
 		stats := runTask(engX, setup.Config)
 		slowdown := float64(stats.Runtime) / float64(ref.Runtime)
 

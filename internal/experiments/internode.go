@@ -48,14 +48,15 @@ func InterNode(o Options) []Table {
 			env := baseline.Env{Machine: borrower.Machine, FileBackend: "ssd"}
 
 			var setup baseline.XDMSetup
+			f := baseline.Profile(spec, o.Seed)
 			if remote {
 				rm, err := c.Lend(donor, borrower, spec.FootprintPages)
 				if err != nil {
 					panic(err)
 				}
-				setup = baseline.PrepareXDM(env, rm, spec, 0.5, 1.4, o.Seed)
+				setup = baseline.PrepareXDM(env, rm, spec, f, 0.5, 1.4, o.Seed)
 			} else {
-				setup = baseline.PrepareXDM(env, borrower.Machine.Backend("ssd"), spec, 0.5, 1.4, o.Seed)
+				setup = baseline.PrepareXDM(env, borrower.Machine.Backend("ssd"), spec, f, 0.5, 1.4, o.Seed)
 			}
 			var stats task.Stats
 			task.New(setup.Config).Start(func(s task.Stats) { stats = s })

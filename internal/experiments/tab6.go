@@ -55,7 +55,7 @@ func Table6Data(o Options) []Table6Cell {
 		// xDM run on the same backend.
 		engX := sim.NewEngine()
 		envX := testbed(engX)
-		setup := baseline.PrepareXDM(envX, envX.Machine.Backend(backend), s, table6Ratio, 1.4, o.Seed)
+		setup := baseline.PrepareXDM(envX, envX.Machine.Backend(backend), s, baseline.Profile(s, o.Seed), table6Ratio, 1.4, o.Seed)
 		statsX := runTask(engX, setup.Config)
 
 		return Table6Cell{

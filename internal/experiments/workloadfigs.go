@@ -36,7 +36,7 @@ func Fig5b(o Options) []Table {
 		eng := sim.NewEngine()
 		env := testbed(eng)
 		be := env.Machine.Backend("ssd")
-		setup := baseline.PrepareXDM(env, be, spec, 0.5, 1.4, o.Seed)
+		setup := baseline.PrepareXDM(env, be, spec, baseline.Profile(spec, o.Seed), 0.5, 1.4, o.Seed)
 		// Pin the width under test; disable online width retuning by
 		// fixing granularity-only epochs.
 		cfg := setup.Config
@@ -77,7 +77,7 @@ func Fig8(o Options) []Table {
 			env := testbed(eng)
 			// Fixed memory pressure (half the footprint local) so backend
 			// sensitivity is visible for every workload.
-			setup := baseline.PrepareXDM(env, env.Machine.Backend(backend), spec, 0.5, 1.4, o.Seed)
+			setup := baseline.PrepareXDM(env, env.Machine.Backend(backend), spec, baseline.Profile(spec, o.Seed), 0.5, 1.4, o.Seed)
 			runtimes = append(runtimes, runTask(eng, setup.Config).Runtime)
 		}
 		// Offline-prepared FM path preference (staging-run MEI).
@@ -154,7 +154,7 @@ func Fig12(o Options) []Table {
 		// Fully resident (this figure isolates local-memory placement,
 		// not swap); each socket holds ~60% of the footprint, so
 		// placement decisions are visible.
-		setup := baseline.PrepareXDM(env, env.Machine.Backend("rdma"), spec, 1.0, 1.4, o.Seed)
+		setup := baseline.PrepareXDM(env, env.Machine.Backend("rdma"), spec, baseline.Profile(spec, o.Seed), 1.0, 1.4, o.Seed)
 		cfg := setup.Config
 		// Each socket can hold the whole footprint: bind-local is pure
 		// same-socket, prefer-remote is pure cross-socket.

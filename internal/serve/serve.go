@@ -24,7 +24,7 @@ package serve
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/baseline"
 	"repro/internal/cluster"
@@ -35,6 +35,7 @@ import (
 	"repro/internal/place"
 	"repro/internal/sim"
 	"repro/internal/task"
+	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -133,6 +134,11 @@ type queued struct {
 	app      cluster.App
 	arrived  sim.Time
 	degraded bool
+	// f and ready are the request's page features and VM-ready callback.
+	// The request's first dispatch attempt builds them (ready is nil until
+	// then), and every retry reuses them.
+	f     trace.Features
+	ready func(cluster.Placement)
 }
 
 // server is the run state of one serving simulation.
@@ -148,6 +154,9 @@ type server struct {
 	res   Result
 	// pool recycles the storage of finished requests' tasks.
 	pool task.Pool
+	// prof profiles each admitted request once, on its first dispatch
+	// attempt, reusing its stream and trace table across requests.
+	prof baseline.Profiler
 
 	// Conservation pieces, tracked independently of the queue slice so the
 	// invariant is a structural check, not arithmetic identity.
@@ -422,8 +431,12 @@ func (s *server) predictedWait() sim.Duration {
 func (s *server) pump() {
 	s.expire()
 	for len(s.queue) > 0 {
-		q := s.queue[0]
-		pl := s.d.Dispatch(q.app, s.readyFn(q))
+		q := &s.queue[0]
+		if q.ready == nil {
+			q.f = s.prof.Profile(q.app.Spec, q.app.Seed)
+			q.ready = s.readyFn(*q)
+		}
+		pl := s.d.Dispatch(q.app, q.f, q.ready)
 		if pl.Via == cluster.ViaNone {
 			return
 		}
@@ -439,7 +452,7 @@ func (s *server) pump() {
 
 // readyFn builds the VM-ready callback for one queued request, which
 // Dispatch calls at most once: measure the placement delay (submission →
-// VM-ready) and start the task.
+// VM-ready) and start the task, prepared from the request's features.
 func (s *server) readyFn(q queued) func(cluster.Placement) {
 	return func(pl cluster.Placement) {
 		s.pendingReady--
@@ -475,7 +488,7 @@ func (s *server) readyFn(q queued) func(cluster.Placement) {
 			}
 		}
 		be := s.env.Machine.Backend(pl.VM.ActiveBackend())
-		setup := baseline.PrepareXDM(s.env, be, q.app.Spec, local, q.app.SLO, q.app.Seed)
+		setup := baseline.PrepareXDM(s.env, be, q.app.Spec, q.f, local, q.app.SLO, q.app.Seed)
 		cfg := setup.Config
 		cfg.SwapPath = pl.VM.Path()
 		// Per-op timeout/retry so a dead backend fails through, and the
@@ -604,9 +617,8 @@ func (s *server) windowP99() sim.Duration {
 	if n == 0 {
 		return 0
 	}
-	buf := make([]sim.Duration, n)
-	copy(buf, s.ring[:n])
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	buf := s.ring // a copy on the stack: the ring's order marks the oldest delay
+	slices.Sort(buf[:n])
 	idx := (n*99 + 99) / 100
 	if idx >= n {
 		idx = n - 1

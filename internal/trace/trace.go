@@ -8,15 +8,17 @@
 // statistics that drive backend selection and parameter adjustment.
 package trace
 
-import "sort"
+import "slices"
 
 // Table accumulates page-access statistics for one task. Page IDs are dense
 // indices into the task's page set.
 type Table struct {
 	footprint int
 	counts    []uint32
-	loads     uint64
-	stores    uint64
+	// hot is Features' scratch for sorting the touched pages' counts.
+	hot    []uint32
+	loads  uint64
+	stores uint64
 
 	lastPage int32
 	haveLast bool
@@ -132,23 +134,21 @@ func (t *Table) Features(anonPages int) Features {
 		f.FragmentRatio = float64(segments) / float64(t.touched)
 	}
 
-	// Hot ratio: smallest page count covering hotCoverage of accesses.
+	// Hot ratio: smallest page count covering hotCoverage of accesses,
+	// taking the hottest pages first (the end of the ascending sort).
 	if t.totalAcc > 0 {
-		sorted := make([]uint32, 0, t.touched)
+		t.hot = slices.Grow(t.hot[:0], t.touched)
 		for _, c := range t.counts {
 			if c > 0 {
-				sorted = append(sorted, c)
+				t.hot = append(t.hot, c)
 			}
 		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
+		slices.Sort(t.hot)
 		need := uint64(float64(t.totalAcc) * hotCoverage)
 		var acc uint64
 		pages := 0
-		for _, c := range sorted {
-			if acc >= need {
-				break
-			}
-			acc += uint64(c)
+		for i := len(t.hot) - 1; i >= 0 && acc < need; i-- {
+			acc += uint64(t.hot[i])
 			pages++
 		}
 		f.HotRatio = float64(pages) / float64(t.footprint)
@@ -157,11 +157,17 @@ func (t *Table) Features(anonPages int) Features {
 }
 
 // Reset clears all recorded state, keeping the footprint.
-func (t *Table) Reset() {
-	for i := range t.counts {
-		t.counts[i] = 0
+func (t *Table) Reset() { t.Resize(t.footprint) }
+
+// Resize clears all recorded state and sets the footprint to n pages. It
+// reuses the count array and the sort scratch, so a table resized to at
+// most the largest footprint it has held allocates nothing.
+func (t *Table) Resize(n int) {
+	if cap(t.counts) < n {
+		t.counts = make([]uint32, n)
+	} else {
+		t.counts = t.counts[:n]
+		clear(t.counts)
 	}
-	t.loads, t.stores, t.seqHits, t.totalAcc = 0, 0, 0, 0
-	t.run, t.maxRun, t.touched = 0, 0, 0
-	t.lastPage, t.haveLast = -1, false
+	*t = Table{footprint: n, counts: t.counts, hot: t.hot, lastPage: -1}
 }

@@ -175,3 +175,48 @@ func TestFeatureScaleInvarianceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Features reuses table-owned scratch: calling it twice, or after Reset or
+// Resize and re-recording, gives what a fresh table gives.
+func TestFeaturesReuseMatchesFresh(t *testing.T) {
+	// record feeds a skewed access pattern, so the hot ratio is not trivial.
+	record := func(tbl *Table, n int, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 4*n; i++ {
+			tbl.Record(int32(rng.Intn(n)*rng.Intn(n)/n), rng.Intn(3) == 0)
+		}
+	}
+	fresh := func(n int, seed int64) Features {
+		tbl := NewTable(n)
+		record(tbl, n, seed)
+		return tbl.Features(n / 2)
+	}
+
+	tbl := NewTable(200)
+	record(tbl, 200, 1)
+	first := tbl.Features(100)
+	if want := fresh(200, 1); first != want {
+		t.Fatalf("first Features %+v, want %+v", first, want)
+	}
+	if second := tbl.Features(100); second != first {
+		t.Fatalf("second Features %+v, first %+v", second, first)
+	}
+
+	tbl.Reset()
+	record(tbl, 200, 2)
+	if got, want := tbl.Features(100), fresh(200, 2); got != want {
+		t.Fatalf("after Reset: %+v, want %+v", got, want)
+	}
+	if first == fresh(200, 2) {
+		t.Fatal("seeds 1 and 2 give equal features: the Reset check proves nothing")
+	}
+
+	// Resize shrinks the footprint, then grows it past the original.
+	for _, n := range []int{50, 300} {
+		tbl.Resize(n)
+		record(tbl, n, int64(n))
+		if got, want := tbl.Features(n/2), fresh(n, int64(n)); got != want {
+			t.Fatalf("after Resize(%d): %+v, want %+v", n, got, want)
+		}
+	}
+}
