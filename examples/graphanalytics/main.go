@@ -52,16 +52,16 @@ func main() {
 			baseline.OptionFor(m.Backend("rdma")),
 			baseline.OptionFor(m.Backend("dram")),
 		}
-		priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess)
+		best := core.SelectBackend(nil, opts, f, spec.ComputePerAccess)[0].Name
 
 		// Run on the chosen backend with the full console configuration.
-		setup := baseline.PrepareXDM(env, m.Backend(priority[0]), spec, f, 0.5, 1.4, 7)
+		setup := baseline.PrepareXDM(env, m.Backend(best), spec, f, 0.5, 1.4, 7)
 		var stats task.Stats
 		task.New(setup.Config).Start(func(s task.Stats) { stats = s })
 		eng.Run()
 
 		fmt.Printf("%-8s  %.2f  %.2f  %.2f  %-7s  %-5d  %-5d  %-10v  %v\n",
-			name, f.AnonRatio, f.SeqRatio, f.HotRatio, priority[0],
+			name, f.AnonRatio, f.SeqRatio, f.HotRatio, best,
 			setup.Decision.GranularityPages, setup.Decision.Width,
 			stats.Runtime, stats.SysTime)
 	}

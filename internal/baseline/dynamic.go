@@ -68,10 +68,10 @@ func PrepareXDMDynamic(env Env, v *vm.VM, phases []workload.Spec, seed int64) *D
 	// Initial decision from the first phase's offline profile.
 	f := Profile(base, seed)
 	opts := CatalogOptions(env)
-	priority, _ := core.SelectBackend(opts, f, base.ComputePerAccess)
+	ranked := core.SelectBackend(nil, opts, f, base.ComputePerAccess)
 	initial := v.ActiveBackend()
-	if len(priority) > 0 && v.HasWarmBackend(priority[0]) {
-		initial = priority[0]
+	if len(ranked) > 0 && v.HasWarmBackend(ranked[0].Name) {
+		initial = ranked[0].Name
 	}
 
 	threads := base.Threads
@@ -132,8 +132,8 @@ func PrepareXDMDynamic(env Env, v *vm.VM, phases []workload.Spec, seed int64) *D
 			return
 		}
 		live := cfg.Trace.Features(int(base.AnonFraction * float64(base.FootprintPages)))
-		pri, mei := core.SelectBackend(availableOptions(env, opts), live, base.ComputePerAccess)
-		if len(pri) == 0 {
+		ranked = core.SelectBackend(ranked, availableOptions(env, opts), live, base.ComputePerAccess)
+		if len(ranked) == 0 {
 			return
 		}
 		// Retune the current path's parameters every epoch regardless.
@@ -147,11 +147,18 @@ func PrepareXDMDynamic(env Env, v *vm.VM, phases []workload.Spec, seed int64) *D
 			pendingTarget, pendingEpochs = "", 0
 			return
 		}
-		want := pri[0]
+		want := ranked[0].Name
+		curMEI := 0.0 // an unavailable current backend has no score
+		for _, r := range ranked {
+			if r.Name == current {
+				curMEI = r.MEI
+				break
+			}
+		}
 		// A switch costs seconds: only commit when the alternative clearly
 		// dominates the current backend's score.
 		if want == current || switching || !v.HasWarmBackend(want) ||
-			mei[want] < switchGainThreshold*mei[current] {
+			ranked[0].MEI < switchGainThreshold*curMEI {
 			pendingTarget, pendingEpochs = "", 0
 			return
 		}

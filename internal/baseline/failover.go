@@ -38,7 +38,7 @@ type FailoverRun struct {
 	// f is the offline profile the initial decision used; a failover
 	// retunes from it.
 	f         trace.Features
-	priority  []string
+	ranked    []core.RankedBackend
 	unhealthy map[string]bool
 	switching bool
 	threads   int
@@ -52,12 +52,12 @@ type FailoverRun struct {
 func PrepareXDMFailover(env Env, v *vm.VM, spec workload.Spec, localRatio float64, seed int64) *FailoverRun {
 	f := Profile(spec, seed)
 	opts := CatalogOptions(env)
-	priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess)
+	ranked := core.SelectBackend(nil, opts, f, spec.ComputePerAccess)
 
 	initial := v.ActiveBackend()
-	for _, name := range priority {
-		if v.HasWarmBackend(name) {
-			initial = name
+	for _, r := range ranked {
+		if v.HasWarmBackend(r.Name) {
+			initial = r.Name
 			break
 		}
 	}
@@ -78,7 +78,7 @@ func PrepareXDMFailover(env Env, v *vm.VM, spec workload.Spec, localRatio float6
 		Initial:   initial,
 		env:       env,
 		f:         f,
-		priority:  priority,
+		ranked:    ranked,
 		unhealthy: make(map[string]bool),
 		threads:   threads,
 	}
@@ -134,7 +134,7 @@ func (r *FailoverRun) demote(backend string) {
 	eng := r.env.Machine.Eng
 	r.unhealthy[backend] = true
 
-	target, ok := core.FailoverTarget(r.priority, backend, func(name string) bool {
+	target, ok := core.FailoverTarget(r.ranked, backend, func(name string) bool {
 		return !r.unhealthy[name] && r.VM.HasWarmBackend(name)
 	})
 	if !ok {

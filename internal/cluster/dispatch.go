@@ -92,10 +92,12 @@ type Dispatcher struct {
 	Placed   map[PlacementKind]int
 	Rejected int
 
-	// pressured and cands are Dispatch's scratch, reused across calls: the
-	// pressure-adjusted options and the VM candidates. Neither outlives a
-	// call (SelectBackend and Policy.Place keep neither slice).
+	// pressured, ranked and cands are Dispatch's scratch, reused across
+	// calls: the pressure-adjusted options, their MEI ranking and the VM
+	// candidates. None outlives a call (SelectBackend and Policy.Place keep
+	// no slice).
 	pressured []core.BackendOption
+	ranked    []core.RankedBackend
 	cands     []place.Candidate
 }
 
@@ -160,12 +162,12 @@ func (d *Dispatcher) Dispatch(app App, f trace.Features, ready func(Placement)) 
 	// Lines 3-4: backend selection and local-memory sizing. The transfer
 	// parameters are tuned where the task is built (baseline.PrepareXDM),
 	// for the local ratio the caller settles on.
-	priority, _ := core.SelectBackend(d.systemPressure(), f, app.Spec.ComputePerAccess)
-	if len(priority) == 0 {
+	d.ranked = core.SelectBackend(d.ranked, d.systemPressure(), f, app.Spec.ComputePerAccess)
+	if len(d.ranked) == 0 {
 		d.Rejected++
 		return Placement{Via: ViaNone}
 	}
-	backend := priority[0]
+	backend := d.ranked[0].Name
 	var opt core.BackendOption
 	for _, o := range d.opts {
 		if o.Name == backend {

@@ -127,19 +127,19 @@ func RunThroughput(env baseline.Env, jobs []App, policy AdmissionPolicy, serverP
 // contending on one — the multi-backend scale-out this system exists for.
 func pickBackend(env baseline.Env, app App, f trace.Features, assigned map[string]int) string {
 	opts := baseline.CatalogOptions(env)
-	priority, _ := core.SelectBackend(opts, f, app.Spec.ComputePerAccess)
-	if len(priority) == 0 {
+	ranked := core.SelectBackend(nil, opts, f, app.Spec.ComputePerAccess)
+	if len(ranked) == 0 {
 		return env.FileBackend
 	}
 	var winner core.BackendOption
 	for _, o := range opts {
-		if o.Name == priority[0] {
+		if o.Name == ranked[0].Name {
 			winner = o
 			break
 		}
 	}
 	// Least-pending device of the winning kind.
-	best := priority[0]
+	best := ranked[0].Name
 	bestLoad := int(^uint(0) >> 1)
 	for _, o := range opts {
 		if o.Kind != winner.Kind {

@@ -12,7 +12,8 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/device"
 	"repro/internal/mem"
@@ -264,62 +265,64 @@ func hotHitShare(f trace.Features, localRatio float64) float64 {
 // the footprint offloaded.
 const meiFarRatio = 0.5
 
-// SelectBackend computes MEI for every available option and returns the
-// MEI-ordered priority list. MEI(b) = (runtime improvement over the slowest
-// available option) / normalized device cost — the paper's "memory
-// effectiveness improvement" metric, with meiFarRatio of the footprint far.
-func SelectBackend(opts []BackendOption, f trace.Features, computePerAccess sim.Duration) (priority []string, mei map[string]float64) {
-	mei = make(map[string]float64)
+// RankedBackend is one backend's place in an MEI ranking.
+type RankedBackend struct {
+	Name string
+	MEI  float64
+}
+
+// SelectBackend computes MEI for every available option and returns them
+// ranked in dst's storage: higher MEI first, ties to the lower name. MEI(b)
+// = (runtime improvement over the slowest available option) / normalized
+// device cost — the paper's "memory effectiveness improvement" metric, with
+// meiFarRatio of the footprint far. Option names must be unique.
+func SelectBackend(dst []RankedBackend, opts []BackendOption, f trace.Features, computePerAccess sim.Duration) []RankedBackend {
+	dst = dst[:0]
 	worst := 0.0
-	shares := make(map[string]float64)
 	for _, o := range opts {
 		if !o.Available {
 			continue
 		}
 		s := predictRuntimeShare(tunedPageCost(o, f), f, computePerAccess, meiFarRatio)
-		shares[o.Name] = s
 		if s > worst {
 			worst = s
 		}
+		dst = append(dst, RankedBackend{Name: o.Name, MEI: s}) // the share, until worst is known
 	}
-	for name, s := range shares {
-		var opt BackendOption
-		for _, o := range opts {
-			if o.Name == name {
-				opt = o
-				break
-			}
+	i := 0
+	for _, o := range opts {
+		if o.Available {
+			improvement := worst / dst[i].MEI
+			dst[i].MEI = improvement / NormalizedCost(o.CostPerGB)
+			i++
 		}
-		improvement := worst / s
-		mei[name] = improvement / NormalizedCost(opt.CostPerGB)
 	}
-	priority = make([]string, 0, len(mei))
-	for name := range mei {
-		priority = append(priority, name)
-	}
-	sort.Slice(priority, func(i, j int) bool {
-		if mei[priority[i]] != mei[priority[j]] {
-			return mei[priority[i]] > mei[priority[j]]
+	slices.SortFunc(dst, func(a, b RankedBackend) int {
+		switch {
+		case a.MEI > b.MEI:
+			return -1
+		case a.MEI < b.MEI:
+			return 1
 		}
-		return priority[i] < priority[j]
+		return strings.Compare(a.Name, b.Name)
 	})
-	return priority, mei
+	return dst
 }
 
 // FailoverTarget extends MEI-based selection into failure-aware switching:
-// given the MEI priority order, the backend being demoted, and a health
-// predicate, it returns the best-ranked healthy alternative. The demoted
-// backend is excluded even if healthy reports it alive — demotion is the
-// caller's decision and this function must not argue with it. ok is false
-// when no healthy alternative exists (the caller keeps limping on the
-// current backend rather than switching to nothing).
-func FailoverTarget(priority []string, demoted string, healthy func(name string) bool) (name string, ok bool) {
-	for _, cand := range priority {
-		if cand == demoted {
+// given the MEI ranking, the backend being demoted, and a health predicate,
+// it returns the best-ranked healthy alternative. The demoted backend is
+// excluded even if healthy reports it alive — demotion is the caller's
+// decision and this function must not argue with it. ok is false when no
+// healthy alternative exists (the caller keeps limping on the current
+// backend rather than switching to nothing).
+func FailoverTarget(ranked []RankedBackend, demoted string, healthy func(name string) bool) (name string, ok bool) {
+	for _, r := range ranked {
+		if r.Name == demoted {
 			continue
 		}
-		if healthy == nil || healthy(cand) {
-			return cand, true
+		if healthy == nil || healthy(r.Name) {
+			return r.Name, true
 		}
 	}
 	return "", false

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -75,17 +76,17 @@ func TestBackendPreferenceByAnonRatio(t *testing.T) {
 	anonHeavy.FileTrafficRatio = 0.05
 	anonHeavy.SeqRatio = 0.5
 	anonHeavy.FragmentRatio = 0.01
-	pri, mei := SelectBackend(opts, anonHeavy, 80*sim.Nanosecond)
-	if pri[0] != "rdma" {
-		t.Fatalf("anon-heavy priority %v (MEI %v), want rdma first", pri, mei)
+	ranked := SelectBackend(nil, opts, anonHeavy, 80*sim.Nanosecond)
+	if ranked[0].Name != "rdma" {
+		t.Fatalf("anon-heavy ranking %v, want rdma first", ranked)
 	}
 
 	fileHeavy := anonHeavy
 	fileHeavy.AnonRatio = 0.3
 	fileHeavy.FileTrafficRatio = 0.7
-	pri, mei = SelectBackend(opts, fileHeavy, 80*sim.Nanosecond)
-	if pri[0] != "ssd" {
-		t.Fatalf("file-heavy priority %v (MEI %v), want ssd first", pri, mei)
+	ranked = SelectBackend(ranked, opts, fileHeavy, 80*sim.Nanosecond)
+	if ranked[0].Name != "ssd" {
+		t.Fatalf("file-heavy ranking %v, want ssd first", ranked)
 	}
 }
 
@@ -96,13 +97,13 @@ func TestUnavailableBackendExcluded(t *testing.T) {
 			opts[i].Available = false
 		}
 	}
-	pri, mei := SelectBackend(opts, seqFeatures(), 80*sim.Nanosecond)
-	if _, ok := mei["rdma"]; ok {
-		t.Fatal("unavailable backend received an MEI score")
+	ranked := SelectBackend(nil, opts, seqFeatures(), 80*sim.Nanosecond)
+	if len(ranked) != len(opts)-1 {
+		t.Fatalf("ranking %v, want every available backend and no other", ranked)
 	}
-	for _, name := range pri {
-		if name == "rdma" {
-			t.Fatal("unavailable backend in priority list")
+	for _, r := range ranked {
+		if r.Name == "rdma" {
+			t.Fatal("unavailable backend in the ranking")
 		}
 	}
 }
@@ -134,16 +135,16 @@ func TestChooseNUMA(t *testing.T) {
 func TestDecideFullPipeline(t *testing.T) {
 	opts := options()
 	f := seqFeatures()
-	priority, mei := SelectBackend(opts, f, 100*sim.Nanosecond)
-	if len(priority) != 3 || priority[0] == "" {
-		t.Fatalf("ranking incomplete: %v", priority)
+	ranked := SelectBackend(nil, opts, f, 100*sim.Nanosecond)
+	if len(ranked) != 3 || ranked[0].Name == "" {
+		t.Fatalf("ranking incomplete: %v", ranked)
 	}
-	if mei[priority[0]] < mei[priority[len(priority)-1]] {
+	if ranked[0].MEI < ranked[len(ranked)-1].MEI {
 		t.Fatal("selected backend does not have top MEI")
 	}
 	var chosen BackendOption
 	for _, o := range opts {
-		if o.Name == priority[0] {
+		if o.Name == ranked[0].Name {
 			chosen = o
 		}
 	}
@@ -172,7 +173,8 @@ func TestUsefulPagesBounds(t *testing.T) {
 }
 
 // Property: MEI ordering is deterministic and complete for any feature
-// vector, and every score is positive.
+// vector, every score is positive, and reusing a dst that holds a stale
+// ranking changes nothing.
 func TestSelectBackendProperty(t *testing.T) {
 	f := func(seqSeed, anonSeed, fragSeed, hotSeed uint8) bool {
 		ft := trace.Features{
@@ -183,28 +185,23 @@ func TestSelectBackendProperty(t *testing.T) {
 			HotRatio:      float64(hotSeed) / 255 * 0.9,
 			LoadRatio:     0.8,
 		}
-		pri, mei := SelectBackend(options(), ft, 100*sim.Nanosecond)
-		if len(pri) != 3 {
+		ranked := SelectBackend(nil, options(), ft, 100*sim.Nanosecond)
+		if len(ranked) != 3 {
 			return false
 		}
-		for i := 1; i < len(pri); i++ {
-			if mei[pri[i-1]] < mei[pri[i]] {
+		for i := 1; i < len(ranked); i++ {
+			if ranked[i-1].MEI < ranked[i].MEI {
 				return false
 			}
 		}
-		for _, v := range mei {
-			if v <= 0 {
+		for _, r := range ranked {
+			if r.MEI <= 0 {
 				return false
 			}
 		}
-		// Determinism.
-		pri2, _ := SelectBackend(options(), ft, 100*sim.Nanosecond)
-		for i := range pri {
-			if pri[i] != pri2[i] {
-				return false
-			}
-		}
-		return true
+		// Determinism, through a dst that holds a stale ranking.
+		stale := []RankedBackend{{"disk", 9}, {"dram", 0}, {"rdma", -1}, {"ssd", 5}}
+		return slices.Equal(ranked, SelectBackend(stale, options(), ft, 100*sim.Nanosecond))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(71))}); err != nil {
 		t.Fatal(err)
@@ -231,7 +228,7 @@ func TestPredictCostProperty(t *testing.T) {
 }
 
 func TestFailoverTarget(t *testing.T) {
-	priority := []string{"dram", "rdma", "ssd", "disk"}
+	priority := []RankedBackend{{"dram", 4}, {"rdma", 3}, {"ssd", 2}, {"disk", 1}}
 	alive := map[string]bool{"rdma": true, "ssd": true}
 	healthy := func(n string) bool { return alive[n] }
 

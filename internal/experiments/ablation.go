@@ -86,8 +86,8 @@ func AblationMEI(o Options) float64 {
 		baseline.OptionFor(env.Machine.Backend("dram")),
 	}
 	f := baseline.Profile(spec, o.Seed)
-	priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess)
-	best, worst := priority[0], priority[len(priority)-1]
+	ranked := core.SelectBackend(nil, opts, f, spec.ComputePerAccess)
+	best, worst := ranked[0].Name, ranked[len(ranked)-1].Name
 
 	measure := func(backend string) sim.Duration {
 		eng := sim.NewEngine()

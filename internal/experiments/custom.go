@@ -32,10 +32,10 @@ func Custom(specs []workload.Spec, o Options) []Table {
 		for _, name := range []string{"ssd", "rdma", "dram"} {
 			opts = append(opts, baseline.OptionFor(envP.Machine.Backend(name)))
 		}
-		priority, _ := core.SelectBackend(opts, f, spec.ComputePerAccess)
+		ranked := core.SelectBackend(nil, opts, f, spec.ComputePerAccess)
 		best := "rdma"
-		if len(priority) > 0 {
-			best = priority[0]
+		if len(ranked) > 0 {
+			best = ranked[0].Name
 		}
 
 		// Baseline on the chosen backend.

@@ -141,6 +141,33 @@ type queued struct {
 	ready func(cluster.Placement)
 }
 
+// admission is the bounded FIFO of admitted requests waiting for dispatch:
+// a fixed ring of queueCap entries, so admitting and dispatching a request
+// neither moves nor allocates queue storage.
+type admission struct {
+	buf  [queueCap]queued
+	head int // index of the oldest entry
+	n    int // entries queued
+}
+
+func (q *admission) len() int { return q.n }
+
+// front returns the oldest entry; the queue must not be empty.
+func (q *admission) front() *queued { return &q.buf[q.head] }
+
+// push appends an entry; the queue must not be full.
+func (q *admission) push(e queued) {
+	q.buf[(q.head+q.n)%queueCap] = e
+	q.n++
+}
+
+// pop drops the oldest entry, releasing what it references.
+func (q *admission) pop() {
+	q.buf[q.head] = queued{}
+	q.head = (q.head + 1) % queueCap
+	q.n--
+}
+
 // server is the run state of one serving simulation.
 type server struct {
 	cfg   Config
@@ -150,7 +177,7 @@ type server struct {
 	rng   *rand.Rand
 	start sim.Time // engine time when serving began; arrival processes see elapsed time
 
-	queue []queued
+	queue admission
 	res   Result
 	// pool recycles the storage of finished requests' tasks.
 	pool task.Pool
@@ -158,7 +185,7 @@ type server struct {
 	// attempt, reusing its stream and trace table across requests.
 	prof baseline.Profiler
 
-	// Conservation pieces, tracked independently of the queue slice so the
+	// Conservation pieces, tracked independently of the queue so the
 	// invariant is a structural check, not arithmetic identity.
 	pendingReady int // dispatched, VM not ready yet
 	running      int // task started, not completed
@@ -320,7 +347,7 @@ func Run(env baseline.Env, cfg Config) Result {
 	s.eng.RunUntil(end)
 
 	// Final accounting.
-	s.res.InFlight = len(s.queue) + s.pendingReady + s.running
+	s.res.InFlight = s.queue.len() + s.pendingReady + s.running
 	s.checkConservation()
 	s.res.DelaySamples = s.delays.Count()
 	if n := s.delays.Count(); n > 0 {
@@ -363,7 +390,7 @@ func (s *server) offer(i int) {
 	}
 
 	// 1. Bounded queue.
-	if len(s.queue) >= queueCap {
+	if s.queue.len() >= queueCap {
 		s.res.RefusedQueueFull++
 		return
 	}
@@ -400,9 +427,9 @@ func (s *server) offer(i int) {
 		s.res.Degraded++
 	}
 	s.res.Admitted++
-	s.queue = append(s.queue, queued{app: app, arrived: s.eng.Now(), degraded: degraded})
-	if len(s.queue) > s.res.MaxQueue {
-		s.res.MaxQueue = len(s.queue)
+	s.queue.push(queued{app: app, arrived: s.eng.Now(), degraded: degraded})
+	if s.queue.len() > s.res.MaxQueue {
+		s.res.MaxQueue = s.queue.len()
 	}
 	s.pump()
 }
@@ -420,7 +447,7 @@ func (s *server) predictedWait() sim.Duration {
 	if slots == 0 {
 		slots = 1
 	}
-	return sim.Duration(float64(len(s.queue)+1) * s.ewmaServiceNS / float64(slots))
+	return sim.Duration(float64(s.queue.len()+1) * s.ewmaServiceNS / float64(slots))
 }
 
 // pump dispatches from the queue head until the fleet refuses. Expired
@@ -430,8 +457,8 @@ func (s *server) predictedWait() sim.Duration {
 // alone would leave a one-tick race where expired work slips out).
 func (s *server) pump() {
 	s.expire()
-	for len(s.queue) > 0 {
-		q := &s.queue[0]
+	for s.queue.len() > 0 {
+		q := s.queue.front()
 		if q.ready == nil {
 			q.f = s.prof.Profile(q.app.Spec, q.app.Seed)
 			q.ready = s.readyFn(*q)
@@ -440,7 +467,7 @@ func (s *server) pump() {
 		if pl.Via == cluster.ViaNone {
 			return
 		}
-		s.queue = s.queue[1:]
+		s.queue.pop()
 		s.pendingReady++
 		if b := s.breakers[pl.Backend]; b != nil && b.State() == faults.BreakerHalfOpen {
 			// The selection peeked via Permits; the winner claims its
@@ -527,9 +554,9 @@ func (s *server) expire() {
 		return
 	}
 	now := s.eng.Now()
-	for len(s.queue) > 0 && now.Sub(s.queue[0].arrived) > s.cfg.SLO {
+	for s.queue.len() > 0 && now.Sub(s.queue.front().arrived) > s.cfg.SLO {
 		s.res.Shed++
-		s.queue = s.queue[1:]
+		s.queue.pop()
 	}
 }
 
@@ -586,7 +613,7 @@ func (s *server) tick() {
 	}
 
 	if s.obsQueue != nil {
-		s.obsQueue.Add(now, float64(len(s.queue)))
+		s.obsQueue.Add(now, float64(s.queue.len()))
 	}
 
 	s.checkConservation()
@@ -594,18 +621,18 @@ func (s *server) tick() {
 }
 
 // checkConservation evaluates the conservation law against independently
-// tracked structures: the queue slice, the pending-ready counter, and the
+// tracked structures: the queue, the pending-ready counter, and the
 // running-task counter.
 func (s *server) checkConservation() {
 	if !invariant.On {
 		return
 	}
-	inFlight := len(s.queue) + s.pendingReady + s.running
+	inFlight := s.queue.len() + s.pendingReady + s.running
 	ckConservation.Assert(
 		s.res.Admitted == s.res.Completed+s.res.Shed+inFlight,
 		"admitted %d != completed %d + shed %d + in-flight %d (queue %d, pending %d, running %d)",
 		s.res.Admitted, s.res.Completed, s.res.Shed, inFlight,
-		len(s.queue), s.pendingReady, s.running)
+		s.queue.len(), s.pendingReady, s.running)
 }
 
 // windowP99 computes the p99 of the recent placement-delay ring.

@@ -3,8 +3,8 @@ package sim
 import "testing"
 
 // Microbenchmarks of the event kernel's hot paths. The numbers of record
-// live in BENCH_sim.json (before/after the 4-ary value-heap rework); CI runs
-// these with -benchtime=1x as a smoke test so they cannot rot.
+// live in BENCH_sim.json (before/after each kernel rework); CI runs these
+// with -benchtime=1x as a smoke test so they cannot rot.
 
 // BenchmarkEngineSchedule is the steady-state schedule-fire cycle: events are
 // scheduled in batches and drained, so the heap, slot table, and free lists
@@ -111,6 +111,31 @@ func BenchmarkEngineChurn(b *testing.B) {
 		eng.After(Duration(i%7), fns[i])
 	}
 	eng.Run()
+}
+
+// BenchmarkEngineSameInstant is a chain of zero-delay events, the pattern of
+// every Resource grant: each firing schedules the next with Immediately.
+// The heap holds a steady population of pending timers, as a running model's
+// does, which same-instant events no longer have to sift past. Target:
+// 0 allocs/op.
+func BenchmarkEngineSameInstant(b *testing.B) {
+	eng := NewEngine()
+	fn := func() {}
+	for i := 0; i < 48; i++ {
+		eng.After(Duration(1+i)*Second, fn)
+	}
+	remaining := b.N
+	var next func()
+	next = func() {
+		if remaining > 0 {
+			remaining--
+			eng.Immediately(next)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Immediately(next)
+	eng.RunUntil(eng.Now())
 }
 
 // BenchmarkStationSubmit is the queueing-station hot path behind every

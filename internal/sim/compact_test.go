@@ -6,7 +6,7 @@ import (
 
 // Tests for the two memory-behavior fixes layered onto the kernel: tombstone
 // compaction when dead events dominate the heap, and releasing burst-sized
-// slot/heap storage once an engine fully drains.
+// slot/heap/lane storage once an engine fully drains.
 
 func TestEngineCompactOnCancelHeavyHeap(t *testing.T) {
 	eng := NewEngine()
@@ -92,20 +92,54 @@ func TestEngineCompactThenCancelRemainder(t *testing.T) {
 	}
 }
 
+func TestEngineCompactWithLiveLane(t *testing.T) {
+	// The compaction trigger counts heap tombstones against heap entries:
+	// live events waiting in the same-instant lane must not hide a heap that
+	// is mostly dead.
+	eng := NewEngine()
+	const n = 1000
+	var fired []int
+	for i := 0; i < n; i++ {
+		i := i
+		eng.Immediately(func() { fired = append(fired, i) })
+	}
+	handles := make([]Handle, n)
+	for i := 0; i < n; i++ {
+		handles[i] = eng.After(Duration(1+i), func() { t.Error("cancelled heap event fired") })
+	}
+	for _, h := range handles {
+		h.Cancel(eng)
+	}
+	if len(eng.heap) > n/2 {
+		t.Fatalf("heap holds %d entries after cancelling all %d while the lane holds %d live events (compaction never fired)",
+			len(eng.heap), n, len(eng.lane)-eng.laneHead)
+	}
+	eng.Run()
+	if len(fired) != n {
+		t.Fatalf("fired %d lane events, want %d", len(fired), n)
+	}
+	for i, v := range fired {
+		if v != i {
+			t.Fatalf("lane events reordered: position %d fired event %d", i, v)
+		}
+	}
+}
+
 func TestEngineTrimReleasesBurstStorage(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
 	const burst = 3 * trimSlotThreshold
 	for i := 0; i < burst; i++ {
 		eng.After(Duration(i), fn)
+		eng.Immediately(fn) // a same-instant burst fills the lane
 	}
-	if len(eng.slots) < burst {
-		t.Fatalf("slot table %d, want >= %d", len(eng.slots), burst)
+	if len(eng.slots) < 2*burst || len(eng.lane) < burst {
+		t.Fatalf("slot table %d, lane %d, want >= %d and %d", len(eng.slots), len(eng.lane), 2*burst, burst)
 	}
 	eng.Run()
-	if eng.slots != nil || eng.freeSlots != nil || eng.heap != nil {
-		t.Fatalf("burst storage not released after drain: slots=%d free=%d heap=%d",
-			len(eng.slots), len(eng.freeSlots), len(eng.heap))
+	if eng.slots != nil || eng.freeSlots != nil || eng.heap != nil || eng.lane != nil {
+		t.Fatalf("burst storage not released after drain: slots=%d free=%d heap=%d lane=%d",
+			len(eng.slots), len(eng.freeSlots), len(eng.heap), cap(eng.lane))
 	}
 	// The engine must keep working after the trim.
 	ran := false
@@ -122,14 +156,15 @@ func TestEngineTrimInvalidatesStaleHandles(t *testing.T) {
 	const burst = 2 * trimSlotThreshold
 	handles := make([]Handle, burst)
 	for i := 0; i < burst; i++ {
-		handles[i] = eng.After(Duration(i), fn)
+		handles[i] = eng.After(Duration(i%2), fn) // half of them in the lane
 	}
 	eng.Run() // fires everything, then trims
-	// Schedule fresh events that reuse the low slot indices; stale handles
-	// from before the trim must not cancel them.
+	// Schedule fresh events that reuse the low slot indices, in the heap
+	// and in the lane; stale handles from before the trim must not cancel
+	// them.
 	fresh := 0
 	for i := 0; i < 64; i++ {
-		eng.After(Duration(i), func() { fresh++ })
+		eng.After(Duration(i%2), func() { fresh++ })
 	}
 	for _, h := range handles {
 		if h.Cancel(eng) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/invariant"
@@ -16,24 +17,35 @@ var (
 	ckLiveEvents     = invariant.Register("sim.events.live-nonnegative")
 )
 
-// An event is a callback scheduled at a point in virtual time. Events at the
+// An event is one pending callback's place in virtual time. Events at the
 // same instant fire in scheduling order (seq breaks ties), which keeps runs
-// deterministic. Events are stored by value in an inlined 4-ary min-heap:
-// no per-event allocation and no container/heap interface boxing on the
-// schedule/fire hot path.
+// deterministic. The callback itself lives in the event's slot, so an event
+// is a pointer-free 24-byte value: heap sifts move it without a write
+// barrier, and the collector never scans the heap or the lane.
 type event struct {
 	at   Time
 	seq  uint64
 	slot int32
-	fn   func()
 }
 
-// eventSlot carries the cancellation state of one pending event. Slots are
-// recycled through a free list; gen stamps invalidate Handles from earlier
-// tenancies of the same slot, so cancel-after-fire is a cheap no-op.
+// less orders events by (at, seq), the one order events fire in. It compares
+// the pair as one 128-bit number, without a branch the sifts would
+// mispredict; uint64(at) keeps the order of times, which are never negative
+// (the clock starts at zero and nothing is scheduled before it).
+func (ev event) less(o event) bool {
+	_, b := bits.Sub64(ev.seq, o.seq, 0)
+	_, b = bits.Sub64(uint64(ev.at), uint64(o.at), b)
+	return b != 0
+}
+
+// eventSlot holds one pending event's callback. A nil fn marks the slot
+// cancelled (or free): Cancel drops the closure at once, and the event's
+// heap or lane entry is left behind as a tombstone. Slots are recycled
+// through a free list; gen stamps invalidate Handles from earlier tenancies
+// of the same slot, so cancel-after-fire is a cheap no-op.
 type eventSlot struct {
-	gen       uint64
-	cancelled bool
+	gen uint64
+	fn  func()
 }
 
 // Engine is a discrete-event simulation driver: a virtual clock plus a
@@ -41,22 +53,35 @@ type eventSlot struct {
 // each simulation run owns exactly one Engine and executes single-threaded,
 // which is what makes runs reproducible. (Independent runs parallelize at a
 // higher level — see internal/experiments — with one Engine per goroutine.)
+//
+// Pending events sit in one of two queues. An event scheduled for the
+// current instant goes to the lane, a FIFO; every other event, and every
+// cross-shard delivery, goes to the heap. The next event is the smaller of
+// the lane head and the heap top by (at, seq). The lane is sorted by
+// construction: the clock never goes back and seq only grows, so each event
+// appended is at or after the one before it. Firing order is therefore
+// exactly that of a single (at, seq)-ordered queue.
 type Engine struct {
 	now  Time
-	heap []event // 4-ary min-heap ordered by (at, seq); may hold tombstones
-	seq  uint64
+	heap []event // inlined 4-ary min-heap ordered by (at, seq); may hold tombstones
+	// lane[laneHead:] are the pending same-instant events in (at, seq)
+	// order; may hold tombstones. The slice is reset when it drains.
+	lane     []event
+	laneHead int
+	seq      uint64
 	// slots/freeSlots implement generation-stamped lazy cancellation:
-	// Cancel only flips a bit, and the tombstone is dropped when it
-	// surfaces at the heap top. No O(log n) heap.Remove, no index
-	// maintenance on every sift.
+	// Cancel only clears the slot's callback, and the tombstone is dropped
+	// when it surfaces at the heap top or the lane head. No O(log n)
+	// heap.Remove, no index maintenance on every sift.
 	slots     []eventSlot
 	freeSlots []int32
 	// genBase is the generation fresh slots start from. It advances past
 	// every generation ever issued when the slot table is released after a
 	// burst (see maybeTrim), so a Handle into the old table can never
 	// match a slot of the new one.
-	genBase uint64
-	live    int // pending events not yet cancelled
+	genBase  uint64
+	live     int // pending events not yet cancelled
+	heapDead int // tombstones in the heap
 	// processed counts events executed, exposed for tests and runaway guards.
 	processed uint64
 	// stepHook, when set, observes every fired event (see SetStepHook).
@@ -113,32 +138,38 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // The zero Handle is valid and never matches a live event.
 type Handle struct {
 	slot int32
+	lane bool // the event waits in the same-instant lane, not the heap
 	gen  uint64
 }
 
 // Cancel removes the event from the engine if it has not fired yet and
 // reports whether it was still pending. Double-cancel and cancel-after-fire
 // are explicit no-ops: the generation stamp no longer matches (or the
-// cancelled bit is already set), so Cancel returns false without touching
+// slot's callback is already gone), so Cancel returns false without touching
 // the heap.
 //
-// Cancellation is lazy — only a bit flips here — but when tombstones come to
-// dominate the heap (more dead than live entries) the heap is compacted in
-// one O(n) pass, so a cancel-heavy phase cannot leave the schedule path
-// sifting through a graveyard. The compaction cost is amortized: it removes
-// more than half the heap, so each cancelled event pays O(1) extra.
+// Cancellation is lazy — the slot only drops its callback here — but when
+// tombstones come to dominate the heap (more dead than live entries) the
+// heap is compacted in one O(n) pass, so a cancel-heavy phase cannot leave
+// the schedule path sifting through a graveyard. The compaction cost is
+// amortized: it removes more than half the heap, so each cancelled event
+// pays O(1) extra. Lane tombstones need no compaction: every lane entry is
+// at the current instant, so they reach the lane head before the clock moves.
 func (h Handle) Cancel(e *Engine) bool {
 	if h.gen == 0 || int(h.slot) >= len(e.slots) {
 		return false
 	}
 	s := &e.slots[h.slot]
-	if s.gen != h.gen || s.cancelled {
+	if s.gen != h.gen || s.fn == nil {
 		return false
 	}
-	s.cancelled = true
+	s.fn = nil
 	e.live--
-	if n := len(e.heap); n >= compactMinHeap && n-e.live > n/2 {
-		e.compact()
+	if !h.lane {
+		e.heapDead++
+		if n := len(e.heap); n >= compactMinHeap && e.heapDead > n/2 {
+			e.compact()
+		}
 	}
 	return true
 }
@@ -155,41 +186,43 @@ func (e *Engine) compact() {
 	h := e.heap
 	k := 0
 	for _, ev := range h {
-		if e.slots[ev.slot].cancelled {
+		if e.slots[ev.slot].fn == nil {
 			e.freeSlot(ev.slot)
 			continue
 		}
 		h[k] = ev
 		k++
 	}
-	for i := k; i < len(h); i++ {
-		h[i] = event{} // drop fn references of removed tombstones
-	}
 	e.heap = h[:k]
+	e.heapDead = 0
 	for i := (k - 2) >> 2; i >= 0; i-- {
 		e.siftDown(i, e.heap[i])
 	}
 }
 
-// allocSlot returns a slot index for a new event, recycling freed slots.
-func (e *Engine) allocSlot() int32 {
+// allocSlot returns a slot index holding fn for a new event, recycling
+// freed slots.
+func (e *Engine) allocSlot(fn func()) int32 {
 	if n := len(e.freeSlots); n > 0 {
 		slot := e.freeSlots[n-1]
 		e.freeSlots = e.freeSlots[:n-1]
-		e.slots[slot].cancelled = false
+		e.slots[slot].fn = fn
 		return slot
 	}
 	if e.genBase == 0 {
 		e.genBase = 1
 	}
-	e.slots = append(e.slots, eventSlot{gen: e.genBase})
+	e.slots = append(e.slots, eventSlot{gen: e.genBase, fn: fn})
 	return int32(len(e.slots) - 1)
 }
 
-// freeSlot retires a slot once its event left the heap (fired or dropped as
-// a tombstone). Bumping gen invalidates every outstanding Handle to it.
+// freeSlot retires a slot once its event left the heap or the lane (fired
+// or dropped as a tombstone). Bumping gen invalidates every outstanding
+// Handle to it.
 func (e *Engine) freeSlot(slot int32) {
-	e.slots[slot].gen++
+	s := &e.slots[slot]
+	s.gen++
+	s.fn = nil
 	e.freeSlots = append(e.freeSlots, slot)
 }
 
@@ -210,8 +243,10 @@ func (e *Engine) atKeyed(t Time, key uint64, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: delivering event at %v before now %v", t, e.now))
 	}
-	slot := e.allocSlot()
-	e.push(event{at: t, seq: deliverySeqBase | key, slot: slot, fn: fn})
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	e.push(event{at: t, seq: deliverySeqBase | key, slot: e.allocSlot(fn)})
 	e.live++
 }
 
@@ -221,11 +256,21 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	slot := e.allocSlot()
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	slot := e.allocSlot(fn)
 	e.seq++
-	e.push(event{at: t, seq: e.seq, slot: slot, fn: fn})
 	e.live++
-	return Handle{slot: slot, gen: e.slots[slot].gen}
+	ev := event{at: t, seq: e.seq, slot: slot}
+	h := Handle{slot: slot, gen: e.slots[slot].gen}
+	if t == e.now {
+		e.pushLane(ev)
+		h.lane = true
+	} else {
+		e.push(ev)
+	}
+	return h
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -242,6 +287,28 @@ func (e *Engine) Immediately(fn func()) Handle {
 	return e.At(e.now, fn)
 }
 
+// pushLane appends ev to the same-instant lane. When the lane's array is
+// full and at least half of it is an already-fired prefix, the pending
+// suffix moves down instead of the array growing, so a long same-instant
+// cascade reuses its storage.
+func (e *Engine) pushLane(ev event) {
+	if len(e.lane) == cap(e.lane) && e.laneHead > 0 && 2*e.laneHead >= len(e.lane) {
+		n := copy(e.lane, e.lane[e.laneHead:])
+		e.lane = e.lane[:n]
+		e.laneHead = 0
+	}
+	e.lane = append(e.lane, ev)
+}
+
+// popLane removes the lane head.
+func (e *Engine) popLane() {
+	e.laneHead++
+	if e.laneHead == len(e.lane) {
+		e.lane = e.lane[:0]
+		e.laneHead = 0
+	}
+}
+
 // push inserts ev into the 4-ary heap (hole-based sift-up).
 func (e *Engine) push(ev event) {
 	e.heap = append(e.heap, ev)
@@ -249,7 +316,7 @@ func (e *Engine) push(ev event) {
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if h[p].at < ev.at || (h[p].at == ev.at && h[p].seq < ev.seq) {
+		if h[p].less(ev) {
 			break
 		}
 		h[i] = h[p]
@@ -258,21 +325,20 @@ func (e *Engine) push(ev event) {
 	h[i] = ev
 }
 
-// pop removes and returns the heap minimum (hole-based sift-down).
-func (e *Engine) pop() event {
+// pop removes the heap minimum (hole-based sift-down).
+func (e *Engine) pop() {
 	h := e.heap
-	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // drop the fn reference
 	e.heap = h[:n]
 	if n > 0 {
 		e.siftDown(0, last)
 	}
-	return top
 }
 
-// siftDown places v into the heap starting from the hole at index i.
+// siftDown places v into the heap starting from the hole at index i. Where a
+// node has all four children, their minimum is found as two independent
+// pairs and a final match.
 func (e *Engine) siftDown(i int, v event) {
 	h := e.heap
 	n := len(h)
@@ -282,16 +348,27 @@ func (e *Engine) siftDown(i int, v event) {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h[j].at < h[m].at || (h[j].at == h[m].at && h[j].seq < h[m].seq) {
-				m = j
+		if c+4 <= n {
+			k := h[c : c+4 : c+4]
+			a, b := 0, 2
+			if k[1].less(k[0]) {
+				a = 1
+			}
+			if k[3].less(k[2]) {
+				b = 3
+			}
+			if k[b].less(k[a]) {
+				a = b
+			}
+			m = c + a
+		} else {
+			for j := c + 1; j < n; j++ {
+				if h[j].less(h[m]) {
+					m = j
+				}
 			}
 		}
-		if v.at < h[m].at || (v.at == h[m].at && v.seq < h[m].seq) {
+		if v.less(h[m]) {
 			break
 		}
 		h[i] = h[m]
@@ -300,28 +377,42 @@ func (e *Engine) siftDown(i int, v event) {
 	h[i] = v
 }
 
-// peekLive drops cancelled tombstones off the heap top and reports the next
-// live event, if any.
-func (e *Engine) peekLive() (event, bool) {
+// peekLive drops cancelled tombstones off the lane head and the heap top and
+// reports the next live event, if any, and whether it is the lane head.
+func (e *Engine) peekLive() (ev event, inLane, ok bool) {
+	for e.laneHead < len(e.lane) {
+		ev = e.lane[e.laneHead]
+		if e.slots[ev.slot].fn != nil {
+			inLane = true
+			break
+		}
+		e.popLane()
+		e.freeSlot(ev.slot)
+	}
 	for len(e.heap) > 0 {
 		top := e.heap[0]
-		if !e.slots[top.slot].cancelled {
-			return top, true
+		if e.slots[top.slot].fn != nil {
+			if !inLane || top.less(ev) {
+				return top, false, true
+			}
+			break
 		}
 		e.pop()
+		e.heapDead--
 		e.freeSlot(top.slot)
 	}
-	return event{}, false
+	return ev, inLane, inLane
 }
 
-// Step executes the next pending event, advancing the clock to its timestamp.
-// It reports false when no events remain.
-func (e *Engine) Step() bool {
-	ev, ok := e.peekLive()
-	if !ok {
-		return false
+// fire removes ev, the next live event peekLive reported, from its queue and
+// executes it, advancing the clock to its timestamp.
+func (e *Engine) fire(ev event, inLane bool) {
+	if inLane {
+		e.popLane()
+	} else {
+		e.pop()
 	}
-	e.pop()
+	fn := e.slots[ev.slot].fn
 	e.freeSlot(ev.slot)
 	e.live--
 	if invariant.On {
@@ -334,7 +425,17 @@ func (e *Engine) Step() bool {
 	if e.stepHook != nil {
 		e.stepHook(e.now)
 	}
-	ev.fn()
+	fn()
+}
+
+// Step executes the next pending event, advancing the clock to its timestamp.
+// It reports false when no events remain.
+func (e *Engine) Step() bool {
+	ev, inLane, ok := e.peekLive()
+	if !ok {
+		return false
+	}
+	e.fire(ev, inLane)
 	return true
 }
 
@@ -349,11 +450,11 @@ func (e *Engine) Run() {
 // exactly t (even if the queue drained earlier).
 func (e *Engine) RunUntil(t Time) {
 	for {
-		ev, ok := e.peekLive()
+		ev, inLane, ok := e.peekLive()
 		if !ok || ev.at > t {
 			break
 		}
-		e.Step()
+		e.fire(ev, inLane)
 	}
 	if e.now < t {
 		e.now = t
@@ -362,19 +463,19 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // trimSlotThreshold is the slot-table size beyond which a fully drained
-// engine releases its heap and slot storage. Steady-state workloads (a few
+// engine releases its heap, lane and slot storage. Steady-state workloads (a few
 // hundred concurrent events) never cross it, so the zero-alloc schedule path
 // is untouched; a burst that pinned tens of thousands of slots is given back
 // to the allocator once the burst drains instead of being held for the life
 // of the engine.
 const trimSlotThreshold = 4096
 
-// maybeTrim releases the heap, slot table, and free lists after a full drain
-// if a past burst left them oversized. Only safe when nothing is pending:
+// maybeTrim releases the heap, lane, slot table, and free lists after a full
+// drain if a past burst left them oversized. Only safe when nothing is pending:
 // every slot is then free, and advancing genBase past every generation ever
 // issued keeps stale Handles into the old table from matching the new one.
 func (e *Engine) maybeTrim() {
-	if e.live != 0 || len(e.heap) != 0 || len(e.slots) <= trimSlotThreshold {
+	if e.live != 0 || len(e.heap) != 0 || len(e.lane) != 0 || len(e.slots) <= trimSlotThreshold {
 		return
 	}
 	for i := range e.slots {
@@ -382,12 +483,12 @@ func (e *Engine) maybeTrim() {
 			e.genBase = g + 1
 		}
 	}
-	e.slots, e.freeSlots, e.heap = nil, nil, nil
+	e.slots, e.freeSlots, e.heap, e.lane = nil, nil, nil, nil
 }
 
 // nextLiveEvent reports the next pending event without executing it.
 func (e *Engine) nextLiveEvent() (at Time, ok bool) {
-	ev, ok := e.peekLive()
+	ev, _, ok := e.peekLive()
 	return ev.at, ok
 }
 
@@ -398,11 +499,11 @@ func (e *Engine) nextLiveEvent() (at Time, ok bool) {
 func (e *Engine) runWindow(limit Time) int {
 	n := 0
 	for {
-		ev, ok := e.peekLive()
+		ev, inLane, ok := e.peekLive()
 		if !ok || ev.at >= limit {
 			break
 		}
-		e.Step()
+		e.fire(ev, inLane)
 		n++
 	}
 	return n
