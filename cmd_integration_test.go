@@ -696,7 +696,7 @@ func TestXdmsimServe(t *testing.T) {
 	}
 	first := run()
 	for _, want := range []string{"open-loop serving", "offered", "admitted",
-		"goodput", "placement delay p50/p95/p99", "breaker opens/closes"} {
+		"goodput", "placement delay p50/p95/p99", "max queue depth"} {
 		if !strings.Contains(first, want) {
 			t.Errorf("serve output missing %q:\n%s", want, first)
 		}

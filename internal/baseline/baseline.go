@@ -214,13 +214,25 @@ type XDMSetup struct {
 }
 
 // PrepareXDM builds an xDM run on a *fixed* backend (as Table VI does,
-// comparing systems on the same device): transfer tuning for that backend
-// from f, the offline profile the caller computed (Profile(spec, seed)), a
-// bypass path with an isolated channel, and online epoch-based retuning.
-// localRatio < 0 asks the console to size local memory for the given SLO
-// instead.
+// comparing systems on the same device): a bypass path with an isolated
+// channel, prepared by PrepareXDMOn.
 func PrepareXDM(env Env, backend swap.Backend, spec workload.Spec, f trace.Features, localRatio float64, slo float64, seed int64) XDMSetup {
+	depth := 4
+	if spec.Threads > depth {
+		depth = spec.Threads
+	}
+	ch := swap.NewChannel(env.Machine.Eng, "xdm-"+spec.Name, depth)
+	return PrepareXDMOn(env, swap.NewPath(env.Machine.Eng, backend, ch), spec, f, localRatio, slo, seed)
+}
+
+// PrepareXDMOn builds an xDM run that swaps through path, on the path's
+// backend: transfer tuning for that backend from f, the offline profile the
+// caller computed (Profile(spec, seed)), and online epoch-based retuning. A
+// task hosted on a VM passes the VM's path. localRatio < 0 asks the console
+// to size local memory for the given SLO instead.
+func PrepareXDMOn(env Env, path *swap.Path, spec workload.Spec, f trace.Features, localRatio float64, slo float64, seed int64) XDMSetup {
 	eng := env.Machine.Eng
+	backend := path.Backend()
 	opt := OptionFor(backend)
 
 	if localRatio < 0 {
@@ -243,41 +255,41 @@ func PrepareXDM(env Env, backend swap.Backend, spec workload.Spec, f trace.Featu
 	w = widthForThreads(w, spec.Threads)
 	backend.SetWidth(w)
 
-	depth := 4
-	if spec.Threads > depth {
-		depth = spec.Threads
-	}
-	ch := swap.NewChannel(eng, "xdm-"+spec.Name, depth)
+	table := trace.NewTable(spec.FootprintPages)
 	cfg := task.Config{
 		Eng:               eng,
 		Name:              fmt.Sprintf("xdm/%s", spec.Name),
 		Spec:              spec,
 		Seed:              seed,
 		LocalRatio:        localRatio,
-		SwapPath:          swap.NewPath(eng, backend, ch),
+		SwapPath:          path,
 		FilePath:          env.filePath(),
 		GranularityPages:  g,
 		AdaptiveWindow:    true,
 		RandomWindowPages: randomWindow(backend.Kind()),
 		NUMAPolicy:        core.ChooseNUMA(f, spec.ComputePerAccess),
-		Trace:             trace.NewTable(spec.FootprintPages),
+		Trace:             table,
 	}
 
 	// Online retuning: every epoch, fuse the *window's* trace (the table is
 	// reset each epoch so stale phases don't linger) and adjust the
 	// granularity and width. The first epoch is the allocation sweep —
 	// fully sequential and unrepresentative — so it only clears the window.
+	// The closure captures only what it reads, so neither cfg nor spec
+	// moves to the heap.
 	cfg.EpochAccesses = spec.FootprintPages
+	anon := int(spec.AnonFraction * float64(spec.FootprintPages))
+	threads := spec.Threads
 	epoch := 0
 	cfg.OnEpoch = func(t *task.Task) {
 		epoch++
 		if epoch > 1 {
-			live := cfg.Trace.Features(int(spec.AnonFraction * float64(spec.FootprintPages)))
+			live := table.Features(anon)
 			ng, nw := core.TuneTransferBudget(opt, live, t.Cgroup().LimitPages)
 			t.SetGranularity(ng)
-			backend.SetWidth(widthForThreads(nw, spec.Threads))
+			backend.SetWidth(widthForThreads(nw, threads))
 		}
-		cfg.Trace.Reset()
+		table.Reset()
 	}
 
 	d := core.Decision{

@@ -75,13 +75,10 @@ func RunArrivalSim(env baseline.Env, cfg ArrivalSimConfig) ArrivalSimResult {
 		d.Dispatch(app, f, func(pl Placement) {
 			delaySum += eng.Now().Sub(submitted)
 			delayed++
-			// Run the app on its VM's active backend with the console's
-			// decided parameters.
-			be := env.Machine.Backend(pl.VM.ActiveBackend())
-			setup := baseline.PrepareXDM(env, be, app.Spec, f, pl.LocalRatio, app.SLO, app.Seed)
-			setupCfg := setup.Config
-			setupCfg.SwapPath = pl.VM.Path()
-			task.New(setupCfg).Start(func(task.Stats) {
+			// Run the app through its VM's path to the active backend,
+			// with the console's decided parameters.
+			setup := baseline.PrepareXDMOn(env, pl.VM.Path(), app.Spec, f, pl.LocalRatio, app.SLO, app.Seed)
+			task.New(setup.Config).Start(func(task.Stats) {
 				res.Completed++
 				d.Release(pl)
 			})

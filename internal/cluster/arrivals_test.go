@@ -87,43 +87,3 @@ func TestDispatcherMaxTasksPerVM(t *testing.T) {
 		t.Fatal("placement refused after a slot freed")
 	}
 }
-
-// TestDispatcherGateExcludesBackend pins the breaker hook: a gate returning
-// false for a backend removes it from selection exactly like pressure.
-func TestDispatcherGateExcludesBackend(t *testing.T) {
-	eng := sim.NewEngine()
-	env := clusterEnv(eng)
-	for _, name := range env.Machine.BackendNames() {
-		env.Machine.CreateVM("vm-"+name, 4, 4096, []string{name})
-	}
-	eng.Run()
-
-	d := NewDispatcher(env)
-	app := App{Spec: friendlySpec(), SLO: 1.4, Seed: 1, Cores: 1}
-	f := baseline.Profile(app.Spec, app.Seed)
-	chosen := d.Dispatch(app, f, nil).Backend
-	if chosen == "" {
-		t.Fatal("ungated dispatch failed")
-	}
-
-	// Gate out the chosen backend; the next dispatch must land elsewhere.
-	d2 := NewDispatcher(env)
-	d2.Gate = func(b string) bool { return b != chosen }
-	p := d2.Dispatch(app, f, nil)
-	if p.Via == ViaNone {
-		t.Fatal("gated dispatch failed outright")
-	}
-	if p.Backend == chosen {
-		t.Fatalf("gated backend %q was still selected", chosen)
-	}
-
-	// Gate everything out: selection has no candidates at all.
-	d3 := NewDispatcher(env)
-	d3.Gate = func(string) bool { return false }
-	if p := d3.Dispatch(app, f, nil); p.Via != ViaNone {
-		t.Fatalf("fully gated dispatch placed via %v", p.Via)
-	}
-	if d3.Rejected != 1 {
-		t.Fatalf("rejection not counted: %d", d3.Rejected)
-	}
-}

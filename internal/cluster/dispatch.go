@@ -74,13 +74,6 @@ type Dispatcher struct {
 	// policy (the paper's Algorithm 1).
 	Policy *place.Policy
 
-	// Gate, when set, is consulted per backend during selection; a false
-	// return removes the backend from the candidate set exactly like
-	// system pressure does. The serving loop installs its circuit
-	// breakers here, so an open circuit stops new placements without the
-	// dispatcher knowing anything about breaker state machines.
-	Gate func(backend string) bool
-
 	// MaxTasksPerVM, when positive, bounds how many tasks may run
 	// concurrently on one VM. Algorithm 1's closed-loop grids leave it
 	// zero (unbounded, the paper's setting); an open-loop server sets it
@@ -125,13 +118,6 @@ func (d *Dispatcher) systemPressure() []core.BackendOption {
 		}
 		if dev.Down() || dev.Stalled() || dev.Saturated() {
 			opts[i].Available = false
-		}
-	}
-	if d.Gate != nil {
-		for i := range opts {
-			if opts[i].Available && !d.Gate(opts[i].Name) {
-				opts[i].Available = false
-			}
 		}
 	}
 	return opts

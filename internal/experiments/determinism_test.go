@@ -51,8 +51,8 @@ func TestExperimentsDeterministic(t *testing.T) {
 // never leak into output. Exercised under -race by CI.
 func TestParallelWorkersDeterministic(t *testing.T) {
 	// fig16 regressed once via map-ordered Machine.BackendNames — keep it in
-	// this list. serving is the open-loop sweep: its breaker backoff and
-	// arrival trains are seeded per-cell and must not share global state.
+	// this list. serving is the open-loop sweep: its arrival trains and
+	// template draws are seeded per-cell and must not share global state.
 	// arena exercises the second parallelism axis too: grid workers outside,
 	// a serial shard group inside each cell.
 	// policyarena fans five policy cells across the same workers; policy

@@ -106,7 +106,6 @@ func ServingSweeps(o Options) []serve.NamedSweep {
 			Templates: apps,
 			SLO:       servingSLO,
 			Shedding:  true,
-			Breakers:  true,
 			Seed:      o.Seed,
 			Policy:    o.placementPolicy(),
 		}
@@ -130,8 +129,9 @@ func Capacity(o Options, sweeps []serve.NamedSweep) []serve.CapacityResult {
 }
 
 // ServingOnce runs one open-loop serving simulation with the given arrival
-// process against the standard overcommitted xdm fleet (every robustness
-// feature on) and renders the result — the engine behind `xdmsim -serve`.
+// process against the standard overcommitted xdm fleet (deadline admission
+// and the shedder on) and renders the result — the engine behind `xdmsim
+// -serve`.
 func ServingOnce(o Options, arr workload.ArrivalProcess, slo, duration sim.Duration) []Table {
 	o = o.normalize()
 	apps, foot := servingTemplates(o)
@@ -143,7 +143,6 @@ func ServingOnce(o Options, arr workload.ArrivalProcess, slo, duration sim.Durat
 		Drain:     duration / 4,
 		SLO:       slo,
 		Shedding:  true,
-		Breakers:  true,
 		Seed:      o.Seed,
 		Policy:    o.placementPolicy(),
 	})
@@ -168,8 +167,6 @@ func ServingOnce(o Options, arr workload.ArrivalProcess, slo, duration sim.Durat
 	add("SLO violation fraction", pct(res.SLOViolationFrac))
 	add("goodput", fmt.Sprintf("%.1f req/s", res.GoodputRPS))
 	add("shed rate", pct(res.ShedRate))
-	add("breaker opens/closes", fmt.Sprintf("%d/%d", res.BreakerOpens, res.BreakerCloses))
-	add("retier events", fmt.Sprintf("%d", res.Retiers))
 	add("max queue depth", fmt.Sprintf("%d", res.MaxQueue))
 	return []Table{t}
 }

@@ -102,13 +102,13 @@ func TestMonitorTripsAndLatches(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Record(true)
 	}
-	if m.Unhealthy() {
+	if m.unhealthy {
 		t.Fatal("healthy monitor reported unhealthy")
 	}
 	for i := 0; i < 32; i++ {
 		m.Record(false)
 	}
-	if !m.Unhealthy() {
+	if !m.unhealthy {
 		t.Fatalf("monitor did not trip (window %d ok, %d failed)", m.ok, m.fail)
 	}
 	if trips != 1 {
@@ -119,15 +119,20 @@ func TestMonitorTripsAndLatches(t *testing.T) {
 	if trips != 1 {
 		t.Fatalf("latched callback re-fired (%d)", trips)
 	}
-	m.Reset()
-	if m.Unhealthy() {
-		t.Fatal("Reset did not clear unhealthy state")
+}
+
+func TestMonitorCountsWindow(t *testing.T) {
+	m := NewMonitor()
+	for i := 0; i < 10; i++ {
+		m.Record(true)
 	}
-	for i := 0; i < 32; i++ {
-		m.Record(false)
+	m.Record(false)
+	m.Record(false)
+	if m.ok != 10 || m.fail != 2 || m.consecFail != 2 {
+		t.Fatalf("window %d/%d consec %d, want 10/2/2", m.ok, m.fail, m.consecFail)
 	}
-	if trips != 2 {
-		t.Fatalf("re-armed monitor fired %d trips, want 2", trips)
+	if m.unhealthy {
+		t.Fatal("latched early")
 	}
 }
 
@@ -137,7 +142,7 @@ func TestMonitorNeedsMinSamples(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Record(false)
 	}
-	if m.Unhealthy() {
+	if m.unhealthy {
 		t.Fatal("monitor tripped below monitorMinSamples")
 	}
 }
@@ -153,7 +158,7 @@ func TestMonitorRecoversOnSuccesses(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		m.Record(true)
 	}
-	if m.Unhealthy() {
+	if m.unhealthy {
 		t.Fatal("monitor tripped despite recovery")
 	}
 	if rate := float64(m.fail) / float64(m.ok+m.fail); rate > 0.2 {

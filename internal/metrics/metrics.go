@@ -4,35 +4,23 @@
 // instrumentation the paper uses on its physical testbed.
 package metrics
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Summary accumulates streaming count/mean/min/max/variance via Welford's
-// algorithm. The zero value is ready to use.
+// Summary accumulates a streaming count, mean and max; the mean is updated
+// by Welford's rule. The zero value is ready to use.
 type Summary struct {
-	n        uint64
-	mean, m2 float64
-	min, max float64
+	n         uint64
+	mean, max float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
+	if s.n == 1 || x > s.max {
+		s.max = x
 	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
 }
 
 // Count reports the number of observations.
@@ -41,27 +29,8 @@ func (s *Summary) Count() uint64 { return s.n }
 // Mean reports the arithmetic mean, or 0 with no observations.
 func (s *Summary) Mean() float64 { return s.mean }
 
-// Min reports the smallest observation, or 0 with none.
-func (s *Summary) Min() float64 { return s.min }
-
 // Max reports the largest observation, or 0 with none.
 func (s *Summary) Max() float64 { return s.max }
-
-// Variance reports the sample variance (n-1 denominator), or 0 for n < 2.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Stddev reports the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
-
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3g min=%.3g max=%.3g sd=%.3g",
-		s.n, s.Mean(), s.Min(), s.Max(), s.Stddev())
-}
 
 // histSubBuckets is the number of linear sub-buckets per power-of-two value
 // range. 32 sub-buckets bound the relative quantile error at 1/32 ≈ 3.1%,

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -22,17 +21,14 @@ func TestSummaryBasics(t *testing.T) {
 	if s.Mean() != 3 {
 		t.Fatalf("mean=%v", s.Mean())
 	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("min=%v max=%v", s.Min(), s.Max())
-	}
-	if math.Abs(s.Variance()-2.5) > 1e-12 {
-		t.Fatalf("variance=%v, want 2.5", s.Variance())
+	if s.Max() != 5 {
+		t.Fatalf("max=%v", s.Max())
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Variance() != 0 || s.Stddev() != 0 {
+	if s.Count() != 0 || s.Mean() != 0 || s.Max() != 0 {
 		t.Fatal("empty summary should report zeros")
 	}
 }
@@ -228,15 +224,6 @@ func TestCounter(t *testing.T) {
 	c.Inc()
 	if c.Value != 2 {
 		t.Fatalf("value=%d", c.Value)
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	var s Summary
-	s.Add(1)
-	s.Add(3)
-	if got := s.String(); got == "" || !strings.Contains(got, "n=2") {
-		t.Fatalf("String() = %q", got)
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package serve is the open-loop serving mode: an arrival process offers
-// requests at a rate the server did not choose, and the robustness
-// machinery — a bounded admission queue, deadline-based admission control
-// with an SLO-aware adaptive load shedder, and per-backend circuit breakers
-// with online backend re-tiering — decides what to accept, what to refuse,
-// and where to run what was accepted.
+// requests at a rate the server did not choose, and the overload control —
+// a bounded admission queue, and deadline-based admission control with an
+// SLO-aware adaptive load shedder — decides what to accept and what to
+// refuse; the dispatcher decides where to run what was accepted. A dead,
+// stalled or saturated backend is excluded by the dispatcher's health check,
+// and ops already in flight on a backend that dies fail through the swap
+// path's per-op retry bound instead of hanging.
 //
 // The paper's evaluation is closed-loop (fixed task grids run to
 // completion); this package is the "heavy traffic from millions of users"
@@ -28,7 +30,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/cluster"
-	"repro/internal/faults"
 	"repro/internal/invariant"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -36,7 +37,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/trace"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -67,15 +67,11 @@ type Config struct {
 	// traffic's placement delay bounded. Without Shedding, only the queue
 	// bound protects the server.
 	Shedding bool
-	// Breakers enables per-backend circuit breakers and online backend
-	// re-tiering: once a breaker condemns a backend, Free VMs parked on
-	// broken or saturated backends are switched to the healthiest one.
-	Breakers bool
 	// Policy overrides the dispatcher's placement policy (nil = alg1);
 	// see internal/place.
 	Policy *place.Policy
 	// Seed feeds every stochastic component (arrival draws, template
-	// choice, breaker jitter).
+	// choice).
 	Seed int64
 }
 
@@ -122,11 +118,8 @@ type Result struct {
 	// ShedRate is (refusals + sheds) / offered.
 	ShedRate float64
 
-	// Control-plane activity.
-	BreakerOpens  int
-	BreakerCloses int
-	Retiers       int
-	MaxQueue      int
+	// MaxQueue is the deepest the admission queue grew.
+	MaxQueue int
 }
 
 // queued is one admitted request waiting for dispatch.
@@ -199,10 +192,6 @@ type server struct {
 
 	shed shedder
 
-	breakers     map[string]*faults.Breaker
-	backendOrder []string
-	lastRetier   sim.Time
-
 	ewmaServiceNS float64
 
 	// Observability handles, resolved once (nil when off).
@@ -231,7 +220,6 @@ const (
 	shedAlpha    = 0.05 // additive increase, as a share of the offered rate
 	degradeCost  = 0.25 // tokens consumed by a degraded admission
 	degradeBand  = 0.25 // minimum tokens for a degraded admission
-	retierEvery  = sim.Second
 	ewmaAlpha    = 0.2
 	minShedRate  = 5.0
 	shedHeadroom = 1.25 // rate cap as a multiple of the offered rate
@@ -240,7 +228,7 @@ const (
 	// cluster.Dispatcher.MaxTasksPerVM.
 	maxTasksPerVM = 2
 	// controlTick is the control-loop cadence: queue-deadline scanning,
-	// shedder adaptation, re-tiering, conservation checks.
+	// shedder adaptation, conservation checks.
 	controlTick = 50 * sim.Millisecond
 )
 
@@ -257,18 +245,6 @@ func Run(env baseline.Env, cfg Config) Result {
 	}
 	s.d.MaxTasksPerVM = maxTasksPerVM
 	s.d.Policy = cfg.Policy
-	s.backendOrder = env.Machine.BackendNames()
-
-	if cfg.Breakers {
-		s.breakers = make(map[string]*faults.Breaker)
-		for i, name := range s.backendOrder {
-			s.breakers[name] = faults.NewBreaker(s.eng, cfg.Seed+int64(i)+1)
-		}
-		s.d.Gate = func(backend string) bool {
-			b := s.breakers[backend]
-			return b == nil || b.Permits()
-		}
-	}
 
 	if obs.On {
 		if r := obs.Rec(s.eng); r != nil {
@@ -276,14 +252,6 @@ func Run(env baseline.Env, cfg Config) Result {
 			s.obsQueue = r.Timeline("serve/queue-depth", obs.ModeMean)
 			s.obsRate = r.Timeline("serve/shed-rate-limit", obs.ModeMean)
 			s.obsArrival = r.Timeline("serve/offered-rate", obs.ModeMean)
-			for _, name := range s.backendOrder {
-				if b := s.breakers[name]; b != nil {
-					name := name
-					b.OnTransition = func(from, to faults.BreakerState, at sim.Time) {
-						s.rec.Instant("serve/breaker", name+" "+from.String()+"→"+to.String(), "")
-					}
-				}
-			}
 			r.OnSeal(func() {
 				r.Counter("serve/offered").Add(float64(s.res.Offered))
 				r.Counter("serve/admitted").Add(float64(s.res.Admitted))
@@ -293,9 +261,6 @@ func Run(env baseline.Env, cfg Config) Result {
 				r.Counter("serve/degraded").Add(float64(s.res.Degraded))
 				r.Counter("serve/shed").Add(float64(s.res.Shed))
 				r.Counter("serve/completed").Add(float64(s.res.Completed))
-				r.Counter("serve/breaker-opens").Add(float64(s.res.BreakerOpens))
-				r.Counter("serve/breaker-closes").Add(float64(s.res.BreakerCloses))
-				r.Counter("serve/retiers").Add(float64(s.res.Retiers))
 			})
 		}
 	}
@@ -366,12 +331,6 @@ func Run(env baseline.Env, cfg Config) Result {
 	if s.res.Offered > 0 {
 		s.res.ShedRate = float64(s.res.RefusedQueueFull+s.res.RefusedDeadline+
 			s.res.RefusedThrottle+s.res.Shed) / float64(s.res.Offered)
-	}
-	for _, name := range s.backendOrder {
-		if b := s.breakers[name]; b != nil {
-			s.res.BreakerOpens += int(b.Opens())
-			s.res.BreakerCloses += int(b.Closes())
-		}
 	}
 	return s.res
 }
@@ -469,11 +428,6 @@ func (s *server) pump() {
 		}
 		s.queue.pop()
 		s.pendingReady++
-		if b := s.breakers[pl.Backend]; b != nil && b.State() == faults.BreakerHalfOpen {
-			// The selection peeked via Permits; the winner claims its
-			// half-open probe slot here.
-			b.Allow()
-		}
 	}
 }
 
@@ -514,16 +468,10 @@ func (s *server) readyFn(q queued) func(cluster.Placement) {
 				local = memCap
 			}
 		}
-		be := s.env.Machine.Backend(pl.VM.ActiveBackend())
-		setup := baseline.PrepareXDM(s.env, be, q.app.Spec, q.f, local, q.app.SLO, q.app.Seed)
-		cfg := setup.Config
-		cfg.SwapPath = pl.VM.Path()
-		// Per-op timeout/retry so a dead backend fails through, and the
-		// breaker observes every attempt outcome.
+		cfg := baseline.PrepareXDMOn(s.env, pl.VM.Path(), q.app.Spec, q.f, local, q.app.SLO, q.app.Seed).Config
+		// Per-op timeout/retry, so ops on a backend that dies under a
+		// running task fail through instead of hanging.
 		cfg.SwapPath.Retry = true
-		if b := s.breakers[pl.VM.ActiveBackend()]; b != nil {
-			cfg.SwapPath.Health = b
-		}
 		s.pool.New(cfg).Start(func(task.Stats) {
 			s.running--
 			s.res.Completed++
@@ -561,7 +509,7 @@ func (s *server) expire() {
 }
 
 // tick is the control loop: deadline scanning, shedder adaptation,
-// re-tiering, conservation checking, timelines.
+// conservation checking, timelines.
 func (s *server) tick() {
 	now := s.eng.Now()
 	s.expire()
@@ -590,26 +538,6 @@ func (s *server) tick() {
 		if s.obsRate != nil {
 			s.obsRate.Add(now, s.shed.rate)
 		}
-	}
-
-	// Online re-tiering. The dispatcher's ViaSwitch branch already
-	// converts idle VMs to the chosen backend on demand, but that pays
-	// the switch latency on a request's critical path. The control loop
-	// pre-positions instead: as soon as a breaker condemns a backend,
-	// idle VMs parked on sick backends are switched ahead of demand so
-	// the next dispatch finds a Free VM already active on a healthy
-	// backend. Permits is asked every tick because asking is what moves
-	// an expired open breaker to half-open.
-	condemned := false
-	for _, name := range s.backendOrder {
-		if b := s.breakers[name]; b != nil && !b.Permits() {
-			condemned = true
-			break
-		}
-	}
-	if condemned && now.Sub(s.lastRetier) >= retierEvery {
-		s.retier()
-		s.lastRetier = now
 	}
 
 	if s.obsQueue != nil {
@@ -653,67 +581,8 @@ func (s *server) windowP99() sim.Duration {
 	return buf[idx]
 }
 
-// retier switches Free VMs off broken or saturated backends onto the
-// healthiest one — online backend reconfiguration. VMs running tasks are
-// left alone (live migration is the dispatcher's warm switch on the next
-// placement).
-func (s *server) retier() {
-	target := s.bestBackend()
-	if target == "" {
-		return
-	}
-	for _, v := range s.env.Machine.VMs() {
-		if v.State() != vm.Free {
-			continue
-		}
-		cur := v.ActiveBackend()
-		if cur == target || !s.backendSick(cur) {
-			continue
-		}
-		if err := v.SwitchBackend(target, nil); err == nil {
-			s.res.Retiers++
-			if s.rec != nil {
-				s.rec.Instant("serve/retier", v.Name+" "+cur+"→"+target, "")
-			}
-		}
-	}
-}
-
-// backendSick reports whether a backend should shed its idle VMs: circuit
-// open, device down/stalled, or saturated.
-func (s *server) backendSick(name string) bool {
-	if b := s.breakers[name]; b != nil && !b.Permits() {
-		return true
-	}
-	dev := s.env.Machine.Device(name)
-	if dev == nil {
-		return false
-	}
-	return dev.Down() || dev.Stalled() || dev.Saturated()
-}
-
-// bestBackend picks the healthy backend with the shallowest device queue,
-// ties broken by name order (deterministic).
-func (s *server) bestBackend() string {
-	best := ""
-	bestDepth := 0
-	for _, name := range s.backendOrder {
-		if s.backendSick(name) {
-			continue
-		}
-		depth := 0
-		if dev := s.env.Machine.Device(name); dev != nil {
-			depth = dev.QueueDepth()
-		}
-		if best == "" || depth < bestDepth {
-			best, bestDepth = name, depth
-		}
-	}
-	return best
-}
-
 // PrewarmFleet boots n VMs round-robin across the machine's backends, each
-// with every backend warm (so re-tiering and warm switches are possible),
+// with every backend warm (so warm switches are possible),
 // and runs the engine until the boots complete. Serving runs call this
 // before Run so the arrival window starts against a ready fleet — cold VM
 // boots (~52s virtual) would otherwise dominate any realistic window.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,7 +67,6 @@ func TestServeUnderloadedAllInSLO(t *testing.T) {
 		Drain:     sim.Second,
 		SLO:       100 * sim.Millisecond,
 		Shedding:  true,
-		Breakers:  true,
 		Seed:      1,
 	})
 	if res.Offered == 0 || res.Admitted != res.Offered {
@@ -85,7 +85,8 @@ func TestServeUnderloadedAllInSLO(t *testing.T) {
 
 // TestServeConservation checks the conservation law under the nastiest mix
 // available: a flash crowd driving the server deep into overload while one
-// backend fails and recovers mid-run.
+// backend fails and recovers mid-run. Ops that were in flight on the dead
+// backend must fail through the path's retry bound, not hang the run.
 func TestServeConservation(t *testing.T) {
 	withInvariants(t, func() {
 		env := warmedEnv("ssd0", "rdma0")
@@ -107,7 +108,6 @@ func TestServeConservation(t *testing.T) {
 			Drain:     sim.Second,
 			SLO:       100 * sim.Millisecond,
 			Shedding:  true,
-			Breakers:  true,
 			Seed:      3,
 		})
 
@@ -123,6 +123,15 @@ func TestServeConservation(t *testing.T) {
 		}
 		if res.Completed == 0 {
 			t.Fatal("nothing completed")
+		}
+		var failed uint64
+		for _, v := range env.Machine.VMs() {
+			if p := v.PathFor("rdma0"); p != nil {
+				failed += p.FailedOps.Value
+			}
+		}
+		if failed == 0 {
+			t.Fatal("no op failed through on rdma0 while it was dead")
 		}
 	})
 	if ckConservation.Hits() == 0 {
@@ -142,7 +151,6 @@ func TestServeDeterministic(t *testing.T) {
 			Drain:     sim.Second,
 			SLO:       100 * sim.Millisecond,
 			Shedding:  true,
-			Breakers:  true,
 			Seed:      seed,
 		})
 	}
@@ -194,41 +202,6 @@ func TestFlashCrowdSheddingDefendsSLO(t *testing.T) {
 	if shed.GoodputRPS < 0.9*base.GoodputRPS {
 		t.Fatalf("shedding cost too much goodput: %.1f vs baseline %.1f",
 			shed.GoodputRPS, base.GoodputRPS)
-	}
-}
-
-// TestServeBreakerCutsFailedBackend injects a backend brown-out mid-run
-// and checks the circuit opens, the run survives, and the circuit closes
-// again after recovery probing. The fault is a degradation, not a hard
-// Fail: a dead device is already excluded by the dispatcher's own health
-// check, so the breaker's value is exactly the gray failure the device
-// layer does not flag — ops that still complete, but past their timeout.
-func TestServeBreakerCutsFailedBackend(t *testing.T) {
-	env := warmedEnv("ssd0", "rdma0")
-	dev := env.Machine.Device("rdma0")
-	eng := env.Machine.Eng
-	base := eng.Now()
-	eng.At(base.Add(sim.Second), func() { dev.Degrade(5000, 0.01) })
-	eng.At(base.Add(2500*sim.Millisecond), dev.Recover)
-
-	res := Run(env, Config{
-		Templates: RequestTemplates(),
-		Arrivals:  workload.Poisson{RPS: 150},
-		Duration:  5 * sim.Second,
-		Drain:     2 * sim.Second,
-		SLO:       200 * sim.Millisecond,
-		Shedding:  true,
-		Breakers:  true,
-		Seed:      5,
-	})
-	if res.BreakerOpens == 0 {
-		t.Fatalf("backend outage did not open a breaker: %+v", res)
-	}
-	if res.BreakerCloses == 0 {
-		t.Fatalf("breaker never closed after recovery: %+v", res)
-	}
-	if res.Completed == 0 {
-		t.Fatal("nothing completed through the outage")
 	}
 }
 
@@ -287,16 +260,15 @@ func TestCapacitySweepXDMBeatsStatic(t *testing.T) {
 }
 
 // TestServeObservability pins the exported counters against the run's
-// result, and exercises the breaker-transition instants.
+// result, and checks that a request swaps through its VM's path alone: no
+// isolated xdm channel or path is built, so none is exported.
 func TestServeObservability(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
+	defer obs.Reset()
 	env := servingEnv("ssd0", "rdma0")
 	rec := obs.Attach(env.Machine.Eng)
 	PrewarmFleet(env, 4, 2, 4096)
-	dev := env.Machine.Device("rdma0")
-	eng := env.Machine.Eng
-	eng.At(eng.Now().Add(sim.Second), func() { dev.Degrade(5000, 0.01) })
 
 	arr, err := workload.ParseArrival("flash:100:6:1:2", 9)
 	if err != nil {
@@ -309,22 +281,29 @@ func TestServeObservability(t *testing.T) {
 		Drain:     sim.Second,
 		SLO:       100 * sim.Millisecond,
 		Shedding:  true,
-		Breakers:  true,
 		Seed:      9,
 	})
 	rec.Seal()
-	if res.BreakerOpens == 0 {
-		t.Fatal("degraded backend did not open a breaker")
-	}
 	for name, want := range map[string]int{
-		"serve/offered":       res.Offered,
-		"serve/admitted":      res.Admitted,
-		"serve/shed":          res.Shed,
-		"serve/completed":     res.Completed,
-		"serve/breaker-opens": res.BreakerOpens,
+		"serve/offered":   res.Offered,
+		"serve/admitted":  res.Admitted,
+		"serve/shed":      res.Shed,
+		"serve/completed": res.Completed,
 	} {
 		if got := rec.Counter(name).Value; got != float64(want) {
 			t.Errorf("counter %s = %v, want %d", name, got, want)
+		}
+	}
+	var csv bytes.Buffer
+	if err := obs.WriteMetricsCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(csv.String(), ",counter,swap/serve-") {
+		t.Fatal("metrics carry no VM path counters")
+	}
+	for _, line := range strings.Split(csv.String(), "\n") {
+		if strings.Contains(line, ",swap/xdm-") || strings.Contains(line, ",swapch/xdm-") {
+			t.Fatalf("serving registered an isolated xdm path: %s", line)
 		}
 	}
 }
@@ -358,37 +337,6 @@ func TestQueueBound(t *testing.T) {
 	}
 }
 
-// TestRetierMovesIdleVMsOffSickBackend pins the pre-positioning path: when
-// a breaker condemns a backend, its idle VMs are switched to a healthy one
-// ahead of demand instead of waiting for a dispatch to pay the switch.
-// Breakers alone turn re-tiering on.
-func TestRetierMovesIdleVMsOffSickBackend(t *testing.T) {
-	env := warmedEnv("ssd0", "rdma0")
-	dev := env.Machine.Device("rdma0")
-	eng := env.Machine.Eng
-	eng.At(eng.Now().Add(sim.Second), func() { dev.Degrade(5000, 0.01) })
-	// No recovery: rdma0 stays condemned for the rest of the run.
-
-	res := Run(env, Config{
-		Templates: RequestTemplates(),
-		Arrivals:  workload.Poisson{RPS: 150},
-		Duration:  4 * sim.Second,
-		Drain:     2 * sim.Second,
-		SLO:       200 * sim.Millisecond,
-		Breakers:  true,
-		Seed:      5,
-	})
-	if res.BreakerOpens == 0 {
-		t.Fatalf("degraded backend never condemned: %+v", res)
-	}
-	if res.Retiers == 0 {
-		t.Fatalf("no idle VM was re-tiered off the condemned backend: %+v", res)
-	}
-	if res.Completed == 0 {
-		t.Fatal("nothing completed")
-	}
-}
-
 func TestPrewarmFleet(t *testing.T) {
 	env := servingEnv("ssd0", "rdma0")
 	PrewarmFleet(env, 4, 2, 4096)
@@ -397,9 +345,9 @@ func TestPrewarmFleet(t *testing.T) {
 		t.Fatalf("fleet size %d, want 4", len(vms))
 	}
 	byBackend := map[string]int{}
-	for _, v := range vms {
+	for i, v := range vms {
 		if v.State() != vm.Free {
-			t.Fatalf("VM %s not Free after prewarm: %v", v.Name, v.State())
+			t.Fatalf("VM %d not Free after prewarm: %v", i, v.State())
 		}
 		byBackend[v.ActiveBackend()]++
 	}

@@ -210,7 +210,6 @@ func (s VMState) String() string {
 // VM is a guest with its own isolated swap channel and a set of
 // pre-initialized (warm) virtual backends, one of which is active.
 type VM struct {
-	Name    string
 	machine *Machine
 
 	Cores int
@@ -252,7 +251,6 @@ func (m *Machine) CreateVM(name string, cores, pages int, warmBackends []string)
 			"allocated %d/%d cores, %d/%d pages", m.usedCores, m.CPUCores, m.usedPages, m.MemoryPages)
 	}
 	v := &VM{
-		Name:    name,
 		machine: m,
 		Cores:   cores,
 		Pages:   pages,
