@@ -127,11 +127,28 @@ type queued struct {
 	app      cluster.App
 	arrived  sim.Time
 	degraded bool
-	// f and ready are the request's page features and VM-ready callback.
-	// The request's first dispatch attempt builds them (ready is nil until
-	// then), and every retry reuses them.
-	f     trace.Features
-	ready func(cluster.Placement)
+	// req is the request's record, which its first dispatch attempt takes
+	// from the server's free list (nil until then) and every retry reuses.
+	req *request
+}
+
+// request is one admitted request from its first dispatch attempt to its
+// task's completion: its page features and, once placed, its placement and
+// placement delay. Its ready and done callbacks are bound once, when the
+// record is built, so recycling the record through the server's free list
+// recycles them too.
+type request struct {
+	s        *server
+	app      cluster.App
+	arrived  sim.Time
+	degraded bool
+	f        trace.Features
+	pl       cluster.Placement
+	delay    sim.Duration
+	inSLO    bool
+
+	readyFn func(cluster.Placement)
+	doneFn  func(task.Stats)
 }
 
 // admission is the bounded FIFO of admitted requests waiting for dispatch:
@@ -172,8 +189,10 @@ type server struct {
 
 	queue admission
 	res   Result
-	// pool recycles the storage of finished requests' tasks.
+	// pool recycles the storage of finished requests' tasks, and free
+	// their request records.
 	pool task.Pool
+	free sim.FreeList[request]
 	// prof profiles each admitted request once, on its first dispatch
 	// attempt, reusing its stream and trace table across requests.
 	prof baseline.Profiler
@@ -418,11 +437,10 @@ func (s *server) pump() {
 	s.expire()
 	for s.queue.len() > 0 {
 		q := s.queue.front()
-		if q.ready == nil {
-			q.f = s.prof.Profile(q.app.Spec, q.app.Seed)
-			q.ready = s.readyFn(*q)
+		if q.req == nil {
+			q.req = s.newRequest(q)
 		}
-		pl := s.d.Dispatch(q.app, q.f, q.ready)
+		pl := s.d.Dispatch(q.app, q.req.f, q.req.readyFn)
 		if pl.Via == cluster.ViaNone {
 			return
 		}
@@ -431,68 +449,90 @@ func (s *server) pump() {
 	}
 }
 
-// readyFn builds the VM-ready callback for one queued request, which
-// Dispatch calls at most once: measure the placement delay (submission →
-// VM-ready) and start the task, prepared from the request's features.
-func (s *server) readyFn(q queued) func(cluster.Placement) {
-	return func(pl cluster.Placement) {
-		s.pendingReady--
-		s.running++
-
-		delay := s.eng.Now().Sub(q.arrived)
-		inSLO := delay <= s.cfg.SLO
-		s.delays.Add(float64(delay))
-		if inSLO {
-			s.inSLOSamples++
-		}
-		s.ring[s.ringN%len(s.ring)] = delay
-		s.ringN++
-		if s.rec != nil {
-			s.rec.Observe("serve/placement-delay", float64(delay))
-		}
-
-		// Serving fleets overcommit memory: a VM's DRAM is shared by its
-		// maxTasksPerVM concurrent requests, so each request's local share
-		// is capped by pages/(slots × footprint) regardless of what the
-		// console's SLO planning asked for. This cap is what makes backend
-		// speed matter for serving capacity — the overflow must live on a
-		// backend, and how fast that backend is sets the service time.
-		local := pl.LocalRatio
-		if q.app.Spec.FootprintPages > 0 {
-			memCap := float64(pl.VM.Pages) /
-				float64(maxTasksPerVM*q.app.Spec.FootprintPages)
-			if memCap < 0.05 {
-				memCap = 0.05
-			}
-			if memCap < local {
-				local = memCap
-			}
-		}
-		cfg := baseline.PrepareXDMOn(s.env, pl.VM.Path(), q.app.Spec, q.f, local, q.app.SLO, q.app.Seed).Config
-		// Per-op timeout/retry, so ops on a backend that dies under a
-		// running task fail through instead of hanging.
-		cfg.SwapPath.Retry = true
-		s.pool.New(cfg).Start(func(task.Stats) {
-			s.running--
-			s.res.Completed++
-			if inSLO {
-				s.res.CompletedInSLO++
-				if q.degraded {
-					s.goodWeight += degradeCost
-				} else {
-					s.goodWeight++
-				}
-			}
-			runtime := float64(s.eng.Now().Sub(q.arrived) - delay)
-			if s.ewmaServiceNS <= 0 {
-				s.ewmaServiceNS = runtime
-			} else {
-				s.ewmaServiceNS += ewmaAlpha * (runtime - s.ewmaServiceNS)
-			}
-			s.d.Release(pl)
-			s.pump()
-		})
+// newRequest takes a record for q from the free list, or builds one with
+// its callbacks, and profiles the request into it.
+func (s *server) newRequest(q *queued) *request {
+	r := s.free.Get()
+	if r == nil {
+		r = &request{s: s}
+		r.readyFn = r.ready
+		r.doneFn = r.done
 	}
+	r.app, r.arrived, r.degraded = q.app, q.arrived, q.degraded
+	r.f = s.prof.Profile(q.app.Spec, q.app.Seed)
+	return r
+}
+
+// ready is the request's VM-ready callback, which Dispatch calls at most
+// once: measure the placement delay (submission → VM-ready) and start the
+// task, prepared from the request's features.
+func (r *request) ready(pl cluster.Placement) {
+	s := r.s
+	s.pendingReady--
+	s.running++
+
+	r.pl = pl
+	r.delay = s.eng.Now().Sub(r.arrived)
+	r.inSLO = r.delay <= s.cfg.SLO
+	s.delays.Add(float64(r.delay))
+	if r.inSLO {
+		s.inSLOSamples++
+	}
+	s.ring[s.ringN%len(s.ring)] = r.delay
+	s.ringN++
+	if s.rec != nil {
+		s.rec.Observe("serve/placement-delay", float64(r.delay))
+	}
+
+	// Serving fleets overcommit memory: a VM's DRAM is shared by its
+	// maxTasksPerVM concurrent requests, so each request's local share
+	// is capped by pages/(slots × footprint) regardless of what the
+	// console's SLO planning asked for. This cap is what makes backend
+	// speed matter for serving capacity — the overflow must live on a
+	// backend, and how fast that backend is sets the service time.
+	local := pl.LocalRatio
+	if r.app.Spec.FootprintPages > 0 {
+		memCap := float64(pl.VM.Pages) /
+			float64(maxTasksPerVM*r.app.Spec.FootprintPages)
+		if memCap < 0.05 {
+			memCap = 0.05
+		}
+		if memCap < local {
+			local = memCap
+		}
+	}
+	cfg := baseline.PrepareXDMOn(s.env, pl.VM.Path(), r.app.Spec, r.f, local, r.app.SLO, r.app.Seed).Config
+	// Per-op timeout/retry, so ops on a backend that dies under a
+	// running task fail through instead of hanging.
+	cfg.SwapPath.Retry = true
+	s.pool.New(cfg).Start(r.doneFn)
+}
+
+// done is the request's task-completion callback. It returns the record to
+// the free list before releasing the VM and pumping the queue, which may
+// reuse the record for the next request.
+func (r *request) done(task.Stats) {
+	s := r.s
+	s.running--
+	s.res.Completed++
+	if r.inSLO {
+		s.res.CompletedInSLO++
+		if r.degraded {
+			s.goodWeight += degradeCost
+		} else {
+			s.goodWeight++
+		}
+	}
+	runtime := float64(s.eng.Now().Sub(r.arrived) - r.delay)
+	if s.ewmaServiceNS <= 0 {
+		s.ewmaServiceNS = runtime
+	} else {
+		s.ewmaServiceNS += ewmaAlpha * (runtime - s.ewmaServiceNS)
+	}
+	pl := r.pl
+	s.free.Put(r)
+	s.d.Release(pl)
+	s.pump()
 }
 
 // expire sheds queued requests that have already waited past the
@@ -504,6 +544,9 @@ func (s *server) expire() {
 	now := s.eng.Now()
 	for s.queue.len() > 0 && now.Sub(s.queue.front().arrived) > s.cfg.SLO {
 		s.res.Shed++
+		if r := s.queue.front().req; r != nil {
+			s.free.Put(r) // shed after a refused dispatch attempt
+		}
 		s.queue.pop()
 	}
 }

@@ -113,6 +113,38 @@ func BenchmarkEngineChurn(b *testing.B) {
 	eng.Run()
 }
 
+// BenchmarkEngineRetryTimer is the pattern of serving swap paths: 20 ops
+// are in flight, each a live event that fires and reschedules itself, and
+// each firing cancels the 10 ms retry timer its op armed at the previous
+// firing and arms a new one, through the timeout's DelayLine. The timers
+// never fire. Target: 0 allocs/op.
+func BenchmarkEngineRetryTimer(b *testing.B) {
+	eng := NewEngine()
+	timeouts := eng.Delay(10 * Millisecond)
+	expire := func() { b.Fatal("a retry timer fired") }
+	const live = 20
+	fns := make([]func(), live)
+	var armed [live]Handle
+	remaining := b.N
+	for i := range fns {
+		i := i
+		fns[i] = func() {
+			armed[i].Cancel(eng)
+			if remaining > 0 {
+				remaining--
+				armed[i] = timeouts.Schedule(expire)
+				eng.After(Duration(1+i)*Microsecond, fns[i])
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range fns {
+		eng.After(Duration(1+i)*Microsecond, fns[i])
+	}
+	eng.Run()
+}
+
 // BenchmarkEngineSameInstant is a chain of zero-delay events, the pattern of
 // every Resource grant: each firing schedules the next with Immediately.
 // The heap holds a steady population of pending timers, as a running model's

@@ -6,7 +6,7 @@ import (
 
 // Tests for the two memory-behavior fixes layered onto the kernel: tombstone
 // compaction when dead events dominate the heap, and releasing burst-sized
-// slot/heap/lane storage once an engine fully drains.
+// slot/heap/lane/FIFO storage once an engine fully drains.
 
 func TestEngineCompactOnCancelHeavyHeap(t *testing.T) {
 	eng := NewEngine()
@@ -112,7 +112,7 @@ func TestEngineCompactWithLiveLane(t *testing.T) {
 	}
 	if len(eng.heap) > n/2 {
 		t.Fatalf("heap holds %d entries after cancelling all %d while the lane holds %d live events (compaction never fired)",
-			len(eng.heap), n, len(eng.lane)-eng.laneHead)
+			len(eng.heap), n, eng.lane.len())
 	}
 	eng.Run()
 	if len(fired) != n {
@@ -127,44 +127,59 @@ func TestEngineCompactWithLiveLane(t *testing.T) {
 
 func TestEngineTrimReleasesBurstStorage(t *testing.T) {
 	eng := NewEngine()
+	line := eng.Delay(5)
+	f := &eng.fifos[line.i]
 	fn := func() {}
 	const burst = 3 * trimSlotThreshold
 	for i := 0; i < burst; i++ {
 		eng.After(Duration(i), fn)
 		eng.Immediately(fn) // a same-instant burst fills the lane
+		line.Schedule(fn)   // and a timer burst the FIFO
 	}
-	if len(eng.slots) < 2*burst || len(eng.lane) < burst {
-		t.Fatalf("slot table %d, lane %d, want >= %d and %d", len(eng.slots), len(eng.lane), 2*burst, burst)
+	if len(eng.slots) < 3*burst || len(eng.lane.q) < burst || len(f.q) < burst {
+		t.Fatalf("slot table %d, lane %d, FIFO %d, want >= %d, %d and %d",
+			len(eng.slots), len(eng.lane.q), len(f.q), 3*burst, burst, burst)
 	}
 	eng.Run()
-	if eng.slots != nil || eng.freeSlots != nil || eng.heap != nil || eng.lane != nil {
-		t.Fatalf("burst storage not released after drain: slots=%d free=%d heap=%d lane=%d",
-			len(eng.slots), len(eng.freeSlots), len(eng.heap), cap(eng.lane))
+	if eng.slots != nil || eng.freeSlots != nil || eng.heap != nil || eng.lane.q != nil || f.q != nil {
+		t.Fatalf("burst storage not released after drain: slots=%d free=%d heap=%d lane=%d fifo=%d",
+			len(eng.slots), len(eng.freeSlots), len(eng.heap), cap(eng.lane.q), cap(f.q))
 	}
-	// The engine must keep working after the trim.
-	ran := false
+	// The engine, and the line, must keep working after the trim.
+	ran, timed := false, false
 	eng.After(1, func() { ran = true })
+	line.Schedule(func() { timed = true })
 	eng.Run()
-	if !ran {
-		t.Fatal("engine dead after trim")
+	if !ran || !timed {
+		t.Fatalf("engine dead after trim: After fired %v, DelayLine fired %v", ran, timed)
 	}
 }
 
 func TestEngineTrimInvalidatesStaleHandles(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
-	const burst = 2 * trimSlotThreshold
+	line := eng.Delay(1)
+	const burst = 3 * trimSlotThreshold
 	handles := make([]Handle, burst)
+	schedule := func(i int, fn func()) Handle {
+		if i%3 == 2 {
+			return line.Schedule(fn) // a third of them in the FIFO
+		}
+		return eng.After(Duration(i%3), fn) // a third in the lane
+	}
 	for i := 0; i < burst; i++ {
-		handles[i] = eng.After(Duration(i%2), fn) // half of them in the lane
+		handles[i] = schedule(i, fn)
 	}
 	eng.Run() // fires everything, then trims
-	// Schedule fresh events that reuse the low slot indices, in the heap
-	// and in the lane; stale handles from before the trim must not cancel
-	// them.
+	if eng.slots != nil {
+		t.Fatalf("slot table of %d not released after the burst drained", len(eng.slots))
+	}
+	// Schedule fresh events that reuse the low slot indices, in the heap,
+	// the lane and the FIFO; stale handles from before the trim must not
+	// cancel them.
 	fresh := 0
-	for i := 0; i < 64; i++ {
-		eng.After(Duration(i%2), func() { fresh++ })
+	for i := 0; i < 96; i++ {
+		schedule(i, func() { fresh++ })
 	}
 	for _, h := range handles {
 		if h.Cancel(eng) {
@@ -172,8 +187,8 @@ func TestEngineTrimInvalidatesStaleHandles(t *testing.T) {
 		}
 	}
 	eng.Run()
-	if fresh != 64 {
-		t.Fatalf("fired %d fresh events, want 64", fresh)
+	if fresh != 96 {
+		t.Fatalf("fired %d fresh events, want 96", fresh)
 	}
 }
 

@@ -54,25 +54,34 @@ type eventSlot struct {
 // which is what makes runs reproducible. (Independent runs parallelize at a
 // higher level — see internal/experiments — with one Engine per goroutine.)
 //
-// Pending events sit in one of two queues. An event scheduled for the
-// current instant goes to the lane, a FIFO; every other event, and every
-// cross-shard delivery, goes to the heap. The next event is the smaller of
-// the lane head and the heap top by (at, seq). The lane is sorted by
-// construction: the clock never goes back and seq only grows, so each event
-// appended is at or after the one before it. Firing order is therefore
-// exactly that of a single (at, seq)-ordered queue.
+// Pending events sit in one of three kinds of queue. An event scheduled for
+// the current instant goes to the lane, a FIFO; an event scheduled through a
+// DelayLine goes to that delay's FIFO; every other event, and every
+// cross-shard delivery, goes to the heap. Each FIFO is sorted by
+// construction: the clock never goes back and seq only grows, so an event
+// appended at now+d is at or after the one before it. A non-empty delay
+// FIFO keeps one proxy entry in the heap, keyed at or before its first live
+// event; when the proxy reaches the heap top, the engine drops cancelled
+// events off the FIFO head and re-keys the proxy to the live head before
+// trusting it.
+// The next event is then the smaller of the lane head and the heap top by
+// (at, seq), so firing order is exactly that of a single (at, seq)-ordered
+// queue.
 type Engine struct {
 	now  Time
-	heap []event // inlined 4-ary min-heap ordered by (at, seq); may hold tombstones
-	// lane[laneHead:] are the pending same-instant events in (at, seq)
-	// order; may hold tombstones. The slice is reset when it drains.
-	lane     []event
-	laneHead int
-	seq      uint64
+	heap []event // inlined 4-ary min-heap ordered by (at, seq); may hold tombstones and FIFO proxies
+	// lane holds the pending same-instant events in (at, seq) order; may
+	// hold tombstones.
+	lane eventQueue
+	// fifos are the engine's delay FIFOs, one per distinct delay, indexed
+	// by DelayLine and by the ^index slot of each FIFO's heap proxy.
+	fifos []delayFIFO
+	seq   uint64
 	// slots/freeSlots implement generation-stamped lazy cancellation:
 	// Cancel only clears the slot's callback, and the tombstone is dropped
-	// when it surfaces at the heap top or the lane head. No O(log n)
-	// heap.Remove, no index maintenance on every sift.
+	// when it surfaces at the heap top, the lane head or a delay FIFO's
+	// head, or when its queue is compacted. No O(log n) heap.Remove, no
+	// index maintenance on every sift.
 	slots     []eventSlot
 	freeSlots []int32
 	// genBase is the generation fresh slots start from. It advances past
@@ -135,26 +144,36 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Handle identifies a scheduled event so it can be cancelled before firing.
-// The zero Handle is valid and never matches a live event.
+// The zero Handle is valid and never matches a live event. A Handle is 16
+// bytes: the event's slot and generation, and a tag naming the queue the
+// event waits in, so Cancel can count the tombstone it leaves there.
 type Handle struct {
 	slot int32
-	lane bool // the event waits in the same-instant lane, not the heap
+	tag  int32 // tagHeap, tagLane, or ^i for delay FIFO i
 	gen  uint64
 }
+
+// Handle tags for the heap and the same-instant lane; a delay FIFO's events
+// carry the complement of its index, which is negative.
+const (
+	tagHeap int32 = 0
+	tagLane int32 = 1
+)
 
 // Cancel removes the event from the engine if it has not fired yet and
 // reports whether it was still pending. Double-cancel and cancel-after-fire
 // are explicit no-ops: the generation stamp no longer matches (or the
 // slot's callback is already gone), so Cancel returns false without touching
-// the heap.
+// any queue.
 //
 // Cancellation is lazy — the slot only drops its callback here — but when
-// tombstones come to dominate the heap (more dead than live entries) the
-// heap is compacted in one O(n) pass, so a cancel-heavy phase cannot leave
-// the schedule path sifting through a graveyard. The compaction cost is
-// amortized: it removes more than half the heap, so each cancelled event
-// pays O(1) extra. Lane tombstones need no compaction: every lane entry is
-// at the current instant, so they reach the lane head before the clock moves.
+// tombstones come to dominate the heap or a delay FIFO (more dead than live
+// entries) that queue is compacted in one O(n) pass, so a cancel-heavy phase
+// cannot leave the schedule path sifting through a graveyard. The compaction
+// cost is amortized: it removes more than half the queue, so each cancelled
+// event pays O(1) extra. Lane tombstones need no compaction: every lane
+// entry is at the current instant, so they reach the lane head before the
+// clock moves.
 func (h Handle) Cancel(e *Engine) bool {
 	if h.gen == 0 || int(h.slot) >= len(e.slots) {
 		return false
@@ -165,28 +184,35 @@ func (h Handle) Cancel(e *Engine) bool {
 	}
 	s.fn = nil
 	e.live--
-	if !h.lane {
+	switch {
+	case h.tag == tagHeap:
 		e.heapDead++
-		if n := len(e.heap); n >= compactMinHeap && e.heapDead > n/2 {
+		if n := len(e.heap); n >= compactMin && e.heapDead > n/2 {
 			e.compact()
+		}
+	case h.tag < 0:
+		f := &e.fifos[^h.tag]
+		f.dead++
+		if n := f.len(); n >= compactMin && f.dead > n/2 {
+			e.compactFIFO(f)
 		}
 	}
 	return true
 }
 
-// compactMinHeap is the heap size below which tombstone compaction is not
-// worth the rebuild; tiny heaps drain tombstones through peekLive anyway.
-const compactMinHeap = 64
+// compactMin is the queue size below which tombstone compaction is not
+// worth the rebuild; tiny queues drain tombstones through peekLive anyway.
+const compactMin = 64
 
 // compact drops every tombstone from the heap in one pass and restores the
-// heap order of the survivors. Pop order is fully determined by (at, seq),
-// so compaction is invisible to the simulation: only memory and sift depth
-// change.
+// heap order of the survivors. FIFO proxies stay: each stands for its FIFO.
+// Pop order is fully determined by (at, seq), so compaction is invisible to
+// the simulation: only memory and sift depth change.
 func (e *Engine) compact() {
 	h := e.heap
 	k := 0
 	for _, ev := range h {
-		if e.slots[ev.slot].fn == nil {
+		if ev.slot >= 0 && e.slots[ev.slot].fn == nil {
 			e.freeSlot(ev.slot)
 			continue
 		}
@@ -198,6 +224,22 @@ func (e *Engine) compact() {
 	for i := (k - 2) >> 2; i >= 0; i-- {
 		e.siftDown(i, e.heap[i])
 	}
+}
+
+// compactFIFO drops every tombstone from a delay FIFO and frees their slots.
+// The survivors keep their order. The FIFO's proxy keeps its key, which is
+// still at or before the first live event; peekLive re-keys it when it
+// reaches the heap top.
+func (e *Engine) compactFIFO(f *delayFIFO) {
+	q := f.q[:0]
+	for _, ev := range f.q[f.head:] {
+		if e.slots[ev.slot].fn == nil {
+			e.freeSlot(ev.slot)
+			continue
+		}
+		q = append(q, ev)
+	}
+	f.q, f.head, f.dead = q, 0, 0
 }
 
 // allocSlot returns a slot index holding fn for a new event, recycling
@@ -216,9 +258,8 @@ func (e *Engine) allocSlot(fn func()) int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// freeSlot retires a slot once its event left the heap or the lane (fired
-// or dropped as a tombstone). Bumping gen invalidates every outstanding
-// Handle to it.
+// freeSlot retires a slot once its event left its queue (fired or dropped
+// as a tombstone). Bumping gen invalidates every outstanding Handle to it.
 func (e *Engine) freeSlot(slot int32) {
 	s := &e.slots[slot]
 	s.gen++
@@ -265,8 +306,8 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	ev := event{at: t, seq: e.seq, slot: slot}
 	h := Handle{slot: slot, gen: e.slots[slot].gen}
 	if t == e.now {
-		e.pushLane(ev)
-		h.lane = true
+		e.lane.push(ev)
+		h.tag = tagLane
 	} else {
 		e.push(ev)
 	}
@@ -287,26 +328,92 @@ func (e *Engine) Immediately(fn func()) Handle {
 	return e.At(e.now, fn)
 }
 
-// pushLane appends ev to the same-instant lane. When the lane's array is
-// full and at least half of it is an already-fired prefix, the pending
-// suffix moves down instead of the array growing, so a long same-instant
-// cascade reuses its storage.
-func (e *Engine) pushLane(ev event) {
-	if len(e.lane) == cap(e.lane) && e.laneHead > 0 && 2*e.laneHead >= len(e.lane) {
-		n := copy(e.lane, e.lane[e.laneHead:])
-		e.lane = e.lane[:n]
-		e.laneHead = 0
-	}
-	e.lane = append(e.lane, ev)
+// A DelayLine schedules events a fixed delay after the current time, as
+// After with that delay would: the event gets the same (now+d, seq) and a
+// Handle that cancels it the same way. It keeps the events in a FIFO
+// instead of the heap, so a timer that is nearly always cancelled before it
+// fires (a per-attempt timeout) costs an append and a slot, not a heap
+// sift, and leaves its tombstone where compaction finds it cheaply. Get one
+// with Engine.Delay; the zero DelayLine is not usable.
+type DelayLine struct {
+	e *Engine
+	i int32 // index into e.fifos
 }
 
-// popLane removes the lane head.
-func (e *Engine) popLane() {
-	e.laneHead++
-	if e.laneHead == len(e.lane) {
-		e.lane = e.lane[:0]
-		e.laneHead = 0
+// Delay returns the engine's DelayLine for delay d, creating its FIFO on
+// first use: there is one per distinct d. Look it up once, when the owner
+// is built, and keep it. Negative d panics.
+func (e *Engine) Delay(d Duration) DelayLine {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
+	for i := range e.fifos {
+		if e.fifos[i].d == d {
+			return DelayLine{e, int32(i)}
+		}
+	}
+	e.fifos = append(e.fifos, delayFIFO{d: d})
+	return DelayLine{e, int32(len(e.fifos) - 1)}
+}
+
+// Schedule runs fn after the line's delay.
+func (l DelayLine) Schedule(fn func()) Handle {
+	e := l.e
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	f := &e.fifos[l.i]
+	slot := e.allocSlot(fn)
+	e.seq++
+	e.live++
+	ev := event{at: e.now.Add(f.d), seq: e.seq, slot: slot}
+	if !f.proxied {
+		e.push(event{at: ev.at, seq: ev.seq, slot: ^l.i})
+		f.proxied = true
+	}
+	f.push(ev)
+	return Handle{slot: slot, tag: ^l.i, gen: e.slots[slot].gen}
+}
+
+// eventQueue is a FIFO of events appended in (at, seq) order: q[head:] are
+// pending and may hold tombstones. The slice is reset when it drains.
+type eventQueue struct {
+	q    []event
+	head int
+}
+
+func (q *eventQueue) len() int     { return len(q.q) - q.head }
+func (q *eventQueue) empty() bool  { return q.head == len(q.q) }
+func (q *eventQueue) front() event { return q.q[q.head] }
+
+// push appends ev. When the array is full and at least half of it is an
+// already-popped prefix, the pending suffix moves down instead of the array
+// growing, so a queue that never drains (a same-instant cascade, a stream
+// of timers) reuses its storage.
+func (q *eventQueue) push(ev event) {
+	if len(q.q) == cap(q.q) && q.head > 0 && 2*q.head >= len(q.q) {
+		n := copy(q.q, q.q[q.head:])
+		q.q = q.q[:n]
+		q.head = 0
+	}
+	q.q = append(q.q, ev)
+}
+
+// pop removes the head.
+func (q *eventQueue) pop() {
+	q.head++
+	if q.head == len(q.q) {
+		q.q = q.q[:0]
+		q.head = 0
+	}
+}
+
+// delayFIFO is the queue behind one DelayLine.
+type delayFIFO struct {
+	eventQueue
+	d       Duration
+	dead    int  // tombstones in the queue
+	proxied bool // the FIFO's proxy is in the heap; always so when it is non-empty
 }
 
 // push inserts ev into the 4-ary heap (hole-based sift-up).
@@ -378,42 +485,81 @@ func (e *Engine) siftDown(i int, v event) {
 }
 
 // peekLive drops cancelled tombstones off the lane head and the heap top and
-// reports the next live event, if any, and whether it is the lane head.
+// reports the next live event, if any, and whether it is the lane head. A
+// delay FIFO's event is reported as its proxy, keyed at the event.
 func (e *Engine) peekLive() (ev event, inLane, ok bool) {
-	for e.laneHead < len(e.lane) {
-		ev = e.lane[e.laneHead]
+	for !e.lane.empty() {
+		ev = e.lane.front()
 		if e.slots[ev.slot].fn != nil {
 			inLane = true
 			break
 		}
-		e.popLane()
+		e.lane.pop()
 		e.freeSlot(ev.slot)
 	}
 	for len(e.heap) > 0 {
 		top := e.heap[0]
-		if e.slots[top.slot].fn != nil {
-			if !inLane || top.less(ev) {
-				return top, false, true
+		if top.slot < 0 {
+			if !e.syncProxy(top) {
+				continue
 			}
-			break
+		} else if e.slots[top.slot].fn == nil {
+			e.pop()
+			e.heapDead--
+			e.freeSlot(top.slot)
+			continue
 		}
-		e.pop()
-		e.heapDead--
-		e.freeSlot(top.slot)
+		if !inLane || top.less(ev) {
+			return top, false, true
+		}
+		break
 	}
 	return ev, inLane, inLane
 }
 
-// fire removes ev, the next live event peekLive reported, from its queue and
-// executes it, advancing the clock to its timestamp.
-func (e *Engine) fire(ev event, inLane bool) {
-	if inLane {
-		e.popLane()
-	} else {
-		e.pop()
+// syncProxy checks top, the heap top and a delay FIFO's proxy, against its
+// FIFO. It drops tombstones off the FIFO head, then removes the proxy if the
+// FIFO is empty, or re-keys it to the live head if the head is not the
+// event the proxy is keyed at, which is the event that fired last, a
+// tombstone, or one compaction dropped. It reports whether the proxy was
+// keyed at the live head already and so stands for the next event.
+func (e *Engine) syncProxy(top event) bool {
+	f := &e.fifos[^top.slot]
+	for !f.empty() {
+		head := f.front()
+		if e.slots[head.slot].fn != nil {
+			if head.seq == top.seq {
+				return true
+			}
+			e.siftDown(0, event{at: head.at, seq: head.seq, slot: top.slot})
+			return false
+		}
+		f.pop()
+		f.dead--
+		e.freeSlot(head.slot)
 	}
-	fn := e.slots[ev.slot].fn
-	e.freeSlot(ev.slot)
+	e.pop()
+	f.proxied = false
+	return false
+}
+
+// fire removes ev, the next live event peekLive reported, from its queue and
+// executes it, advancing the clock to its timestamp. A FIFO event leaves its
+// proxy keyed at it; the next peekLive re-keys or removes the proxy.
+func (e *Engine) fire(ev event, inLane bool) {
+	slot := ev.slot
+	switch {
+	case inLane:
+		e.lane.pop()
+	case slot >= 0:
+		e.pop()
+	default:
+		f := &e.fifos[^slot]
+		slot = f.front().slot
+		f.pop()
+	}
+	fn := e.slots[slot].fn
+	e.freeSlot(slot)
 	e.live--
 	if invariant.On {
 		ckClockMonotonic.Assert(ev.at >= e.now,
@@ -463,19 +609,21 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // trimSlotThreshold is the slot-table size beyond which a fully drained
-// engine releases its heap, lane and slot storage. Steady-state workloads (a few
-// hundred concurrent events) never cross it, so the zero-alloc schedule path
-// is untouched; a burst that pinned tens of thousands of slots is given back
-// to the allocator once the burst drains instead of being held for the life
-// of the engine.
+// engine releases its heap, lane, FIFO and slot storage. Steady-state
+// workloads (a few hundred concurrent events) never cross it, so the
+// zero-alloc schedule path is untouched; a burst that pinned tens of
+// thousands of slots is given back to the allocator once the burst drains
+// instead of being held for the life of the engine.
 const trimSlotThreshold = 4096
 
-// maybeTrim releases the heap, lane, slot table, and free lists after a full
-// drain if a past burst left them oversized. Only safe when nothing is pending:
-// every slot is then free, and advancing genBase past every generation ever
-// issued keeps stale Handles into the old table from matching the new one.
+// maybeTrim releases the heap, lane, delay FIFOs, slot table, and free lists
+// after a full drain if a past burst left them oversized. Only safe when
+// nothing is pending: every slot is then free, an empty heap holds no FIFO
+// proxy so every FIFO is empty, and advancing genBase past every generation
+// ever issued keeps stale Handles into the old table from matching the new
+// one. The FIFOs themselves stay, since DelayLines index them.
 func (e *Engine) maybeTrim() {
-	if e.live != 0 || len(e.heap) != 0 || len(e.lane) != 0 || len(e.slots) <= trimSlotThreshold {
+	if e.live != 0 || len(e.heap) != 0 || !e.lane.empty() || len(e.slots) <= trimSlotThreshold {
 		return
 	}
 	for i := range e.slots {
@@ -483,7 +631,10 @@ func (e *Engine) maybeTrim() {
 			e.genBase = g + 1
 		}
 	}
-	e.slots, e.freeSlots, e.heap, e.lane = nil, nil, nil, nil
+	e.slots, e.freeSlots, e.heap, e.lane = nil, nil, nil, eventQueue{}
+	for i := range e.fifos {
+		e.fifos[i].eventQueue = eventQueue{}
+	}
 }
 
 // nextLiveEvent reports the next pending event without executing it.

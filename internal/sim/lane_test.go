@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// Tests for the same-instant lane: an event scheduled for the current
-// instant waits in a FIFO beside the heap, and the engine fires the smaller
-// of the lane head and the heap top by (at, seq).
+// Tests for the same-instant lane and the delay FIFOs: an event scheduled
+// for the current instant waits in a FIFO beside the heap, an event
+// scheduled through a DelayLine waits in that delay's FIFO behind a heap
+// proxy, and the engine fires the smallest of them all by (at, seq).
 
 // refRecord is a pending event as the reference order sees it: the (at, seq)
 // pair the engine promises to fire in.
@@ -23,33 +24,72 @@ func (r refRecord) before(o refRecord) bool {
 	return r.seq < o.seq
 }
 
-// TestEngineFiresInReferenceOrder drives a two-shard group with random At,
-// After, Immediately and Cancel calls, most of them made from inside
-// callbacks, plus keyed deliveries (cross-shard, and same-shard with zero
-// delay too) on a coarse time grid, so that deliveries land on instants
-// that also fire lane events. Each event's (at, seq) record is kept while it
-// is pending: every firing must be the smallest pending record of its
-// engine, Cancel must report exactly whether the event was pending, and
-// exactly the uncancelled events fire.
-func TestEngineFiresInReferenceOrder(t *testing.T) {
-	var mixed, laneCancels int
-	for seed := int64(1); seed <= 10; seed++ {
-		m, c := checkReferenceOrder(t, seed)
-		mixed += m
-		laneCancels += c
+// The queues a reference-order event can wait in.
+const (
+	refHeap = iota
+	refLane
+	refFIFO
+	refDelivery
+	refQueues
+)
+
+// queueOf names the queue a Handle's tag says its event waits in.
+func queueOf(h Handle) int {
+	switch {
+	case h.tag == tagLane:
+		return refLane
+	case h.tag < 0:
+		return refFIFO
 	}
-	if mixed == 0 {
+	return refHeap
+}
+
+// refCounts is what one reference-order run exercised.
+type refCounts struct {
+	// mixed counts (shard, instant) pairs that fired both a delivery and a
+	// lane event; fifoMixed those that fired a FIFO event, a lane event and
+	// a delivery.
+	mixed, fifoMixed int
+	// cancels counts events cancelled while pending, by queue.
+	cancels [refQueues]int
+}
+
+// TestEngineFiresInReferenceOrder drives a two-shard group with random At,
+// After, Immediately, DelayLine and Cancel calls, most of them made from
+// inside callbacks, plus keyed deliveries (cross-shard, and same-shard with
+// zero delay too) on a coarse time grid, so that deliveries and the events
+// of three delay FIFOs land on instants that also fire lane events. Each
+// event's (at, seq) record is kept while it is pending: every local event
+// must take the next sequence number, every firing must be the smallest
+// pending record of its engine, Cancel must report exactly whether the event
+// was pending, and exactly the uncancelled events fire.
+func TestEngineFiresInReferenceOrder(t *testing.T) {
+	var total refCounts
+	for seed := int64(1); seed <= 10; seed++ {
+		c := checkReferenceOrder(t, seed)
+		total.mixed += c.mixed
+		total.fifoMixed += c.fifoMixed
+		for q, n := range c.cancels {
+			total.cancels[q] += n
+		}
+	}
+	if total.mixed == 0 {
 		t.Fatal("no delivery fired at an instant that also fired lane events")
 	}
-	if laneCancels == 0 {
+	if total.fifoMixed == 0 {
+		t.Fatal("no FIFO event fired at an instant that also fired a lane event and a delivery")
+	}
+	if total.cancels[refLane] == 0 {
 		t.Fatal("no lane event was cancelled")
+	}
+	if total.cancels[refFIFO] == 0 {
+		t.Fatal("no FIFO event was cancelled")
 	}
 }
 
-// checkReferenceOrder runs one seeded program and returns how many
-// (shard, instant) pairs fired both a delivery and a lane event, and how
-// many lane events were cancelled.
-func checkReferenceOrder(t *testing.T, seed int64) (mixed, laneCancels int) {
+// checkReferenceOrder runs one seeded program and reports what it
+// exercised.
+func checkReferenceOrder(t *testing.T, seed int64) (counts refCounts) {
 	t.Helper()
 	const (
 		shards    = 2
@@ -59,23 +99,29 @@ func checkReferenceOrder(t *testing.T, seed int64) (mixed, laneCancels int) {
 	type issued struct {
 		h  Handle
 		id int
+		q  int // refHeap, refLane or refFIFO
 	}
 	rng := rand.New(rand.NewSource(seed))
 	s := NewShards(shards, lookahead)
 	pending := make([]map[int]refRecord, shards) // by engine: event id -> record
 	handles := make([][]issued, shards)          // by shard: every Handle issued
-	laneAt := make([]map[Time]bool, shards)      // instants that fired a lane event
-	deliveryAt := make([]map[Time]bool, shards)  // instants that fired a delivery
+	firedAt := make([][refQueues]map[Time]bool, shards)
+	seqs := make([]uint64, shards) // by shard: local sequence numbers issued
+	lines := make([][]DelayLine, shards)
 	for i := range pending {
 		pending[i] = map[int]refRecord{}
-		laneAt[i] = map[Time]bool{}
-		deliveryAt[i] = map[Time]bool{}
+		for q := range firedAt[i] {
+			firedAt[i][q] = map[Time]bool{}
+		}
+		for _, d := range []Duration{10, 20, 30} {
+			lines[i] = append(lines[i], s.Engine(i).Delay(d))
+		}
 	}
 	ids, fired, cancelled := 0, 0, 0
 	var key uint64
 
 	var act func(i int)
-	callback := func(i, id int, lane, delivery bool) func() {
+	callback := func(i, id, q int) func() {
 		return func() {
 			e := s.Engine(i)
 			rec, ok := pending[i][id]
@@ -93,12 +139,7 @@ func checkReferenceOrder(t *testing.T, seed int64) (mixed, laneCancels int) {
 			}
 			delete(pending[i], id)
 			fired++
-			if lane {
-				laneAt[i][rec.at] = true
-			}
-			if delivery {
-				deliveryAt[i][rec.at] = true
-			}
+			firedAt[i][q][rec.at] = true
 			for n := 1 + rng.Intn(3); n > 0; n-- {
 				act(i)
 			}
@@ -116,9 +157,7 @@ func checkReferenceOrder(t *testing.T, seed int64) (mixed, laneCancels int) {
 			if want {
 				delete(pending[i], is.id)
 				cancelled++
-				if is.h.lane {
-					laneCancels++
-				}
+				counts.cancels[is.q]++
 			}
 			return
 		}
@@ -135,25 +174,37 @@ func checkReferenceOrder(t *testing.T, seed int64) (mixed, laneCancels int) {
 			}
 			key++
 			pending[dst][id] = refRecord{at: e.Now().Add(d), seq: deliverySeqBase | key}
-			s.Send(i, dst, d, key, callback(dst, id, false, true))
+			s.Send(i, dst, d, key, callback(dst, id, refDelivery))
 			return
 		}
 		d := Duration(rng.Intn(4)) * 10
+		q := refHeap
+		if d == 0 {
+			q = refLane
+		}
 		var h Handle
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
-			h = e.At(e.Now().Add(d), callback(i, id, d == 0, false))
+			h = e.At(e.Now().Add(d), callback(i, id, q))
 		case 1:
-			h = e.After(d, callback(i, id, d == 0, false))
+			h = e.After(d, callback(i, id, q))
+		case 2:
+			d, q = 0, refLane
+			h = e.Immediately(callback(i, id, q))
 		default:
-			d = 0
-			h = e.Immediately(callback(i, id, true, false))
+			k := rng.Intn(len(lines[i]))
+			d, q = Duration(10*(k+1)), refFIFO
+			h = lines[i][k].Schedule(callback(i, id, q))
 		}
-		if h.lane != (d == 0) {
-			t.Fatalf("seed %d: event %d with delay %v scheduled in lane=%v", seed, id, d, h.lane)
+		if got := queueOf(h); got != q {
+			t.Fatalf("seed %d: event %d with delay %v waits in queue %d, want %d", seed, id, d, got, q)
 		}
-		pending[i][id] = refRecord{at: e.Now().Add(d), seq: e.seq}
-		handles[i] = append(handles[i], issued{h, id})
+		seqs[i]++
+		if e.seq != seqs[i] {
+			t.Fatalf("seed %d: event %d took sequence number %d, want %d", seed, id, e.seq, seqs[i])
+		}
+		pending[i][id] = refRecord{at: e.Now().Add(d), seq: seqs[i]}
+		handles[i] = append(handles[i], issued{h, id, q})
 	}
 
 	for i := 0; i < shards; i++ {
@@ -167,16 +218,19 @@ func checkReferenceOrder(t *testing.T, seed int64) (mixed, laneCancels int) {
 		if len(pending[i]) != 0 {
 			t.Fatalf("seed %d: %d events left pending on shard %d after the run", seed, len(pending[i]), i)
 		}
-		for at := range deliveryAt[i] {
-			if laneAt[i][at] {
-				mixed++
+		for at := range firedAt[i][refDelivery] {
+			if firedAt[i][refLane][at] {
+				counts.mixed++
+				if firedAt[i][refFIFO][at] {
+					counts.fifoMixed++
+				}
 			}
 		}
 	}
 	if fired+cancelled != ids {
 		t.Fatalf("seed %d: fired %d + cancelled %d != scheduled %d", seed, fired, cancelled, ids)
 	}
-	return mixed, laneCancels
+	return counts
 }
 
 // A warm chain of same-instant events allocates nothing: each firing
@@ -224,7 +278,7 @@ func TestEngineLaneCascadeBounded(t *testing.T) {
 	if fired != width+depth {
 		t.Fatalf("fired %d events, want %d", fired, width+depth)
 	}
-	if c := cap(eng.lane); c > 4*width {
+	if c := cap(eng.lane.q); c > 4*width {
 		t.Fatalf("lane array grew to %d entries for at most %d pending", c, width)
 	}
 }

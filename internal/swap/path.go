@@ -87,14 +87,19 @@ type Path struct {
 	// hierarchical routes every op through the shared host swap stage,
 	// paying HostHopOverhead plus a per-page copy. Nil hostStage with
 	// hierarchical=true panics at Submit.
-	hierarchical bool
 	hostStage    *HostSwapStage
+	hierarchical bool
 
 	// Retry turns on per-op timeouts and bounded retry: each attempt's
 	// deadline is retryTimeout of the backend's kind, and a timed-out or
 	// errored op is retried up to maxRetries times with exponential backoff.
-	// Off, ops wait forever: the pre-fault behaviour.
+	// Off, ops wait forever: the pre-fault behaviour. A deadline is armed
+	// on the engine's DelayLine for that timeout, found when the path is
+	// built, and is cancelled when the attempt completes first, which
+	// healthy attempts nearly always do.
 	Retry bool
+	// timeouts is the engine's DelayLine for retryTimeout(backend.Kind()).
+	timeouts sim.DelayLine
 
 	// Health, when non-nil, observes every attempt outcome (success,
 	// timeout, backend error) for failure detection.
@@ -148,7 +153,8 @@ func (p *Path) observe() {
 // NewPath builds a host-bypass path (xDM's shape): frontend → channel →
 // backend.
 func NewPath(eng *sim.Engine, backend Backend, channel *Channel) *Path {
-	p := &Path{eng: eng, backend: backend, channel: channel}
+	p := &Path{eng: eng, backend: backend, channel: channel,
+		timeouts: eng.Delay(retryTimeout(backend.Kind()))}
 	p.observe()
 	return p
 }
@@ -159,7 +165,8 @@ func NewHierarchicalPath(eng *sim.Engine, backend Backend, channel *Channel, hos
 	if host == nil {
 		panic("swap: hierarchical path requires a host stage")
 	}
-	p := &Path{eng: eng, backend: backend, channel: channel, hierarchical: true, hostStage: host}
+	p := &Path{eng: eng, backend: backend, channel: channel, hierarchical: true, hostStage: host,
+		timeouts: eng.Delay(retryTimeout(backend.Kind()))}
 	p.observe()
 	return p
 }
@@ -375,7 +382,7 @@ func (r *pathOp) try() {
 		p.backend.Submit(r.ex, a.okFn)
 	}
 	if a.timed {
-		a.timer = p.eng.After(retryTimeout(p.backend.Kind()), a.timeoutFn)
+		a.timer = p.timeouts.Schedule(a.timeoutFn)
 		a.hasTimer = true
 	}
 }
